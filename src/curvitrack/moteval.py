@@ -5,6 +5,25 @@ so there is no notion of a false positive outside the instants where a
 ground-truth vehicle exists: detection accuracy is the FP-free DetA* =
 TP / (TP + FN), and association accuracy is accumulated only over those
 instants.  HOTA is the alpha-averaged sqrt(DetA* * AssA).
+
+Matching rule: DetA* and AssA at each threshold alpha come from their own
+per-frame Hungarian matching on cost 1 - IOU over the pairs with
+IOU >= alpha (most matches first, then least total cost).  This departs
+from the HOTA paper (Luiten et al., IJCV 2021), which matches once per
+frame on an association-weighted similarity and then keeps, at each alpha,
+the matched pairs with IOU >= alpha; the two rules can give different TP
+counts.
+
+Cost follows the feasible pairs, not objects x frames: every series is
+resampled over its own time window only, and each frame's pairs with
+IOU >= min(alpha) are split into connected components.  A component that
+is a single pair is a match at every alpha it clears; only components with
+a shared ground-truth row or track column are matched by Hungarian, on
+their own submatrix, at each alpha where a row or column is still shared.
+Disjoint components match independently, and a matching is unique where
+no row or column is shared, so the matches are those of a Hungarian pass
+on the whole frame, except that among equally good matchings (exact IOU
+ties, as between identical duplicate tracks) the one chosen may differ.
 """
 
 from __future__ import annotations
@@ -63,15 +82,57 @@ def resample(series: TrajectorySeries, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def match_frame(gt_boxes: np.ndarray, tr_boxes: np.ndarray,
-                min_iou: float) -> list[tuple[int, int, float]]:
-    """Hungarian matching on 1 - IOU; returns (gt_idx, tr_idx, iou)."""
-    if len(gt_boxes) == 0 or len(tr_boxes) == 0:
-        return []
+def match_frame(gt_boxes: np.ndarray, tr_boxes: np.ndarray, alphas) -> tuple:
+    """Match one frame at every IOU threshold in `alphas`.
+
+    Returns (rows, cols, iou, matched): the gt index, track index and IOU
+    of every pair with IOU >= min(alphas), in row-major order, and a
+    (len(alphas), pairs) mask of the pairs matched at each threshold.
+    A pair sharing neither its row nor its column with another pair is
+    matched wherever it clears the threshold.  The other pairs are split
+    into connected components, and a component is matched by Hungarian on
+    1 - IOU at each threshold where it still has a shared row or column.
+    """
+    alphas = np.asarray(alphas, dtype=float)
     iou = iou_matrix(gt_boxes, tr_boxes)
-    cost = np.where(iou >= min_iou, 1.0 - iou, np.inf)
-    pairs = hungarian_match(cost, 1.0 - min_iou)
-    return [(g, t, float(iou[g, t])) for g, t in pairs]
+    rows, cols = np.nonzero(iou >= alphas.min())
+    vals = iou[rows, cols]
+    matched = vals >= alphas[:, None]
+    shared = ((np.bincount(rows, minlength=iou.shape[0]) > 1)[rows]
+              | (np.bincount(cols, minlength=iou.shape[1]) > 1)[cols])
+    if not shared.any():
+        return rows, cols, vals, matched
+    edges = np.flatnonzero(shared)
+    label = _components(rows[edges], cols[edges])
+    pair_of = np.full(iou.shape, -1)
+    pair_of[rows, cols] = np.arange(len(rows))
+    for comp in np.unique(label):
+        e = edges[label == comp]
+        r, c = np.unique(rows[e]), np.unique(cols[e])
+        sub = iou[np.ix_(r, c)]
+        for k, alpha in enumerate(alphas):
+            feasible = sub >= alpha
+            if feasible.sum(0).max() <= 1 and feasible.sum(1).max() <= 1:
+                continue    # no shared row or column left at this alpha
+            matched[k, e] = False
+            cost = np.where(feasible, 1.0 - sub, np.inf)
+            for i, j in hungarian_match(cost, 1.0 - alpha):
+                matched[k, pair_of[r[i], c[j]]] = True
+    return rows, cols, vals, matched
+
+
+def _components(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected-component label of each edge (row, col) of a bipartite graph."""
+    parent = {}
+
+    def root(node):
+        while parent.setdefault(node, node) != node:
+            node = parent[node]
+        return node
+
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        parent[root(r)] = root(~c)      # columns are the negative nodes
+    return np.array([root(r) for r in rows.tolist()])
 
 
 @dataclass
@@ -132,40 +193,115 @@ def det_a_star(matched: int, gt_instants: int) -> float:
 
 
 def lcss(seq: list, gt_x: np.ndarray, step: float) -> tuple[float, float]:
-    """Public wrapper over the longest-consecutive-run computation."""
-    return _lcss(seq, np.asarray(gt_x, dtype=float), step)
-
-
-def _lcss(seq: list, gt_x: np.ndarray, step: float) -> tuple[float, float]:
     """Longest run of strictly consecutive instants matched to one id.
 
+    `seq` holds the matched id (None when unmatched) at each instant.
     Returns (duration seconds, longitudinal distance feet) of that run.
     """
-    best_len, best_span = 0, (0, 0)
-    run_len, run_start = 0, 0
-    prev = None
-    for i, tid in enumerate(seq):
-        if tid is not None and tid == prev:
-            run_len += 1
-        elif tid is not None:
-            run_len, run_start = 1, i
-        else:
-            run_len = 0
-        prev = tid
-        if run_len > best_len:
-            best_len = run_len
-            best_span = (run_start, i)
-    if best_len == 0:
-        return 0.0, 0.0
-    i0, i1 = best_span
-    return (i1 - i0) * step, float(abs(gt_x[i1] - gt_x[i0]))
+    codes = {}
+    code = np.array([-1 if s is None else codes.setdefault(s, len(codes))
+                     for s in seq], dtype=int)
+    t, d = _longest_runs(code, np.zeros(len(code), dtype=int),
+                         np.asarray(gt_x, dtype=float), step, 1)
+    return float(t[0]), float(d[0])
+
+
+def _longest_runs(code: np.ndarray, owner: np.ndarray, x: np.ndarray,
+                  step: float, n_owner: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per owner, the first longest run of consecutive instants with one
+    id code (>= 0): its (duration seconds, |x end - x start| feet).
+
+    `owner` is sorted; an owner with no matched instant gets (0, 0).
+    """
+    hit = code >= 0
+    cont = np.zeros(len(code), dtype=bool)
+    cont[1:] = hit[1:] & (code[1:] == code[:-1]) & (owner[1:] == owner[:-1])
+    start = np.flatnonzero(hit & ~cont)
+    length = np.bincount(np.cumsum(hit & ~cont)[hit] - 1, minlength=len(start))
+    run_owner = owner[start]
+    order = np.lexsort((start, -length, run_owner))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = run_owner[order][1:] != run_owner[order][:-1]
+    best = order[first]
+    t, d = np.zeros(n_owner), np.zeros(n_owner)
+    i0, i1 = start[best], start[best] + length[best] - 1
+    t[run_owner[best]] = (i1 - i0) * step
+    d[run_owner[best]] = np.abs(x[i1] - x[i0])
+    return t, d
+
+
+@dataclass(frozen=True)
+class _Samples:
+    """Present samples of a series list on the evaluation grid, ordered by
+    series, then frame."""
+
+    owner: np.ndarray   # series index
+    frame: np.ndarray   # grid index
+    boxes: np.ndarray   # (N,5)
+
+
+def _samples(series_list: list, grid: np.ndarray, x_clip=None) -> _Samples:
+    """Each series resampled over its own grid window only."""
+    parts = []
+    for i, s in enumerate(series_list):
+        if len(s.times) == 0:
+            continue
+        lo = int(np.searchsorted(grid, s.times[0] - 1e-9, "left"))
+        hi = int(np.searchsorted(grid, s.times[-1] + 1e-9, "right"))
+        b = resample(s, grid[lo:hi])
+        keep = ~np.isnan(b[:, 0])
+        if x_clip is not None:
+            keep &= (b[:, 0] >= x_clip[0]) & (b[:, 0] <= x_clip[1])
+        parts.append((np.full(int(keep.sum()), i), np.arange(lo, hi)[keep], b[keep]))
+    if not parts:
+        return _Samples(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 5)))
+    return _Samples(*(np.concatenate(p) for p in zip(*parts)))
+
+
+def _match_frames(gt: _Samples, tr: _Samples, alphas) -> tuple:
+    """match_frame over every frame where both sides have samples.
+
+    Returns (gt sample, track sample, iou, matched) per candidate pair,
+    ordered by frame, then gt series, then track series.
+    """
+    g_order = np.argsort(gt.frame, kind="stable")
+    t_order = np.argsort(tr.frame, kind="stable")
+    g_frame, t_frame = gt.frame[g_order], tr.frame[t_order]
+    frames = np.intersect1d(g_frame, t_frame)
+    bounds = zip(np.searchsorted(g_frame, frames, "left").tolist(),
+                 np.searchsorted(g_frame, frames, "right").tolist(),
+                 np.searchsorted(t_frame, frames, "left").tolist(),
+                 np.searchsorted(t_frame, frames, "right").tolist())
+    eg, et, eiou = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    matched = [np.zeros((len(alphas), 0), dtype=bool)]
+    for a, b, c, d in bounds:
+        gi, ti = g_order[a:b], t_order[c:d]
+        rows, cols, vals, m = match_frame(gt.boxes[gi], tr.boxes[ti], alphas)
+        eg.append(gi[rows])
+        et.append(ti[cols])
+        eiou.append(vals)
+        matched.append(m)
+    return (np.concatenate(eg), np.concatenate(et), np.concatenate(eiou),
+            np.concatenate(matched, axis=1))
+
+
+def _ass_a(g: np.ndarray, t: np.ndarray, gt_count: np.ndarray, n_tr: int):
+    """Mean over matches of TPA / (TPA + FNA + FPA).
+
+    The matches come in (frame, gt) order and are summed one by one in that
+    order (cumsum, not np.sum's pairwise sum), as a loop over them would.
+    """
+    pair = np.unique(g * n_tr + t, return_inverse=True)[1]
+    tpa = np.bincount(pair)[pair].astype(float)
+    fna = gt_count[g] - tpa
+    fpa = np.bincount(t, minlength=n_tr)[t].astype(float) - tpa
+    return np.cumsum(tpa / (tpa + fna + fpa))[-1] / len(g)
 
 
 def evaluate(gt_series: list, track_series: list,
              config: EvalConfig | None = None) -> EvalReport:
     cfg = config or EvalConfig()
     step = cfg.step_s
-    gt_series = [s if isinstance(s, TrajectorySeries) else s for s in gt_series]
     tracks = [s if isinstance(s, TrajectorySeries)
               else series_from_tracklet(s) for s in track_series]
 
@@ -179,96 +315,59 @@ def evaluate(gt_series: list, track_series: list,
     t_hi = max(s.times[-1] for s in gt_series)
     k0, k1 = int(np.ceil(t_lo / step - 1e-9)), int(np.floor(t_hi / step + 1e-9))
     grid = np.arange(k0, k1 + 1) * step
-    nf = len(grid)
 
-    # sampled boxes: NaN rows mark absence
-    gt_s = np.stack([resample(s, grid) for s in gt_series])      # (G,F,5)
-    tr_s = (np.stack([resample(s, grid) for s in tracks])
-            if tracks else np.zeros((0, nf, 5)))
-    lo, hi = cfg.x_clip
-    gt_present = (~np.isnan(gt_s[:, :, 0])) & (gt_s[:, :, 0] >= lo) & (gt_s[:, :, 0] <= hi)
-    tr_present = ~np.isnan(tr_s[:, :, 0]) if tracks else np.zeros((0, nf), bool)
-
+    gt = _samples(gt_series, grid, cfg.x_clip)
+    tr = _samples(tracks, grid)
     n_gt, n_tr = len(gt_series), len(tracks)
-    # per-frame IOU computed once, reused across alphas
-    frame_ious = []
-    for f in range(nf):
-        gi = np.flatnonzero(gt_present[:, f])
-        ti = np.flatnonzero(tr_present[:, f])
-        if len(gi) and len(ti):
-            frame_ious.append((gi, ti, iou_matrix(gt_s[gi, f], tr_s[ti, f])))
-        else:
-            frame_ious.append((gi, ti, None))
 
-    def _match_all(alpha):
-        """Per-frame Hungarian at IOU threshold alpha; yields (f, g, t, iou)."""
-        out = []
-        for f, (gi, ti, iou) in enumerate(frame_ious):
-            if iou is None:
-                continue
-            cost = np.where(iou >= alpha, 1.0 - iou, np.inf)
-            for r, c in hungarian_match(cost, 1.0 - alpha):
-                out.append((f, int(gi[r]), int(ti[c]), float(iou[r, c])))
-        return out
+    # thresholds: the HOTA alphas, then the working threshold if not among them
+    alphas = list(cfg.hota_alphas)
+    working = next((k for k, a in enumerate(alphas)
+                    if abs(a - cfg.match_iou) < 1e-9), None)
+    if working is None:
+        working = len(alphas)
+        alphas.append(cfg.match_iou)
+    eg, et, eiou, matched = _match_frames(gt, tr, alphas)
 
-    total_gt = int(gt_present.sum())
+    total_gt = len(gt.owner)
+    gt_count = np.bincount(gt.owner, minlength=n_gt).astype(float)
     hotas, detas, assas = [], [], []
-    matches_at_working = None
-    for alpha in cfg.hota_alphas:
-        matches = _match_all(alpha)
-        tp = len(matches)
+    for k in range(len(cfg.hota_alphas)):
+        m = matched[k]
+        tp = int(m.sum())
         deta = tp / total_gt if total_gt else 0.0
-        if tp == 0:
-            detas.append(deta)
-            assas.append(0.0)
-            hotas.append(0.0)
-            if abs(alpha - cfg.match_iou) < 1e-9:
-                matches_at_working = matches
-            continue
-        # association counts over instants where the gt exists
-        tpa = np.zeros((n_gt, n_tr))
-        pr_matched = np.zeros(n_tr)
-        gt_matched_frames = np.zeros(n_gt)
-        for _, g, t, _ in matches:
-            tpa[g, t] += 1
-            pr_matched[t] += 1
-            gt_matched_frames[g] += 1
-        gt_count = gt_present.sum(axis=1).astype(float)
-        acc = 0.0
-        for _, g, t, _ in matches:
-            fna = gt_count[g] - tpa[g, t]
-            fpa = pr_matched[t] - tpa[g, t]
-            acc += tpa[g, t] / (tpa[g, t] + fna + fpa)
-        assa = acc / tp
+        assa = _ass_a(gt.owner[eg[m]], tr.owner[et[m]], gt_count, n_tr) if tp else 0.0
         detas.append(deta)
         assas.append(assa)
         hotas.append(float(np.sqrt(deta * assa)))
-        if abs(alpha - cfg.match_iou) < 1e-9:
-            matches_at_working = matches
-    if matches_at_working is None:
-        matches_at_working = _match_all(cfg.match_iou)
 
-    # per-trajectory statistics at the working threshold
-    per_frame_id = [[None] * nf for _ in range(n_gt)]
-    ious_by_gt = [[] for _ in range(n_gt)]
-    dists_by_gt = [[] for _ in range(n_gt)]
-    for f, g, t, iou in matches_at_working:
-        per_frame_id[g][f] = tracks[t].id
-        ious_by_gt[g].append(iou)
-        d = np.linalg.norm(gt_s[g, f, :2] - tr_s[t, f, :2])
-        dists_by_gt[g].append(float(d))
+    # per-trajectory statistics at the working threshold, over gt samples
+    sel = np.flatnonzero(matched[working])
+    sel = sel[np.argsort(eg[sel], kind="stable")]    # (gt, frame) order
+    gs, ts = eg[sel], et[sel]
+    id_codes = {}
+    track_code = np.array([id_codes.setdefault(s.id, len(id_codes)) for s in tracks],
+                          dtype=int)
+    code = np.full(total_gt, -1)
+    code[gs] = track_code[tr.owner[ts]]
+    lcss_t, lcss_d = _longest_runs(code, gt.owner, gt.boxes[:, 0], step, n_gt)
+    diff = gt.boxes[gs, :2] - tr.boxes[ts, :2]
+    # batched x.dot(x), the same kernel np.linalg.norm applies to one vector
+    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    ious = eiou[sel]
+    owner = gt.owner[gs]
+    ids = np.bincount(np.unique(np.column_stack([owner, code[gs]]), axis=0)[:, 0],
+                      minlength=n_gt)
+    cuts = np.searchsorted(owner, np.arange(n_gt + 1))
 
     scores = []
     for g, series in enumerate(gt_series):
-        frames = np.flatnonzero(gt_present[g])
-        seq = [per_frame_id[g][f] for f in frames]
-        lcss_t, lcss_d = _lcss(seq, gt_s[g, frames, 0], step)
-        matched = sum(1 for s in seq if s is not None)
-        ids = len({s for s in seq if s is not None})
-        motp_i = float(np.mean(ious_by_gt[g])) if ious_by_gt[g] else None
-        motp_e = float(np.mean(dists_by_gt[g])) if dists_by_gt[g] else None
-        scores.append(TrajectoryScore(series.id, len(frames), matched, ids,
-                                      lcss_t, lcss_d, motp_i, motp_e))
+        a, b = cuts[g], cuts[g + 1]
+        scores.append(TrajectoryScore(
+            series.id, int(gt_count[g]), int(b - a), int(ids[g]),
+            float(lcss_t[g]), float(lcss_d[g]),
+            float(np.mean(ious[a:b])) if b > a else None,
+            float(np.mean(dist[a:b])) if b > a else None))
 
     recall = (sum(s.matched for s in scores) / total_gt) if total_gt else 0.0
     with_match = [s for s in scores if s.matched > 0]

@@ -60,7 +60,8 @@ def hungarian_match(cost: np.ndarray, max_cost: float) -> list[tuple[int, int]]:
         return []
     capped = np.where(np.isfinite(cost) & (cost <= max_cost), cost, _BIG)
     rows, cols = linear_sum_assignment(capped)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if capped[r, c] < _BIG]
+    keep = capped[rows, cols] < _BIG
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
 @dataclass(frozen=True)
