@@ -40,11 +40,8 @@ from .simulator import SceneConfig, simulate
 from .tracking import (
     Tracklet,
     hungarian_match,
-    run_bytetrack,
-    run_iout,
-    run_kiou,
     run_oracle,
-    run_sort,
+    run_tracker,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +56,6 @@ __all__ = [
     "fit_centerline", "fit_homography", "fit_projection3d",
     "hungarian_match", "lift_image_box_to_prism", "metric_fitness",
     "metric_full_drift", "metric_sub_drift", "project_image_to_world",
-    "project_world_to_image", "refine", "roadway_to_world", "run_bytetrack",
-    "run_iout", "run_kiou", "run_oracle", "run_sort", "simulate",
-    "world_to_roadway",
+    "project_world_to_image", "refine", "roadway_to_world", "run_oracle",
+    "run_tracker", "simulate", "world_to_roadway",
 ]

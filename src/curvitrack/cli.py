@@ -395,8 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, out_required=True):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker pool size (advisory)")
         p.add_argument("--out", required=out_required)
 
     p = sub.add_parser("simulate", help="generate a synthetic scene")
@@ -420,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="run a tracker on detections")
     p.add_argument("--detections", required=True)
     p.add_argument("--algo", required=True,
-                   choices=sorted(tracking.PARAM_FACTORIES) + ["oracle"])
+                   choices=sorted(tracking.ALGORITHMS) + ["oracle"])
     p.add_argument("--gt", help="ground truth (oracle tracker only)")
     common(p)
     p.set_defaults(func=cmd_track)

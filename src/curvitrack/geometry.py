@@ -53,9 +53,6 @@ class ImagePoint:
             raise ValueError(f"labeled point ({x}, {y}) outside frame bounds")
         return cls(x, y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 @dataclass(frozen=True)
 class StatePlanePoint:
@@ -68,9 +65,6 @@ class StatePlanePoint:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError("state-plane point must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -126,9 +120,6 @@ class Homography:
         """Inverse map (state plane -> image), not renormalized."""
         return self._hinv
 
-    def with_epoch(self, epoch: float) -> "Homography":
-        return Homography(self.h, self.camera_id, self.direction, epoch)
-
 
 @dataclass(frozen=True)
 class Projection3D:
@@ -139,8 +130,6 @@ class Projection3D:
     """
 
     p: np.ndarray
-    vp_l: ImagePoint | None = None
-    vp_w: ImagePoint | None = None
     vp_h: ImagePoint | None = None
 
     def __post_init__(self):
@@ -194,7 +183,10 @@ class Prism3D:
 # projection primitives
 
 def _project_h(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Apply a 3x3 projective map to Nx2 points; raises HorizonPoint."""
+    """Apply a 3x3 (or 3x4) projective map to Nx2 (or Nx3) points.
+
+    Raises HorizonPoint where the projective denominator vanishes.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     ones = np.ones((pts.shape[0], 1))
     q = (m @ np.hstack([pts, ones]).T).T
@@ -221,10 +213,6 @@ def project_points_image_to_world(h: Homography, pts: np.ndarray) -> np.ndarray:
     return _project_h(h.h, pts)
 
 
-def project_points_world_to_image(h: Homography, pts: np.ndarray) -> np.ndarray:
-    return _project_h(h.hinv, pts)
-
-
 # ---------------------------------------------------------------------------
 # homography fitting
 
@@ -240,8 +228,8 @@ def _dlt(img: np.ndarray, world: np.ndarray) -> np.ndarray:
 
     ti = norm_transform(img)
     tw = norm_transform(world)
-    ih = _project_affine(ti, img)
-    wh = _project_affine(tw, world)
+    ih = _project_h(ti, img)
+    wh = _project_h(tw, world)
 
     n = img.shape[0]
     a = np.zeros((2 * n, 9))
@@ -254,11 +242,6 @@ def _dlt(img: np.ndarray, world: np.ndarray) -> np.ndarray:
     hn = vt[-1].reshape(3, 3)
     h = np.linalg.inv(tw) @ hn @ ti
     return normalize_h(h)
-
-
-def _project_affine(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    q = (t @ np.hstack([pts, np.ones((pts.shape[0], 1))]).T).T
-    return q[:, :2] / q[:, 2:3]
 
 
 def _refine_lm(h0: np.ndarray, img: np.ndarray, world: np.ndarray) -> np.ndarray:
@@ -364,11 +347,7 @@ def fit_homography(
 
 
 def _finalize(h: np.ndarray, inlier_ids, camera_id, direction, epoch):
-    try:
-        hom = Homography(h, camera_id, direction, epoch)
-    except SingularFit:
-        raise
-    return hom, list(inlier_ids)
+    return Homography(h, camera_id, direction, epoch), list(inlier_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +379,6 @@ def intersect_lines(lines: list[tuple[ImagePoint, ImagePoint]]) -> ImagePoint:
         raise ParallelVerticals(f"lines nearly parallel (max angle {max_angle:.4f} deg)")
     v = np.linalg.solve(a, b)
     return ImagePoint(v[0], v[1])
-
-
-def _project_p(p: np.ndarray, pts3: np.ndarray) -> np.ndarray:
-    pts3 = np.atleast_2d(np.asarray(pts3, dtype=float))
-    q = (p @ np.hstack([pts3, np.ones((pts3.shape[0], 1))]).T).T
-    denom = q[:, 2]
-    if np.any(np.abs(denom) < 1e-12):
-        raise HorizonPoint("projective denominator vanished")
-    return q[:, :2] / denom[:, None]
 
 
 def fit_projection3d(
@@ -456,7 +426,7 @@ def fit_projection3d(
 
     def cost(p33: float) -> float:
         try:
-            proj = _project_p(build(p33), world)
+            proj = _project_h(build(p33), world)
         except HorizonPoint:
             return 1e12
         return float(((proj - img) ** 2).sum())
@@ -472,7 +442,7 @@ def fit_projection3d(
 
 def project_prism_to_image(p3: Projection3D, prism: Prism3D) -> list[ImagePoint]:
     """Project all 8 prism corners into the image."""
-    pts = _project_p(p3.p, prism.corners)
+    pts = _project_h(p3.p, prism.corners)
     return [ImagePoint(x, y) for x, y in pts]
 
 
@@ -498,7 +468,7 @@ def lift_image_box_to_prism(
     def cost(height: float) -> float:
         tops3 = np.hstack([base, np.full((4, 1), height)])
         try:
-            proj = _project_p(p3.p, tops3)
+            proj = _project_h(p3.p, tops3)
         except HorizonPoint:
             return 1e12
         return float(np.linalg.norm(proj - hints, axis=1).mean())

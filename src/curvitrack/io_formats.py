@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -28,12 +29,20 @@ def fmt(v) -> str:
     return str(v)
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        # mkstemp creates 0600; give the artifact the mode open() would
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -87,9 +96,20 @@ def read_csv(path: str) -> tuple[list, list]:
 
 
 def _require(record: dict, keys, path: str, where: str) -> None:
+    if not isinstance(record, dict):
+        raise MalformedInput(f"{path}: {where}: expected a JSON object")
     missing = [k for k in keys if k not in record]
     if missing:
         raise MalformedInput(f"{path}: {where}: missing fields {missing}")
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite_number(v) -> bool:
+    """A JSON int or float that converts to a finite float (not a bool)."""
+    # NaN fails both comparisons; ints beyond the float range fail one
+    return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
 
 
 # --- correspondence points --------------------------------------------------
@@ -106,7 +126,7 @@ def read_points(path: str) -> list[dict]:
     return records
 
 
-# --- homographies & timelines -----------------------------------------------
+# --- homographies -----------------------------------------------------------
 
 def h_to_list(h: np.ndarray) -> list:
     return np.asarray(h, dtype=float).reshape(3, 3).tolist()
@@ -127,16 +147,6 @@ def read_homographies(path: str) -> list[dict]:
         if a.shape != (3, 3):
             raise MalformedInput(f"{path}: entry {i}: h is not 3x3")
     return entries
-
-
-def write_timeline(path: str, doc: dict) -> None:
-    write_json(path, doc)
-
-
-def read_timeline(path: str) -> dict:
-    doc = read_json(path)
-    _require(doc, ("camera", "reference", "instants"), path, "document")
-    return doc
 
 
 # --- snapshots ----------------------------------------------------------------
@@ -167,8 +177,17 @@ def read_detections(path: str) -> list[dict]:
     records = read_jsonl(path)
     for i, r in enumerate(records, start=1):
         _require(r, ("t", "box", "conf"), path, f"record {i}")
-        if len(r["box"]) != 5:
-            raise MalformedInput(f"{path}: record {i}: box must have 5 fields")
+        for key in ("t", "conf"):
+            if not _finite_number(r[key]):
+                raise MalformedInput(
+                    f"{path}: record {i}: {key} must be a finite number, "
+                    f"got {r[key]!r}")
+        box = r["box"]
+        if not (isinstance(box, list) and len(box) == 5
+                and all(_finite_number(b) for b in box)):
+            raise MalformedInput(
+                f"{path}: record {i}: box must be a list of 5 finite numbers, "
+                f"got {box!r}")
     return records
 
 
@@ -207,7 +226,6 @@ def read_tracklets(path: str):
         tl.boxes = [tl.boxes[i] for i in order]
         d = dims.get(str(tid))
         tl.dims_reported = [tuple(d)] if d else [tuple(tl.boxes[0][2:5])]
-        tl.status = "terminated"
     return [by_id[k] for k in sorted(by_id)]
 
 

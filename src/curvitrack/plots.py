@@ -1,9 +1,8 @@
 """Dependency-free SVG report figures.
 
-Deliberately minimal: line charts for drift-vs-time, bar charts for
-summary metrics, overlaid histograms for before/after comparisons.  Every
-numeric label goes through the same formatter as the CSV writers so the
-figure and the table never disagree.
+Deliberately minimal: line charts for drift-vs-time and bar charts for
+summary metrics.  Every numeric label goes through the same formatter as
+the CSV writers so the figure and the table never disagree.
 """
 
 from __future__ import annotations
@@ -124,43 +123,3 @@ def bar_chart(path: str, labels, values, title: str,
     parts.append("</svg>")
     atomic_write(path, "\n".join(parts))
 
-
-def histogram(path: str, samples: dict, title: str, bins: int = 30,
-              x_label: str = "") -> None:
-    """Overlaid translucent histograms; samples maps name -> 1-D array."""
-    samples = {k: np.asarray(v, float) for k, v in samples.items() if len(v)}
-    if not samples:
-        _empty(path, title)
-        return
-    allv = np.concatenate(list(samples.values()))
-    edges = np.histogram_bin_edges(allv, bins=bins)
-    counts = {k: np.histogram(v, bins=edges)[0] for k, v in samples.items()}
-    peak = max(int(c.max()) for c in counts.values()) or 1
-    sx, _, _ = _scale(edges, MARGIN, W - MARGIN)
-    span_px = H - 2 * MARGIN
-    parts = _header(title)
-    parts.append(f'<line x1="{MARGIN}" y1="{H - MARGIN}" x2="{W - MARGIN}" '
-                 f'y2="{H - MARGIN}" stroke="black"/>')
-    parts.append(f'<text x="{MARGIN}" y="{H - MARGIN + 16}">'
-                 f'{fmt(float(edges[0]))}</text>')
-    parts.append(f'<text x="{W - MARGIN}" y="{H - MARGIN + 16}" '
-                 f'text-anchor="end">{fmt(float(edges[-1]))}</text>')
-    if x_label:
-        parts.append(f'<text x="{W / 2}" y="{H - 12}" text-anchor="middle">'
-                     f'{x_label}</text>')
-    for i, (name, c) in enumerate(counts.items()):
-        color = PALETTE[i % len(PALETTE)]
-        for j, n in enumerate(c):
-            if n == 0:
-                continue
-            x0, x1 = float(sx(edges[j])), float(sx(edges[j + 1]))
-            hpx = n / peak * span_px
-            parts.append(f'<rect x="{x0:.2f}" y="{H - MARGIN - hpx:.2f}" '
-                         f'width="{x1 - x0:.2f}" height="{hpx:.2f}" '
-                         f'fill="{color}" fill-opacity="0.45"/>')
-        ly = MARGIN + 16 * i + 8
-        parts.append(f'<rect x="{W - MARGIN - 110}" y="{ly - 10}" width="12" '
-                     f'height="10" fill="{color}" fill-opacity="0.45"/>')
-        parts.append(f'<text x="{W - MARGIN - 92}" y="{ly}">{name}</text>')
-    parts.append("</svg>")
-    atomic_write(path, "\n".join(parts))

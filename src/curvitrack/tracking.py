@@ -24,26 +24,29 @@ def footprint_rect(boxes: np.ndarray) -> np.ndarray:
     """(N,5) roadway boxes -> (N,4) rectangles (x0, y0, x1, y1)."""
     boxes = np.atleast_2d(np.asarray(boxes, dtype=float))
     x, y, l, w = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-    sign = np.where(y < 0, -1.0, 1.0)
-    x0 = np.minimum(x, x + sign * l)
-    x1 = np.maximum(x, x + sign * l)
-    return np.stack([x0, y - w / 2.0, x1, y + w / 2.0], axis=1)
+    front = x + np.where(y < 0, -1.0, 1.0) * l
+    half_w = w / 2.0
+    return np.stack([np.minimum(x, front), y - half_w,
+                     np.maximum(x, front), y + half_w], axis=1)
+
+
+def _rect_iou(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """IOU of broadcastable (..., 4) rectangle arrays (x0, y0, x1, y1)."""
+    ix = np.clip(np.minimum(ra[..., 2], rb[..., 2])
+                 - np.maximum(ra[..., 0], rb[..., 0]), 0.0, None)
+    iy = np.clip(np.minimum(ra[..., 3], rb[..., 3])
+                 - np.maximum(ra[..., 1], rb[..., 1]), 0.0, None)
+    inter = ix * iy
+    union = ((ra[..., 2] - ra[..., 0]) * (ra[..., 3] - ra[..., 1])
+             + (rb[..., 2] - rb[..., 0]) * (rb[..., 3] - rb[..., 1]) - inter)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, 0.0)
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise footprint IOU between two (N,5)/(M,5) box arrays."""
-    ra, rb = footprint_rect(boxes_a), footprint_rect(boxes_b)
-    ix0 = np.maximum(ra[:, None, 0], rb[None, :, 0])
-    iy0 = np.maximum(ra[:, None, 1], rb[None, :, 1])
-    ix1 = np.minimum(ra[:, None, 2], rb[None, :, 2])
-    iy1 = np.minimum(ra[:, None, 3], rb[None, :, 3])
-    inter = np.clip(ix1 - ix0, 0.0, None) * np.clip(iy1 - iy0, 0.0, None)
-    area_a = (ra[:, 2] - ra[:, 0]) * (ra[:, 3] - ra[:, 1])
-    area_b = (rb[:, 2] - rb[:, 0]) * (rb[:, 3] - rb[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        iou = np.where(union > 0, inter / union, 0.0)
-    return iou
+    return _rect_iou(footprint_rect(boxes_a)[:, None, :],
+                     footprint_rect(boxes_b)[None, :, :])
 
 
 def iou_footprint(box_a, box_b) -> float:
@@ -68,7 +71,9 @@ def hungarian_match(cost: np.ndarray, max_cost: float) -> list[tuple[int, int]]:
 class TrackerParams:
     """Algorithm settings; defaults follow the benchmarked configurations."""
 
-    algorithm: str
+    similarity: str = "iou"     # association cost: "iou" or "l2" (center distance)
+    kalman: bool = True         # predict with a CV Kalman filter; else keep last box
+    two_stage: bool = False     # ByteTrack: low-confidence detections rescue tracks
     sigma_high: float = 0.5     # min confidence to enter the detection set
     phi_nms: float = 0.1        # NMS IOU threshold (cross-camera fusion)
     phi_min: float = 0.1        # min IOU for a match (IOU-based trackers)
@@ -82,32 +87,16 @@ class TrackerParams:
     confirm_hits: int = 2
 
 
-def params_sort() -> TrackerParams:
-    return TrackerParams("sort")
-
-
-def params_iout() -> TrackerParams:
-    return TrackerParams("iout", f_track=15.0)
-
-
-def params_kiou() -> TrackerParams:
-    return TrackerParams("kiou")
-
-
-def params_byte_l2() -> TrackerParams:
-    return TrackerParams("byte-l2", sigma_high=0.01)
-
-
-def params_byte_iou() -> TrackerParams:
-    return TrackerParams("byte-iou", sigma_high=0.01)
-
-
-PARAM_FACTORIES = {
-    "sort": params_sort,
-    "iout": params_iout,
-    "kiou": params_kiou,
-    "byte-l2": params_byte_l2,
-    "byte-iou": params_byte_iou,
+# The benchmarked baselines: SORT associates Kalman predictions by center
+# distance, the IOU tracker (IOUT) by overlap with the last box, KIOU by
+# overlap with the Kalman prediction, and ByteTrack adds a second stage in
+# which low-confidence detections rescue still-unmatched tracks.
+ALGORITHMS: dict[str, TrackerParams] = {
+    "sort": TrackerParams(similarity="l2"),
+    "iout": TrackerParams(kalman=False, f_track=15.0),
+    "kiou": TrackerParams(),
+    "byte-l2": TrackerParams(similarity="l2", two_stage=True, sigma_high=0.01),
+    "byte-iou": TrackerParams(two_stage=True, sigma_high=0.01),
 }
 
 
@@ -117,7 +106,6 @@ class Tracklet:
     times: list = field(default_factory=list)
     boxes: list = field(default_factory=list)   # (x, y, l, w, h)
     dims_reported: list = field(default_factory=list)
-    status: str = "active"
 
     @property
     def median_dims(self) -> tuple:
@@ -166,8 +154,7 @@ class _KalmanCV:
 
 class _Track:
     __slots__ = ("tid", "kf", "box", "times", "boxes", "dims", "hits",
-                 "confirmed", "last_match_t", "last_match_idx", "first_match_t",
-                 "missed_now")
+                 "confirmed", "last_match_t", "last_match_idx", "first_match_t")
 
     def __init__(self, tid, t, box, kf):
         self.tid = tid
@@ -213,13 +200,13 @@ def _frames(detections, params: TrackerParams):
     return out, dt
 
 
-def _assoc_cost(tracks, dets, params, mode):
+def _assoc_cost(tracks, dets, params: TrackerParams):
     """Cost matrix plus feasibility threshold for one association stage."""
     if not tracks or not dets:
         return np.zeros((len(tracks), len(dets))), 0.0
     tboxes = np.array([t.box for t in tracks])
     dboxes = np.array([d.box for d in dets])
-    if mode == "l2":
+    if params.similarity == "l2":
         dist = np.linalg.norm(
             tboxes[:, None, :2] - dboxes[None, :, :2], axis=2)
         cost = np.where(dist <= params.d_max, dist, np.inf)
@@ -229,8 +216,7 @@ def _assoc_cost(tracks, dets, params, mode):
     return cost, 1.0 - params.phi_min
 
 
-def _run_stream(detections, params: TrackerParams, similarity: str,
-                use_kalman: bool, byte_mode: bool, id_start: int):
+def _run_stream(detections, params: TrackerParams, id_start: int):
     """Shared tracking loop. Returns (tracklets, next_id)."""
     frames, dt = _frames(detections, params)
     if not frames:
@@ -244,20 +230,19 @@ def _run_stream(detections, params: TrackerParams, similarity: str,
         if not tr.confirmed or dur < params.t_min:
             return
         n = tr.last_match_idx + 1  # drop trailing coasted states
-        done.append(Tracklet(tr.tid, tr.times[:n], tr.boxes[:n],
-                             tr.dims, "terminated"))
+        done.append(Tracklet(tr.tid, tr.times[:n], tr.boxes[:n], tr.dims))
 
     for k in range(min(frames), max(frames) + 1):
         t = k * dt
         dets = frames.get(k, [])
         # predict
         for tr in active:
-            if use_kalman:
+            if params.kalman:
                 tr.kf.predict()
                 tr.box = tr.kf.box
             # IOUT keeps its last box as the prediction
 
-        if byte_mode:
+        if params.two_stage:
             high = [d for d in dets if d.conf >= params.tau_high]
             low = [d for d in dets if d.conf < params.tau_high]
             stages = [(high, True), (low, False)]
@@ -268,13 +253,13 @@ def _run_stream(detections, params: TrackerParams, similarity: str,
         matched_dets_new = []
         pool = active
         for stage_dets, spawn in stages:
-            cost, max_cost = _assoc_cost(pool, stage_dets, params, similarity)
+            cost, max_cost = _assoc_cost(pool, stage_dets, params)
             pairs = hungarian_match(cost, max_cost) if len(pool) and stage_dets else []
             hit_det = set()
             for ti, di in pairs:
                 tr = pool[ti]
                 d = stage_dets[di]
-                if use_kalman:
+                if params.kalman:
                     tr.kf.update(d.box)
                     tr.box = tr.kf.box
                 else:
@@ -311,7 +296,7 @@ def _run_stream(detections, params: TrackerParams, similarity: str,
         active = survivors
 
         for d in matched_dets_new:
-            kf = _KalmanCV(d.box, dt, params) if use_kalman else None
+            kf = _KalmanCV(d.box, dt, params) if params.kalman else None
             tr = _Track(next_id, t, d.box, kf)
             next_id += 1
             active.append(tr)
@@ -321,59 +306,21 @@ def _run_stream(detections, params: TrackerParams, similarity: str,
     return done, next_id
 
 
-def _split_directions(detections):
-    eb = [d for d in detections if d.box[1] >= 0]
-    wb = [d for d in detections if d.box[1] < 0]
-    return eb, wb
-
-
-def _run(detections, params, similarity, use_kalman, byte_mode):
+def run_tracker(algo: str, detections) -> list[Tracklet]:
+    """Run the ALGORITHMS entry `algo`; eastbound (y >= 0) and westbound
+    detections are tracked as separate streams."""
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown tracker {algo!r}")
+    params = ALGORITHMS[algo]
     out = []
     next_id = 0
-    for stream in _split_directions(detections):
+    eastbound = [d for d in detections if d.box[1] >= 0]
+    westbound = [d for d in detections if d.box[1] < 0]
+    for stream in (eastbound, westbound):
         stream = sorted(stream, key=lambda d: d.t)
-        tracklets, next_id = _run_stream(stream, params, similarity,
-                                         use_kalman, byte_mode, next_id)
+        tracklets, next_id = _run_stream(stream, params, next_id)
         out.extend(tracklets)
     return out
-
-
-def run_sort(detections, params: TrackerParams | None = None):
-    """Kalman tracker associating by Euclidean distance in (x, y)."""
-    return _run(detections, params or params_sort(), "l2", True, False)
-
-
-def run_iout(detections, params: TrackerParams | None = None):
-    """Pure IOU association with no motion model."""
-    return _run(detections, params or params_iout(), "iou", False, False)
-
-
-def run_kiou(detections, params: TrackerParams | None = None):
-    """IOU association against Kalman-predicted boxes."""
-    return _run(detections, params or params_kiou(), "iou", True, False)
-
-
-def run_bytetrack(detections, params: TrackerParams | None = None,
-                  similarity: str = "l2"):
-    """Two-stage association: confident detections first, the rest rescue
-    still-unmatched tracks."""
-    if params is None:
-        params = params_byte_l2() if similarity == "l2" else params_byte_iou()
-    return _run(detections, params, similarity, True, True)
-
-
-def run_tracker(algo: str, detections, params: TrackerParams | None = None):
-    if algo == "sort":
-        return run_sort(detections, params)
-    if algo == "iout":
-        return run_iout(detections, params)
-    if algo == "kiou":
-        return run_kiou(detections, params)
-    if algo == "byte-l2":
-        return run_bytetrack(detections, params, "l2")
-    if algo == "byte-iou":
-        return run_bytetrack(detections, params, "iou")
-    raise ValueError(f"unknown tracker {algo!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +407,7 @@ def run_oracle(detections, gt_traces, phi_min: float = 0.1,
         gt_boxes = np.stack([gx, gy, np.full_like(gx, l),
                              np.full_like(gx, w), np.full_like(gx, h)], axis=1)
         # elementwise IOU of each candidate against the trace at its time
-        ra = footprint_rect(gt_boxes)
-        rb = footprint_rect(cand_b)
-        ix = np.clip(np.minimum(ra[:, 2], rb[:, 2]) - np.maximum(ra[:, 0], rb[:, 0]), 0, None)
-        iy = np.clip(np.minimum(ra[:, 3], rb[:, 3]) - np.maximum(ra[:, 1], rb[:, 1]), 0, None)
-        inter = ix * iy
-        union = ((ra[:, 2] - ra[:, 0]) * (ra[:, 3] - ra[:, 1])
-                 + (rb[:, 2] - rb[:, 0]) * (rb[:, 3] - rb[:, 1]) - inter)
-        iou = np.where(union > 0, inter / union, 0.0)
+        iou = _rect_iou(footprint_rect(gt_boxes), footprint_rect(cand_b))
         mask = iou >= phi_min
         if not mask.any():
             continue
@@ -501,8 +441,7 @@ def run_oracle(detections, gt_traces, phi_min: float = 0.1,
             tl = Tracklet(next_id,
                           list(map(float, grid)),
                           [tuple(float(c[j_i]) for c in cols) for j_i in range(len(grid))],
-                          [tuple(b[2:5]) for b in seg_b],
-                          "terminated")
+                          [tuple(b[2:5]) for b in seg_b])
             next_id += 1
             tracklets.append(tl)
     return tracklets

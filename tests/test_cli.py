@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -38,6 +40,17 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     p = tmp_path / "x.json"
     iof.write_json(str(p), {"a": 1})
     assert [f.name for f in tmp_path.iterdir()] == ["x.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_atomic_write_mode_follows_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        p = tmp_path / "x.json"
+        iof.write_json(str(p), {"a": 1})
+    finally:
+        os.umask(old)
+    assert p.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -137,6 +150,36 @@ def test_malformed_input_exits_one(tmp_path):
     bad.write_text('{"t": 0.0}\n')  # missing required fields
     assert run(["track", "--detections", bad, "--algo", "sort",
                 "--out", tmp_path / "tracks.jsonl"]) == 1
+
+
+GOOD_DETECTION = {"t": 0.0, "camera": "c0", "box": [100.0, 6.0, 16.0, 6.0, 5.0],
+                  "class": "sedan", "conf": 0.8}
+
+
+@pytest.mark.parametrize("bad", [
+    '{"t": "x", "box": [100.0, 6.0, 16.0, 6.0, 5.0], "conf": 0.8}',
+    '{"t": 0.1, "box": 5, "conf": 0.8}',
+    '{"t": 0.1, "box": ["a", 6.0, 16.0, 6.0, 5.0], "conf": 0.8}',
+    '{"t": 0.1, "box": [100.0, NaN, 16.0, 6.0, 5.0], "conf": 0.8}',
+    '{"t": 0.1, "box": [100.0, 6.0, 16.0, 6.0, 5.0], "conf": Infinity}',
+    '5',
+], ids=["t-string", "box-scalar", "box-string", "box-nan", "conf-inf",
+        "not-object"])
+def test_invalid_detection_record_exits_one(tmp_path, bad):
+    dets = tmp_path / "detections.jsonl"
+    dets.write_text(json.dumps(GOOD_DETECTION) + "\n" + bad + "\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvitrack.cli", "track", "--detections",
+         str(dets), "--algo", "kiou", "--out", str(tmp_path / "tracks.jsonl")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "detections.jsonl" in proc.stderr
+    assert "record 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "tracks.jsonl").exists()
 
 
 def test_invalid_config_exits_one(tmp_path):

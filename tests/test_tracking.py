@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from curvitrack import tracking as tk
-from curvitrack.tracking import (PARAM_FACTORIES, hungarian_match,
-                                 iou_footprint, iou_matrix, run_bytetrack,
-                                 run_iout, run_kiou, run_oracle, run_sort,
+from curvitrack.tracking import (ALGORITHMS, hungarian_match,
+                                 iou_footprint, iou_matrix, run_oracle,
                                  run_tracker)
 
 
@@ -68,6 +67,19 @@ def test_iou_matrix_shape_and_symmetry(rng):
     assert np.allclose(np.diag(m), 1.0)
 
 
+def test_elementwise_iou_equals_pairwise_diagonal(rng):
+    # run_oracle scores each candidate against the trace elementwise with
+    # the kernel iou_matrix broadcasts pairwise; the two must agree exactly.
+    a = np.column_stack([rng.uniform(0, 60, 20), rng.uniform(-10, 10, 20),
+                         rng.uniform(10, 20, 20), rng.uniform(5, 8, 20),
+                         rng.uniform(4, 7, 20)])
+    b = a + rng.normal(0.0, 4.0, a.shape) * [1, 0.2, 0.1, 0.1, 0.1]
+    elementwise = tk._rect_iou(tk.footprint_rect(a), tk.footprint_rect(b))
+    assert elementwise.shape == (20,)
+    assert np.array_equal(elementwise, np.diag(iou_matrix(a, b)))
+    assert (elementwise > 0).any() and (elementwise < 1).all()
+
+
 # ---------------------------------------------------------------------------
 # hungarian matching
 
@@ -120,27 +132,27 @@ def test_hungarian_matches_brute_force(rng):
 
 def test_sort_single_vehicle_single_tracklet():
     dets = vehicle_dets()
-    out = run_sort(dets)
+    out = run_tracker("sort", dets)
     assert len(out) == 1
     assert out[0].duration == pytest.approx(9.9, abs=1e-9)
 
 
 def test_gap_beyond_t_max_splits_track():
     dets = vehicle_dets(drop=lambda i: 40 <= i < 65)  # 2.5 s hole
-    out = run_sort(dets)
+    out = run_tracker("sort", dets)
     assert len(out) == 2
 
 
 def test_gap_within_t_max_bridged():
     dets = vehicle_dets(drop=lambda i: 40 <= i < 55)  # 1.5 s hole
-    out = run_sort(dets)
+    out = run_tracker("sort", dets)
     assert len(out) == 1
 
 
 def test_two_parallel_vehicles_no_swap():
     a = vehicle_dets(x0=100.0, y=6.0)
     b = vehicle_dets(x0=150.0, y=18.0)
-    out = run_sort(sorted(a + b, key=lambda d: d.t))
+    out = run_tracker("sort", sorted(a + b, key=lambda d: d.t))
     assert len(out) == 2
     for tr in out:
         ys = np.array([bx[1] for bx in tr.boxes])
@@ -150,7 +162,7 @@ def test_two_parallel_vehicles_no_swap():
 def test_opposite_directions_never_associate():
     a = vehicle_dets(y=6.0)
     b = vehicle_dets(y=-6.0)
-    out = run_sort(sorted(a + b, key=lambda d: d.t))
+    out = run_tracker("sort", sorted(a + b, key=lambda d: d.t))
     assert len(out) == 2
     signs = sorted(np.sign(tr.boxes[0][1]) for tr in out)
     assert signs == [-1.0, 1.0]
@@ -161,24 +173,24 @@ def test_iout_fragments_fast_vehicle_where_kiou_does_not():
     # the previous box no longer overlaps the next detection.
     dets = vehicle_dets(v=105.0, dims=(15.0, 6.0, 5.0),
                         drop=lambda i: i % 3 == 2)
-    assert len(run_kiou(dets)) == 1
-    assert len(run_iout(dets)) == 0  # fragments too short to keep
+    assert len(run_tracker("kiou", dets)) == 1
+    assert len(run_tracker("iout", dets)) == 0  # fragments too short to keep
 
 
 def test_short_tracks_suppressed():
     dets = vehicle_dets(t1=1.5)  # < t_min worth of observations
-    assert run_sort(dets) == []
+    assert run_tracker("sort", dets) == []
 
 
 def test_confidence_below_sigma_high_ignored():
     dets = vehicle_dets(conf=0.3)
-    assert run_sort(dets) == []  # sigma_high = 0.5 for SORT
+    assert run_tracker("sort", dets) == []  # sigma_high = 0.5 for SORT
 
 
 def test_byte_equals_sort_when_all_high_confidence():
     dets = vehicle_dets(conf=0.9)
-    a = run_sort(dets)
-    b = run_bytetrack(dets, similarity="l2")
+    a = run_tracker("sort", dets)
+    b = run_tracker("byte-l2", dets)
     assert len(a) == len(b) == 1
     assert np.allclose(a[0].boxes, b[0].boxes)
 
@@ -190,46 +202,58 @@ def test_byte_bridges_low_confidence_stretches():
     for i, d in enumerate(vehicle_dets()):
         conf = 0.9 if i % 2 == 0 else 0.2
         dets.append(Det(d.t, d.box, conf))
-    out = run_bytetrack(dets, similarity="l2")
+    out = run_tracker("byte-l2", dets)
     assert len(out) == 1
     assert len(out[0].times) > 95  # low-conf frames matched, not coasted
 
 
 def test_byte_low_conf_never_spawns():
     dets = vehicle_dets(conf=0.2)
-    assert run_bytetrack(dets, similarity="l2") == []
+    assert run_tracker("byte-l2", dets) == []
 
 
 def test_median_dims_robust_to_one_bad_frame():
     dets = vehicle_dets()
     bad = dets[50]
     dets[50] = Det(bad.t, bad.box[:2] + (60.0, 20.0, 15.0), bad.conf)
-    out = run_sort(dets)
+    out = run_tracker("sort", dets)
     assert out[0].median_dims == pytest.approx((16.0, 6.0, 5.0))
 
 
 def test_tracklet_times_on_grid():
     dets = [Det(t + 0.003, (100.0 + 90 * t, 6.0, 16.0, 6.0, 5.0))
             for t in np.arange(0.0, 8.0, 0.1)]
-    out = run_sort(dets)
+    out = run_tracker("sort", dets)
     ks = np.array(out[0].times) * 10.0
     assert np.allclose(ks, np.round(ks), atol=1e-9)
 
 
 def test_run_tracker_dispatch():
     dets = vehicle_dets()
-    for algo in PARAM_FACTORIES:
+    for algo in ALGORITHMS:
         out = run_tracker(algo, dets)
         assert isinstance(out, list)
     with pytest.raises(ValueError):
         run_tracker("nonexistent", dets)
 
 
+def test_algorithms_table():
+    assert sorted(ALGORITHMS) == ["byte-iou", "byte-l2", "iout", "kiou", "sort"]
+    assert ALGORITHMS["sort"].similarity == "l2" and ALGORITHMS["sort"].kalman
+    assert not ALGORITHMS["iout"].kalman and ALGORITHMS["iout"].f_track == 15.0
+    assert ALGORITHMS["kiou"] == tk.TrackerParams()
+    for algo, similarity in (("byte-l2", "l2"), ("byte-iou", "iou")):
+        p = ALGORITHMS[algo]
+        assert p.two_stage and p.similarity == similarity
+        assert p.sigma_high == 0.01
+    assert not any(ALGORITHMS[a].two_stage for a in ("sort", "iout", "kiou"))
+
+
 def test_determinism():
     dets = vehicle_dets() + vehicle_dets(x0=300.0, y=18.0)
     dets = sorted(dets, key=lambda d: d.t)
-    a = run_kiou(dets)
-    b = run_kiou(dets)
+    a = run_tracker("kiou", dets)
+    b = run_tracker("kiou", dets)
     assert len(a) == len(b)
     for ta, tb in zip(a, b):
         assert ta.times == tb.times and ta.boxes == tb.boxes
