@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -112,6 +113,20 @@ def _finite_number(v) -> bool:
     return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
 
 
+def _check_numbers(record: dict, path: str, where: str, scalars=(), lists=()) -> None:
+    """Require each key in `scalars` to be a finite number and each
+    (key, n) in `lists` a list of n finite numbers."""
+    for key in scalars:
+        if not _finite_number(record[key]):
+            raise MalformedInput(f"{path}: {where}: {key} must be a finite number, "
+                                 f"got {record[key]!r}")
+    for key, n in lists:
+        v = record[key]
+        if not (isinstance(v, list) and len(v) == n and all(map(_finite_number, v))):
+            raise MalformedInput(f"{path}: {where}: {key} must be a list of {n} "
+                                 f"finite numbers, got {v!r}")
+
+
 # --- correspondence points --------------------------------------------------
 
 def write_points(path: str, points) -> None:
@@ -123,6 +138,7 @@ def read_points(path: str) -> list[dict]:
     records = read_jsonl(path)
     for i, r in enumerate(records, start=1):
         _require(r, ("id", "camera", "direction", "im", "st"), path, f"record {i}")
+        _check_numbers(r, path, f"record {i}", lists=(("im", 2), ("st", 2)))
     return records
 
 
@@ -177,17 +193,7 @@ def read_detections(path: str) -> list[dict]:
     records = read_jsonl(path)
     for i, r in enumerate(records, start=1):
         _require(r, ("t", "box", "conf"), path, f"record {i}")
-        for key in ("t", "conf"):
-            if not _finite_number(r[key]):
-                raise MalformedInput(
-                    f"{path}: record {i}: {key} must be a finite number, "
-                    f"got {r[key]!r}")
-        box = r["box"]
-        if not (isinstance(box, list) and len(box) == 5
-                and all(_finite_number(b) for b in box)):
-            raise MalformedInput(
-                f"{path}: record {i}: box must be a list of 5 finite numbers, "
-                f"got {box!r}")
+        _check_numbers(r, path, f"record {i}", ("t", "conf"), (("box", 5),))
     return records
 
 
@@ -208,25 +214,36 @@ def _sidecar(path: str) -> str:
     return root + ".dims.json"
 
 
+def _read_states(path: str, key=lambda v: v) -> dict:
+    """{id: [(t, box)] sorted by t} from {id, t, box} records, with `t` a
+    finite number unique within its id and `box` 5 finite numbers; `key`
+    maps the record id to the returned id."""
+    by_id: dict = {}
+    seen: set = set()
+    for i, r in enumerate(read_jsonl(path), start=1):
+        where = f"record {i}"
+        _require(r, ("id", "t", "box"), path, where)
+        _check_numbers(r, path, where, ("t",), (("box", 5),))
+        sid, t = key(r["id"]), float(r["t"])
+        if (sid, t) in seen:
+            raise MalformedInput(f"{path}: {where}: repeated t {t!r} for id {r['id']!r}")
+        seen.add((sid, t))
+        by_id.setdefault(sid, []).append((t, tuple(float(b) for b in r["box"])))
+    return {sid: sorted(items) for sid, items in by_id.items()}
+
+
 def read_tracklets(path: str):
     from .tracking import Tracklet
 
-    records = read_jsonl(path)
     dims_path = _sidecar(path)
     dims = read_json(dims_path) if os.path.exists(dims_path) else {}
-    by_id: dict = {}
-    for i, r in enumerate(records, start=1):
-        _require(r, ("id", "t", "box"), path, f"record {i}")
-        tl = by_id.setdefault(r["id"], Tracklet(r["id"]))
-        tl.times.append(float(r["t"]))
-        tl.boxes.append(tuple(float(b) for b in r["box"]))
-    for tid, tl in by_id.items():
-        order = np.argsort(tl.times)
-        tl.times = [tl.times[i] for i in order]
-        tl.boxes = [tl.boxes[i] for i in order]
+    out = []
+    for tid, items in sorted(_read_states(path).items()):
+        boxes = [b for _, b in items]
         d = dims.get(str(tid))
-        tl.dims_reported = [tuple(d)] if d else [tuple(tl.boxes[0][2:5])]
-    return [by_id[k] for k in sorted(by_id)]
+        out.append(Tracklet(tid, [t for t, _ in items], boxes,
+                            [tuple(d)] if d else [boxes[0][2:5]]))
+    return out
 
 
 def write_gt_tracks(path: str, tracks) -> None:
@@ -243,18 +260,9 @@ def write_gt_tracks(path: str, tracks) -> None:
 def read_gt_series(path: str):
     from .moteval import TrajectorySeries
 
-    records = read_jsonl(path)
-    by_id: dict = {}
-    for i, r in enumerate(records, start=1):
-        _require(r, ("id", "t", "box"), path, f"record {i}")
-        by_id.setdefault(str(r["id"]), []).append((float(r["t"]), r["box"]))
-    series = []
-    for sid in sorted(by_id):
-        items = sorted(by_id[sid])
-        times = np.array([t for t, _ in items])
-        boxes = np.array([b for _, b in items], dtype=float)
-        series.append(TrajectorySeries(sid, times, boxes))
-    return series
+    return [TrajectorySeries(sid, np.array([t for t, _ in items]),
+                             np.array([b for _, b in items], dtype=float))
+            for sid, items in sorted(_read_states(path, str).items())]
 
 
 # --- GPS & annotations ---------------------------------------------------------
@@ -274,12 +282,19 @@ def read_gps(path: str):
     if header[:4] != ["vehicle_id", "t", "x", "y"]:
         raise MalformedInput(f"{path}: unexpected header {header}")
     by_id: dict = {}
+    seen: set = set()
     for i, row in enumerate(rows, start=2):
         try:
-            by_id.setdefault(row[0], []).append(
-                (float(row[1]), float(row[2]), float(row[3])))
+            t, x, y = float(row[1]), float(row[2]), float(row[3])
         except (ValueError, IndexError) as e:
             raise MalformedInput(f"{path}: line {i}: {e}") from e
+        if not all(map(math.isfinite, (t, x, y))):
+            raise MalformedInput(f"{path}: line {i}: t, x and y must be finite, "
+                                 f"got {row[1:4]}")
+        if (row[0], t) in seen:
+            raise MalformedInput(f"{path}: line {i}: repeated t {t!r} for vehicle {row[0]!r}")
+        seen.add((row[0], t))
+        by_id.setdefault(row[0], []).append((t, x, y))
     traces = []
     for vid in sorted(by_id):
         items = sorted(by_id[vid])

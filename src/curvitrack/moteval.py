@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tracking import hungarian_match, iou_matrix
+from .tracking import _rect_iou, footprint_rect, hungarian_match, iou_matrix
 
 DEFAULT_STEP_S = 0.1
 DEFAULT_MATCH_IOU = 0.1
@@ -93,8 +93,12 @@ def match_frame(gt_boxes: np.ndarray, tr_boxes: np.ndarray, alphas) -> tuple:
     into connected components, and a component is matched by Hungarian on
     1 - IOU at each threshold where it still has a shared row or column.
     """
+    return _match_iou(iou_matrix(gt_boxes, tr_boxes), alphas)
+
+
+def _match_iou(iou: np.ndarray, alphas) -> tuple:
+    """match_frame on a frame's (gt, track) IOU matrix."""
     alphas = np.asarray(alphas, dtype=float)
-    iou = iou_matrix(gt_boxes, tr_boxes)
     rows, cols = np.nonzero(iou >= alphas.min())
     vals = iou[rows, cols]
     matched = vals >= alphas[:, None]
@@ -259,7 +263,8 @@ def _samples(series_list: list, grid: np.ndarray, x_clip=None) -> _Samples:
 
 
 def _match_frames(gt: _Samples, tr: _Samples, alphas) -> tuple:
-    """match_frame over every frame where both sides have samples.
+    """match_frame over every frame where both sides have samples, with the
+    footprint rectangles of each side computed once.
 
     Returns (gt sample, track sample, iou, matched) per candidate pair,
     ordered by frame, then gt series, then track series.
@@ -272,11 +277,13 @@ def _match_frames(gt: _Samples, tr: _Samples, alphas) -> tuple:
                  np.searchsorted(g_frame, frames, "right").tolist(),
                  np.searchsorted(t_frame, frames, "left").tolist(),
                  np.searchsorted(t_frame, frames, "right").tolist())
+    g_rect, t_rect = footprint_rect(gt.boxes), footprint_rect(tr.boxes)
     eg, et, eiou = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
     matched = [np.zeros((len(alphas), 0), dtype=bool)]
     for a, b, c, d in bounds:
         gi, ti = g_order[a:b], t_order[c:d]
-        rows, cols, vals, m = match_frame(gt.boxes[gi], tr.boxes[ti], alphas)
+        rows, cols, vals, m = _match_iou(
+            _rect_iou(g_rect[gi][:, None, :], t_rect[ti][None, :, :]), alphas)
         eg.append(gi[rows])
         et.append(ti[cols])
         eiou.append(vals)

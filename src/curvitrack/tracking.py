@@ -26,21 +26,22 @@ def footprint_rect(boxes: np.ndarray) -> np.ndarray:
     x, y, l, w = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
     front = x + np.where(y < 0, -1.0, 1.0) * l
     half_w = w / 2.0
-    return np.stack([np.minimum(x, front), y - half_w,
-                     np.maximum(x, front), y + half_w], axis=1)
+    out = np.empty((len(boxes), 4))
+    np.minimum(x, front, out=out[:, 0])
+    np.subtract(y, half_w, out=out[:, 1])
+    np.maximum(x, front, out=out[:, 2])
+    np.add(y, half_w, out=out[:, 3])
+    return out
 
 
 def _rect_iou(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     """IOU of broadcastable (..., 4) rectangle arrays (x0, y0, x1, y1)."""
-    ix = np.clip(np.minimum(ra[..., 2], rb[..., 2])
-                 - np.maximum(ra[..., 0], rb[..., 0]), 0.0, None)
-    iy = np.clip(np.minimum(ra[..., 3], rb[..., 3])
-                 - np.maximum(ra[..., 1], rb[..., 1]), 0.0, None)
-    inter = ix * iy
-    union = ((ra[..., 2] - ra[..., 0]) * (ra[..., 3] - ra[..., 1])
-             + (rb[..., 2] - rb[..., 0]) * (rb[..., 3] - rb[..., 1]) - inter)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(union > 0, inter / union, 0.0)
+    overlap = np.maximum(np.minimum(ra[..., 2:], rb[..., 2:])
+                         - np.maximum(ra[..., :2], rb[..., :2]), 0.0)
+    inter = overlap[..., 0] * overlap[..., 1]
+    side_a, side_b = ra[..., 2:] - ra[..., :2], rb[..., 2:] - rb[..., :2]
+    union = side_a[..., 0] * side_a[..., 1] + side_b[..., 0] * side_b[..., 1] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
@@ -119,191 +120,173 @@ class Tracklet:
         return self.times[-1] - self.times[0] if len(self.times) > 1 else 0.0
 
 
-class _KalmanCV:
-    """Constant-velocity Kalman filter on (x, y, l, w, h, vx, vy)."""
+def _frames(t, conf, boxes, params: TrackerParams):
+    """Confidence gate and greedy cross-camera NMS over one time-sorted stream.
 
-    def __init__(self, box, dt: float, params: TrackerParams):
-        self.dt = dt
-        self.x = np.array(list(box) + [0.0, 0.0], dtype=float)
-        r = params.measure_std ** 2
-        self.P = np.diag([r, r, r, r, r, 400.0, 25.0])
-        self.F = np.eye(7)
-        self.F[0, 5] = dt
-        self.F[1, 6] = dt
-        self.Q = np.diag(np.asarray(params.process_std, dtype=float) ** 2)
-        self.R = r * np.eye(5)
-        self.H = np.zeros((5, 7))
-        self.H[:5, :5] = np.eye(5)
-
-    def predict(self):
-        self.x = self.F @ self.x
-        self.P = self.F @ self.P @ self.F.T + self.Q
-
-    def update(self, z):
-        z = np.asarray(z, dtype=float)
-        y = z - self.H @ self.x
-        s = self.H @ self.P @ self.H.T + self.R
-        k = self.P @ self.H.T @ np.linalg.inv(s)
-        self.x = self.x + k @ y
-        self.P = (np.eye(7) - k @ self.H) @ self.P
-
-    @property
-    def box(self) -> tuple:
-        return tuple(self.x[:5])
-
-
-class _Track:
-    __slots__ = ("tid", "kf", "box", "times", "boxes", "dims", "hits",
-                 "confirmed", "last_match_t", "last_match_idx", "first_match_t")
-
-    def __init__(self, tid, t, box, kf):
-        self.tid = tid
-        self.kf = kf
-        self.box = tuple(box)
-        self.times = [t]
-        self.boxes = [tuple(box)]
-        self.dims = [tuple(box[2:5])]
-        self.hits = 1
-        self.confirmed = False
-        self.last_match_t = t
-        self.last_match_idx = 0
-        self.first_match_t = t
-
-
-def _nms(dets: list, phi_nms: float) -> list:
-    """Greedy cross-camera NMS per timestamp, keeping higher confidence."""
-    if len(dets) <= 1:
-        return dets
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].conf, i))
-    boxes = np.array([dets[i].box for i in order])
-    iou = iou_matrix(boxes, boxes)
-    keep = []
-    for pos, i in enumerate(order):
-        if all(iou[pos, kept_pos] < phi_nms for kept_pos in keep):
-            keep.append(pos)
-    kept_idx = sorted(order[p] for p in keep)
-    return [dets[i] for i in kept_idx]
-
-
-def _frames(detections, params: TrackerParams):
-    """Bucket detections onto the tracking grid and apply NMS + conf gate."""
+    A detection's frame is round(t / dt) on the tracking grid.  Within a
+    frame, detections are ranked by (-conf, input order), and one is kept
+    unless a kept, higher-ranked one overlaps it with IOU >= phi_nms.
+    Returns (frame, boxes, rects, conf) of the kept detections in input
+    order, which is frame order.
+    """
     dt = 1.0 / params.f_track
-    buckets = {}
-    for d in detections:
-        if d.conf < params.sigma_high:
-            continue
-        k = int(round(d.t / dt))
-        buckets.setdefault(k, []).append(d)
-    out = {}
-    for k, group in buckets.items():
-        out[k] = _nms(group, params.phi_nms)
-    return out, dt
+    gate = ~(conf < params.sigma_high)
+    conf, boxes = conf[gate], boxes[gate]
+    frame = np.rint(t[gate] / dt).astype(np.int64)
+    rects = footprint_rect(boxes)
+    # every same-frame pair (a, b) with a ranked above b, sorted by (a, b)
+    order = np.lexsort((-conf, frame))
+    n = len(order)
+    later = np.searchsorted(frame[order], frame[order], "right") - np.arange(n) - 1
+    a = np.repeat(np.arange(n), later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    iou = _rect_iou(rects[order[a]], rects[order[b]])
+    hit = iou >= params.phi_nms
+    # a's fate is settled before its own pairs come up: its rivals rank higher
+    keep = [True] * n
+    for i, j in zip(a[hit].tolist(), b[hit].tolist()):
+        if keep[i]:
+            keep[j] = False
+    kept = np.sort(order[np.array(keep, dtype=bool)])
+    return frame[kept], boxes[kept], rects[kept], conf[kept]
 
 
-def _assoc_cost(tracks, dets, params: TrackerParams):
-    """Cost matrix plus feasibility threshold for one association stage."""
-    if not tracks or not dets:
-        return np.zeros((len(tracks), len(dets))), 0.0
-    tboxes = np.array([t.box for t in tracks])
-    dboxes = np.array([d.box for d in dets])
+def _associate(tboxes, dboxes, drects, params: TrackerParams):
+    """(track rows, detection cols) matched in one association stage.
+
+    A one-to-one feasible set is taken as it is: Hungarian would match all
+    of it, since a feasible pair costs at most 10 and an infeasible one _BIG.
+    """
     if params.similarity == "l2":
-        dist = np.linalg.norm(
-            tboxes[:, None, :2] - dboxes[None, :, :2], axis=2)
-        cost = np.where(dist <= params.d_max, dist, np.inf)
-        return cost, params.d_max
-    iou = iou_matrix(tboxes, dboxes)
-    cost = np.where(iou >= params.phi_min, 1.0 - iou, np.inf)
-    return cost, 1.0 - params.phi_min
+        dist = np.linalg.norm(tboxes[:, None, :2] - dboxes[None, :, :2], axis=2)
+        feasible = dist <= params.d_max
+    else:
+        iou = _rect_iou(footprint_rect(tboxes)[:, None, :], drects[None, :, :])
+        feasible = iou >= params.phi_min
+    rows, cols = np.nonzero(feasible)
+    if len(set(rows.tolist())) == len(rows) == len(set(cols.tolist())):
+        return rows, cols
+    if params.similarity == "l2":
+        pairs = hungarian_match(np.where(feasible, dist, np.inf), params.d_max)
+    else:
+        pairs = hungarian_match(np.where(feasible, 1.0 - iou, np.inf),
+                                1.0 - params.phi_min)
+    return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
 
 
-def _run_stream(detections, params: TrackerParams, id_start: int):
-    """Shared tracking loop. Returns (tracklets, next_id)."""
-    frames, dt = _frames(detections, params)
-    if not frames:
+def _run_stream(t, conf, boxes, params: TrackerParams, id_start: int):
+    """Track one time-sorted stream of (t, conf, box) rows.
+
+    Active tracks are stacked: `state` holds (id, hits, first frame, last
+    matched frame) per track and X (N,7) / P (N,7,7) the constant-velocity
+    Kalman filter on (x, y, l, w, h, vx, vy); without Kalman, X[:, :5] is
+    the last matched box.  Returns (tracklets, next_id).
+    """
+    frame, boxes, rects, conf = _frames(t, conf, boxes, params)
+    if not len(frame):
         return [], id_start
+    dt = 1.0 / params.f_track
+    cut = np.searchsorted(frame, np.arange(frame[0], frame[-1] + 2))
+    if params.two_stage:
+        # high-confidence detections first within a frame, each part in input order
+        low = conf < params.tau_high
+        order = np.lexsort((low, frame))
+        boxes, rects = boxes[order], rects[order]
+        n_high = np.concatenate([[0], np.cumsum(~low[order])])
+        mid = cut[:-1] + n_high[cut[1:]] - n_high[cut[:-1]]
+    else:
+        mid = cut[1:]
+    bounds = zip(range(int(frame[0]), int(frame[-1]) + 1),
+                 cut[:-1].tolist(), mid.tolist(), cut[1:].tolist())
+
+    r = params.measure_std ** 2
+    F = np.eye(7)
+    F[0, 5] = F[1, 6] = dt
+    Q = np.diag(np.asarray(params.process_std, dtype=float) ** 2)
+    R = r * np.eye(5)
+    P0 = np.diag([r, r, r, r, r, 400.0, 25.0])
+    confirm = max(params.confirm_hits, 2)      # confirmed on a match, never at spawn
+    state = np.zeros((0, 4), dtype=np.int64)
+    X, P = np.zeros((0, 7)), np.zeros((0, 7, 7))
     next_id = id_start
-    active: list[_Track] = []
-    done: list[Tracklet] = []
+    history = []    # per frame: (track ids, boxes, matched detection or -1, frame)
+    ended = []      # state rows of terminated tracks, in termination order
 
-    def finalize(tr: _Track):
-        dur = tr.last_match_t - tr.first_match_t
-        if not tr.confirmed or dur < params.t_min:
-            return
-        n = tr.last_match_idx + 1  # drop trailing coasted states
-        done.append(Tracklet(tr.tid, tr.times[:n], tr.boxes[:n], tr.dims))
-
-    for k in range(min(frames), max(frames) + 1):
-        t = k * dt
-        dets = frames.get(k, [])
-        # predict
-        for tr in active:
-            if params.kalman:
-                tr.kf.predict()
-                tr.box = tr.kf.box
-            # IOUT keeps its last box as the prediction
-
-        if params.two_stage:
-            high = [d for d in dets if d.conf >= params.tau_high]
-            low = [d for d in dets if d.conf < params.tau_high]
-            stages = [(high, True), (low, False)]
-        else:
-            stages = [(dets, True)]
-
-        matched_tracks = set()
-        matched_dets_new = []
-        pool = active
-        for stage_dets, spawn in stages:
-            cost, max_cost = _assoc_cost(pool, stage_dets, params)
-            pairs = hungarian_match(cost, max_cost) if len(pool) and stage_dets else []
-            hit_det = set()
-            for ti, di in pairs:
-                tr = pool[ti]
-                d = stage_dets[di]
-                if params.kalman:
-                    tr.kf.update(d.box)
-                    tr.box = tr.kf.box
-                else:
-                    tr.box = tuple(d.box)
-                tr.times.append(t)
-                tr.boxes.append(tr.box)
-                tr.dims.append(tuple(d.box[2:5]))
-                tr.hits += 1
-                if tr.hits >= params.confirm_hits:
-                    tr.confirmed = True
-                tr.last_match_t = t
-                tr.last_match_idx = len(tr.times) - 1
-                matched_tracks.add(id(tr))
-                hit_det.add(di)
-            if spawn:
-                matched_dets_new = [d for i, d in enumerate(stage_dets)
-                                    if i not in hit_det]
-            pool = [tr for tr in pool if id(tr) not in matched_tracks]
-
-        survivors = []
-        for tr in active:
-            if id(tr) in matched_tracks:
-                survivors.append(tr)
+    for k, lo, mid, hi in bounds:
+        n = len(state)
+        if not n and lo == hi:
+            continue
+        if n and params.kalman:
+            X = X @ F.T
+            P = F @ P @ F.T + Q
+        source = np.full(n, -1)
+        fresh = np.ones(mid - lo, dtype=bool)      # stage-1 detections left unmatched
+        for a, b, spawning in ((lo, mid, True), (mid, hi, False)):
+            pool = np.flatnonzero(source < 0)
+            if a == b or not len(pool):
                 continue
-            # coast
-            tr.times.append(t)
-            tr.boxes.append(tr.box)
-            if t - tr.last_match_t > params.t_max:
-                finalize(tr)
-            elif not tr.confirmed:
-                pass  # tentative track missed before confirmation: drop
-            else:
-                survivors.append(tr)
-        active = survivors
+            ti, di = _associate(X[pool, :5], boxes[a:b], rects[a:b], params)
+            ti, di = pool[ti], di + a
+            if params.kalman and len(ti):
+                x, p = X[ti], P[ti]
+                pt = p.transpose(0, 2, 1)
+                gain_t = np.linalg.solve(pt[:, :5, :5] + R, pt[:, :5, :])   # K^T
+                innovation = boxes[di] - x[:, :5]
+                X[ti] = x + (innovation[:, None, :] @ gain_t)[:, 0, :]
+                P[ti] = p - gain_t.transpose(0, 2, 1) @ p[:, :5, :]
+            elif len(ti):
+                X[ti, :5] = boxes[di]
+            state[ti, 1] += 1
+            state[ti, 3] = k
+            source[ti] = di
+            if spawning:
+                fresh[di - lo] = False
+        if n:
+            history.append((state[:, 0], X[:, :5].copy(), source, k))
+            missed = state[source < 0]
+            expired = k * dt - missed[:, 3] * dt > params.t_max
+            ended.append(missed[expired])
+            drop = expired | (missed[:, 1] < confirm)
+            if drop.any():
+                keep = source >= 0
+                keep[~keep] = ~drop
+                state, X, P = state[keep], X[keep], P[keep]
+        spawn = np.flatnonzero(fresh) + lo
+        if len(spawn):
+            m = len(spawn)
+            ids = np.arange(next_id, next_id + m)
+            next_id += m
+            state = np.concatenate([state, np.column_stack(
+                [ids, np.ones(m, dtype=np.int64), np.full((m, 2), k)])])
+            X = np.concatenate([X, np.column_stack([boxes[spawn], np.zeros((m, 2))])])
+            P = np.concatenate([P, np.broadcast_to(P0, (m, 7, 7))])
+            history.append((ids, boxes[spawn], spawn, k))
+    ended = np.concatenate(ended + [state])
+    lasted = ended[:, 3] * dt - ended[:, 2] * dt
+    emit = (ended[:, 1] >= confirm) & ~(lasted < params.t_min)
+    return _cut_tracklets(history, ended[emit], boxes, dt), next_id
 
-        for d in matched_dets_new:
-            kf = _KalmanCV(d.box, dt, params) if params.kalman else None
-            tr = _Track(next_id, t, d.box, kf)
-            next_id += 1
-            active.append(tr)
 
-    for tr in active:
-        finalize(tr)
-    return done, next_id
+def _cut_tracklets(history, ended, boxes, dt: float) -> list:
+    """Tracklets of the `ended` state rows, in order, each cut after its
+    last matched frame."""
+    if not len(ended):
+        return []
+    ids, states, source, frames = zip(*history)
+    frame = np.repeat(frames, [len(i) for i in ids])
+    ids = np.concatenate(ids)
+    order = np.argsort(ids, kind="stable")      # by id, then frame
+    ids, frame = ids[order], frame[order]
+    states, source = np.concatenate(states)[order], np.concatenate(source)[order]
+    start = np.searchsorted(ids, ended[:, 0])
+    stop = start + ended[:, 3] - frame[start] + 1
+    out = []
+    for i, a, b in zip(ended[:, 0].tolist(), start.tolist(), stop.tolist()):
+        matches = source[a:b][source[a:b] >= 0]
+        out.append(Tracklet(i, (frame[a:b] * dt).tolist(),
+                            list(map(tuple, states[a:b].tolist())),
+                            list(map(tuple, boxes[matches, 2:5].tolist()))))
+    return out
 
 
 def run_tracker(algo: str, detections) -> list[Tracklet]:
@@ -312,13 +295,16 @@ def run_tracker(algo: str, detections) -> list[Tracklet]:
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown tracker {algo!r}")
     params = ALGORITHMS[algo]
+    dets = list(detections)
+    t = np.array([d.t for d in dets], dtype=float)
+    conf = np.array([d.conf for d in dets], dtype=float)
+    boxes = np.array([d.box for d in dets], dtype=float).reshape(-1, 5)
     out = []
     next_id = 0
-    eastbound = [d for d in detections if d.box[1] >= 0]
-    westbound = [d for d in detections if d.box[1] < 0]
-    for stream in (eastbound, westbound):
-        stream = sorted(stream, key=lambda d: d.t)
-        tracklets, next_id = _run_stream(stream, params, next_id)
+    for stream in (boxes[:, 1] >= 0, boxes[:, 1] < 0):
+        idx = np.flatnonzero(stream)
+        idx = idx[np.argsort(t[idx], kind="stable")]
+        tracklets, next_id = _run_stream(t[idx], conf[idx], boxes[idx], params, next_id)
         out.extend(tracklets)
     return out
 

@@ -168,18 +168,71 @@ GOOD_DETECTION = {"t": 0.0, "camera": "c0", "box": [100.0, 6.0, 16.0, 6.0, 5.0],
 def test_invalid_detection_record_exits_one(tmp_path, bad):
     dets = tmp_path / "detections.jsonl"
     dets.write_text(json.dumps(GOOD_DETECTION) + "\n" + bad + "\n")
+    assert_rejected(["track", "--detections", dets, "--algo", "kiou",
+                     "--out", tmp_path / "tracks.jsonl"], "detections.jsonl", "record 2")
+    assert not (tmp_path / "tracks.jsonl").exists()
+
+
+def assert_rejected(args, name, where):
+    """The CLI, run in its own process, exits 1 naming file and record."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "curvitrack.cli", "track", "--detections",
-         str(dets), "--algo", "kiou", "--out", str(tmp_path / "tracks.jsonl")],
-        capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-m", "curvitrack.cli"] + [str(a) for a in args],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 1, proc.stderr
-    assert "detections.jsonl" in proc.stderr
-    assert "record 2" in proc.stderr
+    assert name in proc.stderr
+    assert where in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "tracks.jsonl").exists()
+
+
+GOOD_STATE = {"id": 0, "t": 0.0, "box": [100.0, 6.0, 16.0, 6.0, 5.0]}
+
+
+@pytest.mark.parametrize("side, bad", [
+    ("tracks", '{"id": 0, "t": "x", "box": [100.0, 6.0, 16.0, 6.0, 5.0]}'),
+    ("tracks", '{"id": 0, "t": 0.1, "box": [100.0, 6.0, 16.0, 6.0]}'),
+    ("tracks", '{"id": 0, "t": 0.0, "box": [101.0, 6.0, 16.0, 6.0, 5.0]}'),
+    ("gt", '{"id": 0, "t": 0.1, "box": [100.0, NaN, 16.0, 6.0, 5.0]}'),
+    ("gt", '{"id": 0, "t": 0.0, "box": [101.0, 6.0, 16.0, 6.0, 5.0]}'),
+], ids=["tracks-t-string", "tracks-box-short", "tracks-repeated-t",
+        "gt-box-nan", "gt-repeated-t"])
+def test_invalid_state_record_exits_one(tmp_path, side, bad):
+    files = {"gt": tmp_path / "gt_tracks.jsonl", "tracks": tmp_path / "tracks.jsonl"}
+    for name, path in files.items():
+        path.write_text(json.dumps(GOOD_STATE) + "\n"
+                        + (bad if name == side else json.dumps(dict(GOOD_STATE, t=0.1)))
+                        + "\n")
+    assert_rejected(["eval", "--gt", files["gt"], "--tracks", files["tracks"],
+                     "--out", tmp_path / "report.json"], files[side].name, "record 2")
+    assert not (tmp_path / "report.json").exists()
+
+
+GOOD_POINT = {"id": "p0", "camera": "c0", "direction": "EB",
+              "im": [412.7, 883.1], "st": [5213.4, 2024.0]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("im", [1.0]), ("st", [5213.4, "y"]), ("im", 412.7), ("st", [5213.4, float("inf")]),
+], ids=["im-short", "st-string", "im-scalar", "st-inf"])
+def test_invalid_point_record_exits_one(tmp_path, field, value):
+    points = tmp_path / "points.jsonl"
+    points.write_text(json.dumps(GOOD_POINT) + "\n"
+                      + json.dumps(dict(GOOD_POINT, id="p1", **{field: value})) + "\n")
+    assert_rejected(["calibrate", "--points", points, "--out", tmp_path / "out"],
+                    "points.jsonl", "record 2")
+
+
+@pytest.mark.parametrize("row", ["v1,0.1,inf,0.0", "v1,nan,2.0,0.0", "v1,0.0,2.0,0.0"],
+                         ids=["x-inf", "t-nan", "repeated-t"])
+def test_invalid_gps_row_exits_one(tmp_path, row):
+    gps = tmp_path / "gps.csv"
+    gps.write_text("vehicle_id,t,x,y\nv1,0.0,1.0,0.0\n" + row + "\n")
+    anns = tmp_path / "annotations.csv"
+    anns.write_text("vehicle_id,t,x,y,pole\n")
+    assert_rejected(["gps-correct", "--gps", gps, "--annotations", anns,
+                     "--out", tmp_path / "out"], "gps.csv", "line 3")
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_config_exits_one(tmp_path):

@@ -4,7 +4,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from curvitrack import simulator
 from curvitrack import tracking as tk
+from curvitrack.simulator import DetectionConfig, SceneConfig
 from curvitrack.tracking import (ALGORITHMS, hungarian_match,
                                  iou_footprint, iou_matrix, run_oracle,
                                  run_tracker)
@@ -257,6 +259,245 @@ def test_determinism():
     assert len(a) == len(b)
     for ta, tb in zip(a, b):
         assert ta.times == tb.times and ta.boxes == tb.boxes
+
+
+# ---------------------------------------------------------------------------
+# stacked tracker core against the per-track reference loop
+
+class _RefKalmanCV:
+    """Constant-velocity Kalman filter on (x, y, l, w, h, vx, vy)."""
+
+    def __init__(self, box, dt, params):
+        self.dt = dt
+        self.x = np.array(list(box) + [0.0, 0.0], dtype=float)
+        r = params.measure_std ** 2
+        self.P = np.diag([r, r, r, r, r, 400.0, 25.0])
+        self.F = np.eye(7)
+        self.F[0, 5] = dt
+        self.F[1, 6] = dt
+        self.Q = np.diag(np.asarray(params.process_std, dtype=float) ** 2)
+        self.R = r * np.eye(5)
+        self.H = np.zeros((5, 7))
+        self.H[:5, :5] = np.eye(5)
+
+    def predict(self):
+        self.x = self.F @ self.x
+        self.P = self.F @ self.P @ self.F.T + self.Q
+
+    def update(self, z):
+        z = np.asarray(z, dtype=float)
+        y = z - self.H @ self.x
+        s = self.H @ self.P @ self.H.T + self.R
+        k = self.P @ self.H.T @ np.linalg.inv(s)
+        self.x = self.x + k @ y
+        self.P = (np.eye(7) - k @ self.H) @ self.P
+
+    @property
+    def box(self):
+        return tuple(self.x[:5])
+
+
+class _RefTrack:
+    def __init__(self, tid, t, box, kf):
+        self.tid = tid
+        self.kf = kf
+        self.box = tuple(box)
+        self.times = [t]
+        self.boxes = [tuple(box)]
+        self.dims = [tuple(box[2:5])]
+        self.hits = 1
+        self.confirmed = False
+        self.last_match_t = t
+        self.last_match_idx = 0
+        self.first_match_t = t
+
+
+def _ref_nms(dets, phi_nms):
+    """Greedy cross-camera NMS per timestamp, keeping higher confidence."""
+    if len(dets) <= 1:
+        return dets
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].conf, i))
+    boxes = np.array([dets[i].box for i in order])
+    iou = iou_matrix(boxes, boxes)
+    keep = []
+    for pos, i in enumerate(order):
+        if all(iou[pos, kept_pos] < phi_nms for kept_pos in keep):
+            keep.append(pos)
+    return [dets[i] for i in sorted(order[p] for p in keep)]
+
+
+def _ref_frames(detections, params):
+    dt = 1.0 / params.f_track
+    buckets = {}
+    for d in detections:
+        if d.conf < params.sigma_high:
+            continue
+        buckets.setdefault(int(round(d.t / dt)), []).append(d)
+    return {k: _ref_nms(g, params.phi_nms) for k, g in buckets.items()}, dt
+
+
+def _ref_assoc_cost(tracks, dets, params):
+    if not tracks or not dets:
+        return np.zeros((len(tracks), len(dets))), 0.0
+    tboxes = np.array([t.box for t in tracks])
+    dboxes = np.array([d.box for d in dets])
+    if params.similarity == "l2":
+        dist = np.linalg.norm(tboxes[:, None, :2] - dboxes[None, :, :2], axis=2)
+        return np.where(dist <= params.d_max, dist, np.inf), params.d_max
+    iou = iou_matrix(tboxes, dboxes)
+    return np.where(iou >= params.phi_min, 1.0 - iou, np.inf), 1.0 - params.phi_min
+
+
+def _ref_run_stream(detections, params, id_start):
+    """The per-track tracking loop the stacked core replaced."""
+    frames, dt = _ref_frames(detections, params)
+    if not frames:
+        return [], id_start
+    next_id = id_start
+    active, done = [], []
+
+    def finalize(tr):
+        if not tr.confirmed or tr.last_match_t - tr.first_match_t < params.t_min:
+            return
+        n = tr.last_match_idx + 1
+        done.append(tk.Tracklet(tr.tid, tr.times[:n], tr.boxes[:n], tr.dims))
+
+    for k in range(min(frames), max(frames) + 1):
+        t = k * dt
+        dets = frames.get(k, [])
+        for tr in active:
+            if params.kalman:
+                tr.kf.predict()
+                tr.box = tr.kf.box
+        if params.two_stage:
+            stages = [([d for d in dets if d.conf >= params.tau_high], True),
+                      ([d for d in dets if d.conf < params.tau_high], False)]
+        else:
+            stages = [(dets, True)]
+        matched, new_dets, pool = set(), [], active
+        for stage_dets, spawn in stages:
+            cost, max_cost = _ref_assoc_cost(pool, stage_dets, params)
+            pairs = hungarian_match(cost, max_cost) if len(pool) and stage_dets else []
+            hit = set()
+            for ti, di in pairs:
+                tr, d = pool[ti], stage_dets[di]
+                if params.kalman:
+                    tr.kf.update(d.box)
+                    tr.box = tr.kf.box
+                else:
+                    tr.box = tuple(d.box)
+                tr.times.append(t)
+                tr.boxes.append(tr.box)
+                tr.dims.append(tuple(d.box[2:5]))
+                tr.hits += 1
+                if tr.hits >= params.confirm_hits:
+                    tr.confirmed = True
+                tr.last_match_t = t
+                tr.last_match_idx = len(tr.times) - 1
+                matched.add(id(tr))
+                hit.add(di)
+            if spawn:
+                new_dets = [d for i, d in enumerate(stage_dets) if i not in hit]
+            pool = [tr for tr in pool if id(tr) not in matched]
+        survivors = []
+        for tr in active:
+            if id(tr) in matched:
+                survivors.append(tr)
+                continue
+            tr.times.append(t)
+            tr.boxes.append(tr.box)
+            if t - tr.last_match_t > params.t_max:
+                finalize(tr)
+            elif tr.confirmed:
+                survivors.append(tr)
+        active = survivors
+        for d in new_dets:
+            kf = _RefKalmanCV(d.box, dt, params) if params.kalman else None
+            active.append(_RefTrack(next_id, t, d.box, kf))
+            next_id += 1
+    for tr in active:
+        finalize(tr)
+    return done, next_id
+
+
+def reference_run_tracker(algo, detections):
+    """run_tracker as it was with one Python object per track."""
+    params = ALGORITHMS[algo]
+    out, next_id = [], 0
+    for east in (True, False):
+        stream = sorted((d for d in detections if (d.box[1] >= 0) == east),
+                        key=lambda d: d.t)
+        tracklets, next_id = _ref_run_stream(stream, params, next_id)
+        out.extend(tracklets)
+    return out
+
+
+def assert_same_tracklets(got, want):
+    assert [tl.id for tl in got] == [tl.id for tl in want]
+    for g, w in zip(got, want):
+        assert g.times == w.times
+        assert g.dims_reported == w.dims_reported
+        assert np.abs(np.asarray(g.boxes) - np.asarray(w.boxes)).max() <= 1e-9
+
+
+def scene_detections(vehicles, duration_s, seed, **detection):
+    cfg = SceneConfig(extent_ft=3000.0, vehicle_count=vehicles, duration_s=duration_s,
+                      seed=seed, detection=DetectionConfig(**detection))
+    return simulator.simulate(cfg).detections
+
+
+EQUIVALENCE_SCENES = {
+    # ladder density: one vehicle per 3 s
+    "ladder": dict(vehicles=20, duration_s=60.0, seed=3, miss_rate=0.2, noise_ft=1.0),
+    # cli-dense density (100 vehicles in 30 s): crowded frames reach Hungarian
+    "dense": dict(vehicles=34, duration_s=10.0, seed=4, miss_rate=0.2, noise_ft=1.0),
+    # noisy boxes and confidences around ByteTrack's tau_high = 0.4
+    "noisy": dict(vehicles=20, duration_s=40.0, seed=5, miss_rate=0.3, noise_ft=3.0,
+                  conf_mean=0.45, conf_std=0.2),
+}
+
+
+@pytest.mark.parametrize("scene", sorted(EQUIVALENCE_SCENES))
+def test_stacked_core_matches_reference(scene):
+    dets = scene_detections(**EQUIVALENCE_SCENES[scene])
+    for algo in ALGORITHMS:
+        assert_same_tracklets(run_tracker(algo, dets), reference_run_tracker(algo, dets))
+
+
+def test_stacked_core_matches_reference_on_low_confidence_frames():
+    # every other frame holds only low-confidence detections (stage 2 only)
+    dets = [Det(d.t, d.box, 0.9 if i % 2 == 0 else 0.2)
+            for i, d in enumerate(vehicle_dets() + vehicle_dets(x0=130.0, y=10.0))]
+    dets.sort(key=lambda d: d.t)
+    for algo in ("byte-l2", "byte-iou"):
+        got = run_tracker(algo, dets)
+        assert len(got) == 2
+        assert_same_tracklets(got, reference_run_tracker(algo, dets))
+
+
+def test_nms_chain_keeps_third_box():
+    # A suppresses B; B would suppress C, but B is gone, so C stays.
+    t = np.zeros(3)
+    conf = np.array([0.9, 0.8, 0.7])
+    boxes = np.array([[100.0, 6.0, 16.0, 6.0, 5.0],     # A
+                      [110.0, 6.0, 16.0, 6.0, 5.0],     # B: IOU(A, B) = 0.23
+                      [120.0, 6.0, 16.0, 6.0, 5.0]])    # C: IOU(B, C) = 0.23, IOU(A, C) = 0
+    frame, kept, _, _ = tk._frames(t, conf, boxes, ALGORITHMS["kiou"])
+    assert frame.tolist() == [0, 0]
+    assert kept[:, 0].tolist() == [100.0, 120.0]
+    dets = [Det(0.0, tuple(b), c) for b, c in zip(boxes.tolist(), conf)]
+    assert [d.box[0] for d in _ref_nms(dets, 0.1)] == [100.0, 120.0]
+
+
+def test_one_to_one_frames_skip_hungarian(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("hungarian_match called on a one-to-one frame")
+
+    dets = sorted(vehicle_dets() + vehicle_dets(x0=400.0, y=18.0)
+                  + vehicle_dets(y=-6.0), key=lambda d: d.t)
+    monkeypatch.setattr(tk, "hungarian_match", refuse)
+    for algo in ALGORITHMS:
+        assert len(run_tracker(algo, dets)) == 3
 
 
 # ---------------------------------------------------------------------------
