@@ -18,6 +18,7 @@ T_MAX_S = 2.0   # max gap before termination
 T_MIN_S = 2.0   # min matched duration to emit
 
 _BIG = 1e9
+_NMS_BLOCK = 256   # ranked detections per NMS block; bounds the pair arrays
 
 
 def footprint_rect(boxes: np.ndarray) -> np.ndarray:
@@ -120,35 +121,39 @@ class Tracklet:
         return self.times[-1] - self.times[0] if len(self.times) > 1 else 0.0
 
 
-def _frames(t, conf, boxes, params: TrackerParams):
+def _frames(detections, params: TrackerParams):
     """Confidence gate and greedy cross-camera NMS over one time-sorted stream.
 
     A detection's frame is round(t / dt) on the tracking grid.  Within a
     frame, detections are ranked by (-conf, input order), and one is kept
     unless a kept, higher-ranked one overlaps it with IOU >= phi_nms.
-    Returns (frame, boxes, rects, conf) of the kept detections in input
-    order, which is frame order.
+    Returns the kept detections' frames, the detections, and their boxes,
+    rects and confidences, in input order, which is frame order.
     """
     dt = 1.0 / params.f_track
-    gate = ~(conf < params.sigma_high)
-    conf, boxes = conf[gate], boxes[gate]
-    frame = np.rint(t[gate] / dt).astype(np.int64)
+    dets = [d for d in detections if not d.conf < params.sigma_high]
+    conf = np.array([d.conf for d in dets], dtype=float)
+    boxes = np.array([d.box for d in dets], dtype=float).reshape(-1, 5)
+    frame = np.rint(np.array([d.t for d in dets], dtype=float) / dt).astype(np.int64)
     rects = footprint_rect(boxes)
-    # every same-frame pair (a, b) with a ranked above b, sorted by (a, b)
     order = np.lexsort((-conf, frame))
     n = len(order)
-    later = np.searchsorted(frame[order], frame[order], "right") - np.arange(n) - 1
-    a = np.repeat(np.arange(n), later)
-    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
-    iou = _rect_iou(rects[order[a]], rects[order[b]])
-    hit = iou >= params.phi_nms
-    # a's fate is settled before its own pairs come up: its rivals rank higher
+    frame_end = np.searchsorted(frame[order], frame[order], "right")
     keep = [True] * n
-    for i, j in zip(a[hit].tolist(), b[hit].tolist()):
-        if keep[i]:
-            keep[j] = False
+    for start in range(0, n, _NMS_BLOCK):
+        # every same-frame pair (a, b) with a ranked above b, sorted by (a, b)
+        first = np.arange(start, min(start + _NMS_BLOCK, n))
+        later = frame_end[first] - first - 1
+        a = np.repeat(first, later)
+        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+        hit = _rect_iou(rects[order[a]], rects[order[b]]) >= params.phi_nms
+        # a's fate is settled before its own pairs come up: its rivals rank higher
+        for i, j in zip(a[hit].tolist(), b[hit].tolist()):
+            if keep[i]:
+                keep[j] = False
     kept = np.sort(order[np.array(keep, dtype=bool)])
-    return frame[kept], boxes[kept], rects[kept], conf[kept]
+    return (frame[kept], [dets[i] for i in kept.tolist()], boxes[kept], rects[kept],
+            conf[kept])
 
 
 def _associate(tboxes, dboxes, drects, params: TrackerParams):
@@ -174,16 +179,16 @@ def _associate(tboxes, dboxes, drects, params: TrackerParams):
     return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
 
 
-def _run_stream(t, conf, boxes, params: TrackerParams, id_start: int):
-    """Track one time-sorted stream of (t, conf, box) rows.
+def _run_stream(detections, params: TrackerParams, id_start: int):
+    """Track one time-sorted detection stream.
 
     Active tracks are stacked: `state` holds (id, hits, first frame, last
     matched frame) per track and X (N,7) / P (N,7,7) the constant-velocity
     Kalman filter on (x, y, l, w, h, vx, vy); without Kalman, X[:, :5] is
     the last matched box.  Returns (tracklets, next_id).
     """
-    frame, boxes, rects, conf = _frames(t, conf, boxes, params)
-    if not len(frame):
+    frame, dets, boxes, rects, conf = _frames(detections, params)
+    if not dets:
         return [], id_start
     dt = 1.0 / params.f_track
     cut = np.searchsorted(frame, np.arange(frame[0], frame[-1] + 2))
@@ -192,6 +197,7 @@ def _run_stream(t, conf, boxes, params: TrackerParams, id_start: int):
         low = conf < params.tau_high
         order = np.lexsort((low, frame))
         boxes, rects = boxes[order], rects[order]
+        dets = [dets[i] for i in order.tolist()]
         n_high = np.concatenate([[0], np.cumsum(~low[order])])
         mid = cut[:-1] + n_high[cut[1:]] - n_high[cut[:-1]]
     else:
@@ -242,7 +248,7 @@ def _run_stream(t, conf, boxes, params: TrackerParams, id_start: int):
             if spawning:
                 fresh[di - lo] = False
         if n:
-            history.append((state[:, 0], X[:, :5].copy(), source, k))
+            history.append((state[:, 0].copy(), X[:, :5].copy(), source, k))
             missed = state[source < 0]
             expired = k * dt - missed[:, 3] * dt > params.t_max
             ended.append(missed[expired])
@@ -264,10 +270,10 @@ def _run_stream(t, conf, boxes, params: TrackerParams, id_start: int):
     ended = np.concatenate(ended + [state])
     lasted = ended[:, 3] * dt - ended[:, 2] * dt
     emit = (ended[:, 1] >= confirm) & ~(lasted < params.t_min)
-    return _cut_tracklets(history, ended[emit], boxes, dt), next_id
+    return _cut_tracklets(history, ended[emit], dets, dt), next_id
 
 
-def _cut_tracklets(history, ended, boxes, dt: float) -> list:
+def _cut_tracklets(history, ended, dets, dt: float) -> list:
     """Tracklets of the `ended` state rows, in order, each cut after its
     last matched frame."""
     if not len(ended):
@@ -275,17 +281,16 @@ def _cut_tracklets(history, ended, boxes, dt: float) -> list:
     ids, states, source, frames = zip(*history)
     frame = np.repeat(frames, [len(i) for i in ids])
     ids = np.concatenate(ids)
-    order = np.argsort(ids, kind="stable")      # by id, then frame
-    ids, frame = ids[order], frame[order]
-    states, source = np.concatenate(states)[order], np.concatenate(source)[order]
-    start = np.searchsorted(ids, ended[:, 0])
-    stop = start + ended[:, 3] - frame[start] + 1
+    order = np.argsort(ids, kind="stable")      # rows by id, then frame
+    states, source = np.concatenate(states), np.concatenate(source)
+    start = np.searchsorted(ids[order], ended[:, 0])
+    stop = start + ended[:, 3] - frame[order[start]] + 1
     out = []
     for i, a, b in zip(ended[:, 0].tolist(), start.tolist(), stop.tolist()):
-        matches = source[a:b][source[a:b] >= 0]
-        out.append(Tracklet(i, (frame[a:b] * dt).tolist(),
-                            list(map(tuple, states[a:b].tolist())),
-                            list(map(tuple, boxes[matches, 2:5].tolist()))))
+        rows = order[a:b]
+        out.append(Tracklet(i, (frame[rows] * dt).tolist(),
+                            list(map(tuple, states[rows].tolist())),
+                            [tuple(dets[j].box[2:5]) for j in source[rows].tolist() if j >= 0]))
     return out
 
 
@@ -295,16 +300,13 @@ def run_tracker(algo: str, detections) -> list[Tracklet]:
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown tracker {algo!r}")
     params = ALGORITHMS[algo]
-    dets = list(detections)
-    t = np.array([d.t for d in dets], dtype=float)
-    conf = np.array([d.conf for d in dets], dtype=float)
-    boxes = np.array([d.box for d in dets], dtype=float).reshape(-1, 5)
     out = []
     next_id = 0
-    for stream in (boxes[:, 1] >= 0, boxes[:, 1] < 0):
-        idx = np.flatnonzero(stream)
-        idx = idx[np.argsort(t[idx], kind="stable")]
-        tracklets, next_id = _run_stream(t[idx], conf[idx], boxes[idx], params, next_id)
+    eastbound = [d for d in detections if d.box[1] >= 0]
+    westbound = [d for d in detections if d.box[1] < 0]
+    for stream in (eastbound, westbound):
+        stream = sorted(stream, key=lambda d: d.t)
+        tracklets, next_id = _run_stream(stream, params, next_id)
         out.extend(tracklets)
     return out
 

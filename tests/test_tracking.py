@@ -477,16 +477,13 @@ def test_stacked_core_matches_reference_on_low_confidence_frames():
 
 def test_nms_chain_keeps_third_box():
     # A suppresses B; B would suppress C, but B is gone, so C stays.
-    t = np.zeros(3)
-    conf = np.array([0.9, 0.8, 0.7])
-    boxes = np.array([[100.0, 6.0, 16.0, 6.0, 5.0],     # A
-                      [110.0, 6.0, 16.0, 6.0, 5.0],     # B: IOU(A, B) = 0.23
-                      [120.0, 6.0, 16.0, 6.0, 5.0]])    # C: IOU(B, C) = 0.23, IOU(A, C) = 0
-    frame, kept, _, _ = tk._frames(t, conf, boxes, ALGORITHMS["kiou"])
+    dets = [Det(0.0, (120.0, 6.0, 16.0, 6.0, 5.0), 0.7),   # C: IOU(B, C) = 0.23, IOU(A, C) = 0
+            Det(0.0, (100.0, 6.0, 16.0, 6.0, 5.0), 0.9),   # A
+            Det(0.0, (110.0, 6.0, 16.0, 6.0, 5.0), 0.8)]   # B: IOU(A, B) = 0.23
+    frame, kept, _, _, _ = tk._frames(dets, ALGORITHMS["kiou"])
     assert frame.tolist() == [0, 0]
-    assert kept[:, 0].tolist() == [100.0, 120.0]
-    dets = [Det(0.0, tuple(b), c) for b, c in zip(boxes.tolist(), conf)]
-    assert [d.box[0] for d in _ref_nms(dets, 0.1)] == [100.0, 120.0]
+    assert kept == [dets[0], dets[1]]
+    assert _ref_nms(dets, 0.1) == kept
 
 
 def test_one_to_one_frames_skip_hungarian(monkeypatch):
