@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import os
-import sys
 import tempfile
 
 import numpy as np
@@ -104,25 +103,35 @@ def _require(record: dict, keys, path: str, where: str) -> None:
         raise MalformedInput(f"{path}: {where}: missing fields {missing}")
 
 
-_FLOAT_MAX = sys.float_info.max
+_NUMBER_TYPES = {int, float}
 
 
-def _finite_number(v) -> bool:
-    """A JSON int or float that converts to a finite float (not a bool)."""
-    # NaN fails both comparisons; ints beyond the float range fail one
-    return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+def _finite_numbers(values) -> bool:
+    """Each value is a JSON int or float (not a bool) that converts to a
+    finite float."""
+    try:
+        return _NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
+def _check_increasing(items: list, path: str, unit: str, owner: str) -> None:
+    """Refuse a repeated time in (t, record number, ...) items sorted by t."""
+    for a, b in zip(items, items[1:]):
+        if a[0] == b[0]:
+            raise MalformedInput(f"{path}: {unit} {b[1]}: repeated t {a[0]!r} for {owner}")
 
 
 def _check_numbers(record: dict, path: str, where: str, scalars=(), lists=()) -> None:
     """Require each key in `scalars` to be a finite number and each
     (key, n) in `lists` a list of n finite numbers."""
     for key in scalars:
-        if not _finite_number(record[key]):
+        if not _finite_numbers((record[key],)):
             raise MalformedInput(f"{path}: {where}: {key} must be a finite number, "
                                  f"got {record[key]!r}")
     for key, n in lists:
         v = record[key]
-        if not (isinstance(v, list) and len(v) == n and all(map(_finite_number, v))):
+        if not (isinstance(v, list) and len(v) == n and _finite_numbers(v)):
             raise MalformedInput(f"{path}: {where}: {key} must be a list of {n} "
                                  f"finite numbers, got {v!r}")
 
@@ -219,17 +228,16 @@ def _read_states(path: str, key=lambda v: v) -> dict:
     finite number unique within its id and `box` 5 finite numbers; `key`
     maps the record id to the returned id."""
     by_id: dict = {}
-    seen: set = set()
     for i, r in enumerate(read_jsonl(path), start=1):
-        where = f"record {i}"
-        _require(r, ("id", "t", "box"), path, where)
-        _check_numbers(r, path, where, ("t",), (("box", 5),))
-        sid, t = key(r["id"]), float(r["t"])
-        if (sid, t) in seen:
-            raise MalformedInput(f"{path}: {where}: repeated t {t!r} for id {r['id']!r}")
-        seen.add((sid, t))
-        by_id.setdefault(sid, []).append((t, tuple(float(b) for b in r["box"])))
-    return {sid: sorted(items) for sid, items in by_id.items()}
+        _require(r, ("id", "t", "box"), path, f"record {i}")
+        _check_numbers(r, path, f"record {i}", ("t",), (("box", 5),))
+        by_id.setdefault(key(r["id"]), []).append(
+            (float(r["t"]), i, tuple(map(float, r["box"]))))
+    for sid, items in by_id.items():
+        items.sort()
+        _check_increasing(items, path, "record", f"id {sid!r}")
+        by_id[sid] = [(t, box) for t, _, box in items]
+    return by_id
 
 
 def read_tracklets(path: str):
@@ -282,7 +290,6 @@ def read_gps(path: str):
     if header[:4] != ["vehicle_id", "t", "x", "y"]:
         raise MalformedInput(f"{path}: unexpected header {header}")
     by_id: dict = {}
-    seen: set = set()
     for i, row in enumerate(rows, start=2):
         try:
             t, x, y = float(row[1]), float(row[2]), float(row[3])
@@ -291,17 +298,15 @@ def read_gps(path: str):
         if not all(map(math.isfinite, (t, x, y))):
             raise MalformedInput(f"{path}: line {i}: t, x and y must be finite, "
                                  f"got {row[1:4]}")
-        if (row[0], t) in seen:
-            raise MalformedInput(f"{path}: line {i}: repeated t {t!r} for vehicle {row[0]!r}")
-        seen.add((row[0], t))
-        by_id.setdefault(row[0], []).append((t, x, y))
+        by_id.setdefault(row[0], []).append((t, i, x, y))
     traces = []
     for vid in sorted(by_id):
         items = sorted(by_id[vid])
+        _check_increasing(items, path, "line", f"vehicle {vid!r}")
         traces.append(GpsTrace(vid,
-                               np.array([a for a, _, _ in items]),
-                               np.array([b for _, b, _ in items]),
-                               np.array([c for _, _, c in items])))
+                               np.array([a for a, _, _, _ in items]),
+                               np.array([b for _, _, b, _ in items]),
+                               np.array([c for _, _, _, c in items])))
     return traces
 
 

@@ -163,8 +163,10 @@ GOOD_DETECTION = {"t": 0.0, "camera": "c0", "box": [100.0, 6.0, 16.0, 6.0, 5.0],
     '{"t": 0.1, "box": [100.0, NaN, 16.0, 6.0, 5.0], "conf": 0.8}',
     '{"t": 0.1, "box": [100.0, 6.0, 16.0, 6.0, 5.0], "conf": Infinity}',
     '5',
+    '{"t": true, "box": [100.0, 6.0, 16.0, 6.0, 5.0], "conf": 0.8}',
+    '{"t": 0.1, "box": [1' + '0' * 400 + ', 6.0, 16.0, 6.0, 5.0], "conf": 0.8}',
 ], ids=["t-string", "box-scalar", "box-string", "box-nan", "conf-inf",
-        "not-object"])
+        "not-object", "t-bool", "box-huge-int"])
 def test_invalid_detection_record_exits_one(tmp_path, bad):
     dets = tmp_path / "detections.jsonl"
     dets.write_text(json.dumps(GOOD_DETECTION) + "\n" + bad + "\n")
