@@ -18,11 +18,10 @@ import numpy as np
 from . import drift, gps, io_formats as iof, moteval, plots, tracking
 from .errors import (AllOutliers, ConfigInvalid, CurvitrackError,
                      DataInvariantViolation, InsufficientAnnotations)
-from .geometry import (CorrespondencePoint, Homography, ImagePoint,
-                       StatePlanePoint, fit_homography)
+from .geometry import fit_homography
 from .io_formats import MalformedInput
-from .simulator import (DetectionConfig, Detection, DriftConfig, GpsConfig,
-                        RoadConfig, SceneConfig, simulate)
+from .simulator import (DetectionConfig, DriftConfig, GpsConfig, RoadConfig,
+                        SceneConfig, simulate)
 
 log = logging.getLogger("curvitrack")
 
@@ -58,26 +57,6 @@ def _load_scene_config(args) -> SceneConfig:
     return cfg
 
 
-def _records_to_points(records) -> list[CorrespondencePoint]:
-    return [CorrespondencePoint(r["id"],
-                                ImagePoint(*map(float, r["im"])),
-                                StatePlanePoint(*map(float, r["st"]), 0.0))
-            for r in records]
-
-
-def _points_to_records(cam_id, direction, points):
-    return [{"id": p.id, "camera": cam_id, "direction": direction,
-             "im": [p.image.x, p.image.y], "st": [p.world.x, p.world.y]}
-            for p in points]
-
-
-def _read_detections(path) -> list[Detection]:
-    return [Detection(float(r["t"]), r.get("camera", ""),
-                      tuple(float(b) for b in r["box"]),
-                      r.get("class", ""), float(r["conf"]))
-            for r in iof.read_detections(path)]
-
-
 class _GtTrace:
     """Ground-truth trajectory reconstructed from a track file."""
 
@@ -99,24 +78,13 @@ def cmd_simulate(args) -> int:
     result = simulate(cfg)
 
     iof.write_json(os.path.join(out, "spline.json"), result.spline.to_dict())
-    pts = []
-    for cam in result.cameras:
-        pts.extend(_points_to_records(cam.camera_id, cam.direction, cam.points))
-    iof.write_points(os.path.join(out, "points.jsonl"), pts)
+    iof.write_points(os.path.join(out, "points.jsonl"), result.cameras)
     iof.write_homographies(
         os.path.join(out, "reference.json"),
         [{"camera": c.camera_id, "direction": c.direction,
           "h": iof.h_to_list(c.reference.h)} for c in result.cameras])
-    iof.write_snapshots(
-        os.path.join(out, "snapshots.jsonl"),
-        [{"epoch": s.epoch, "camera": s.camera_id, "direction": s.direction,
-          "points": [{"id": pid, "im": [im.x, im.y]} for pid, im in s.points]}
-         for s in result.snapshots])
-    iof.write_json(
-        os.path.join(out, "sift_maps.json"),
-        [{"camera": cid,
-          "maps": [{"epoch": e, "m": iof.h_to_list(m)} for e, m in maps]}
-         for cid, maps in sorted(result.sift_maps.items())])
+    iof.write_snapshots(os.path.join(out, "snapshots.jsonl"), result.snapshots)
+    iof.write_sift_maps(os.path.join(out, "sift_maps.json"), result.sift_maps)
     iof.write_detections(os.path.join(out, "detections.jsonl"),
                          result.detections)
     iof.write_gt_tracks(os.path.join(out, "gt_tracks.jsonl"),
@@ -130,13 +98,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    records = iof.read_points(args.points)
-    groups: dict = {}
-    for r in records:
-        groups.setdefault((r["camera"], r["direction"]), []).append(r)
     entries = []
-    for i, ((cam, direction), recs) in enumerate(sorted(groups.items())):
-        points = _records_to_points(recs)
+    for i, (cam, (direction, points)) in enumerate(
+            sorted(iof.read_points(args.points).items())):
         h, inliers = fit_homography(points, camera_id=cam,
                                     direction=direction,
                                     seed=(args.seed or 0) + i)
@@ -147,39 +111,19 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_restim(args) -> int:
-    records = iof.read_points(args.points)
-    ref_entries = {e["camera"]: e for e in iof.read_homographies(args.reference)}
-    snaps_raw = iof.read_snapshots(args.snapshots)
-    sift = {}
-    if args.sift:
-        for e in iof.read_json(args.sift):
-            sift[e["camera"]] = [(m["epoch"], np.asarray(m["m"], dtype=float))
-                                 for m in e["maps"]]
+    points_by_cam = iof.read_points(args.points)
+    references = iof.read_homographies(args.reference)
+    all_snapshots = iof.read_snapshots(args.snapshots)
+    sift = iof.read_sift_maps(args.sift) if args.sift else {}
     os.makedirs(args.out, exist_ok=True)
-
-    points_by_cam: dict = {}
-    for r in records:
-        points_by_cam.setdefault(r["camera"], []).append(r)
-    snaps_by_cam: dict = {}
-    for s in snaps_raw:
-        snaps_by_cam.setdefault(s["camera"], []).append(s)
 
     timelines = []
     rows = []
-    for cam in sorted(ref_entries):
-        if cam not in snaps_by_cam or cam not in points_by_cam:
+    for cam, reference in sorted(references.items()):
+        snapshots = [s for s in all_snapshots if s.camera_id == cam]
+        if not snapshots or cam not in points_by_cam:
             continue
-        entry = ref_entries[cam]
-        direction = entry.get("direction", "EB")
-        reference = Homography(np.asarray(entry["h"], dtype=float),
-                               cam, direction)
-        points = _records_to_points(points_by_cam[cam])
-        snapshots = [
-            drift.RediscoverySnapshot(
-                float(s["epoch"]), cam, direction,
-                tuple((p["id"], ImagePoint(*map(float, p["im"])))
-                      for p in s["points"]))
-            for s in snaps_by_cam[cam]]
+        _, points = points_by_cam[cam]
         tl, rejected = drift.build_timeline(reference, points, snapshots)
         if len(tl.instants) < 3:
             log.warning("restim: %s has %d usable instants, skipping",
@@ -209,7 +153,7 @@ def cmd_restim(args) -> int:
                          fd_base.mean if fd_base is not None else ""))
 
         timelines.append({
-            "camera": cam, "direction": direction,
+            "camera": cam, "direction": reference.direction,
             "reference": iof.h_to_list(reference.h),
             "instants": [{"epoch": e, "h": iof.h_to_list(h.h),
                           "inliers": inl} for e, h, inl in tl.instants],
@@ -229,7 +173,7 @@ def cmd_restim(args) -> int:
 
 
 def cmd_track(args) -> int:
-    detections = _read_detections(args.detections)
+    detections = iof.read_detections(args.detections)
     if args.algo == "oracle":
         if not args.gt:
             raise MalformedInput("oracle tracker requires --gt")

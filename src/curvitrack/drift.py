@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import AllOutliers, DegenerateConfiguration, RejectedInstant, SingularFit
+from .errors import (AllOutliers, DataInvariantViolation, DegenerateConfiguration,
+                     RejectedInstant, SingularFit)
 from .geometry import CorrespondencePoint, Homography, ImagePoint
 
 MIN_INSTANT_INLIERS = 6
@@ -64,7 +65,9 @@ def _join(reference_points: list[CorrespondencePoint], snap: RediscoverySnapshot
     by_id = {p.id: p for p in reference_points}
     missing = [i for i, _ in snap.points if i not in by_id]
     if missing:
-        raise KeyError(f"snapshot ids not in reference set: {missing[:5]}")
+        raise DataInvariantViolation(
+            f"{snap.camera_id} snapshot at epoch {snap.epoch}: "
+            f"ids not in reference set: {missing[:5]}")
     return [
         CorrespondencePoint(i, im, by_id[i].world) for i, im in snap.points
     ]
@@ -202,8 +205,11 @@ def build_baseline(timeline: HomographyTimeline) -> list[tuple[float, Homography
     inverse of each externally supplied image-to-image alignment map."""
     out = []
     for epoch, m in timeline.sift_maps:
-        hs = np.asarray(m, dtype=float)
-        comp = geometry.normalize_h(timeline.reference.h @ np.linalg.inv(hs))
+        try:
+            inv = np.linalg.inv(np.asarray(m, dtype=float))
+        except np.linalg.LinAlgError as exc:
+            raise SingularFit(f"alignment map at epoch {epoch} is singular") from exc
+        comp = geometry.normalize_h(timeline.reference.h @ inv)
         out.append((float(epoch),
                     Homography(comp, timeline.camera_id, timeline.direction,
                                epoch=float(epoch))))

@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import CurvitrackError
+from .errors import CurvitrackError, SingularFit
 
 
 class MalformedInput(CurvitrackError):
@@ -122,6 +122,13 @@ def _check_increasing(items: list, path: str, unit: str, owner: str) -> None:
             raise MalformedInput(f"{path}: {unit} {b[1]}: repeated t {a[0]!r} for {owner}")
 
 
+def _check_strings(record: dict, path: str, where: str, keys) -> None:
+    for key in keys:
+        if not isinstance(record[key], str):
+            raise MalformedInput(f"{path}: {where}: {key} must be a string, "
+                                 f"got {record[key]!r}")
+
+
 def _check_numbers(record: dict, path: str, where: str, scalars=(), lists=()) -> None:
     """Require each key in `scalars` to be a finite number and each
     (key, n) in `lists` a list of n finite numbers."""
@@ -138,17 +145,36 @@ def _check_numbers(record: dict, path: str, where: str, scalars=(), lists=()) ->
 
 # --- correspondence points --------------------------------------------------
 
-def write_points(path: str, points) -> None:
-    """points: iterable of dicts {id, camera, direction, im: [u,v], st: [x,y]}."""
-    write_jsonl(path, points)
+def write_points(path: str, cameras) -> None:
+    """cameras: objects with camera_id, direction and points
+    (CorrespondencePoint); one record per point."""
+    write_jsonl(path, ({"id": p.id, "camera": c.camera_id, "direction": c.direction,
+                        "im": [p.image.x, p.image.y], "st": [p.world.x, p.world.y]}
+                       for c in cameras for p in c.points))
 
 
-def read_points(path: str) -> list[dict]:
-    records = read_jsonl(path)
-    for i, r in enumerate(records, start=1):
-        _require(r, ("id", "camera", "direction", "im", "st"), path, f"record {i}")
-        _check_numbers(r, path, f"record {i}", lists=(("im", 2), ("st", 2)))
-    return records
+def read_points(path: str) -> dict:
+    """{camera: (direction, [CorrespondencePoint])} in file order."""
+    from .geometry import CorrespondencePoint, ImagePoint, StatePlanePoint
+
+    cameras: dict = {}
+    seen = set()
+    for i, r in enumerate(read_jsonl(path), start=1):
+        where = f"record {i}"
+        _require(r, ("id", "camera", "direction", "im", "st"), path, where)
+        _check_strings(r, path, where, ("id", "camera", "direction"))
+        _check_numbers(r, path, where, lists=(("im", 2), ("st", 2)))
+        direction, points = cameras.setdefault(r["camera"], (r["direction"], []))
+        if r["direction"] != direction:
+            raise MalformedInput(f"{path}: {where}: camera {r['camera']!r} is listed "
+                                 f"under both {direction!r} and {r['direction']!r}")
+        if (r["camera"], r["id"]) in seen:
+            raise MalformedInput(f"{path}: {where}: repeated id {r['id']!r} "
+                                 f"for camera {r['camera']!r}")
+        seen.add((r["camera"], r["id"]))
+        points.append(CorrespondencePoint(r["id"], ImagePoint(*map(float, r["im"])),
+                                          StatePlanePoint(*map(float, r["st"]), 0.0)))
+    return cameras
 
 
 # --- homographies -----------------------------------------------------------
@@ -157,37 +183,115 @@ def h_to_list(h: np.ndarray) -> list:
     return np.asarray(h, dtype=float).reshape(3, 3).tolist()
 
 
+def _check_matrix(record: dict, key: str, path: str, where: str) -> None:
+    v = record[key]
+    if not (isinstance(v, list) and len(v) == 3
+            and all(isinstance(row, list) and len(row) == 3 and _finite_numbers(row)
+                    for row in v)):
+        raise MalformedInput(f"{path}: {where}: {key} must be a 3x3 list of finite "
+                             f"numbers, got {v!r}")
+
+
 def write_homographies(path: str, entries) -> None:
     """entries: [{camera, direction, h: 3x3}, ...]"""
     write_json(path, list(entries))
 
 
-def read_homographies(path: str) -> list[dict]:
+def read_homographies(path: str) -> dict:
+    """{camera: Homography}; `direction` defaults to EB."""
+    from .geometry import Homography
+
     entries = read_json(path)
     if not isinstance(entries, list):
         raise MalformedInput(f"{path}: expected a JSON list")
+    out = {}
     for i, r in enumerate(entries, start=1):
-        _require(r, ("camera", "h"), path, f"entry {i}")
-        a = np.asarray(r["h"], dtype=float)
-        if a.shape != (3, 3):
-            raise MalformedInput(f"{path}: entry {i}: h is not 3x3")
-    return entries
+        where = f"entry {i}"
+        _require(r, ("camera", "h"), path, where)
+        r.setdefault("direction", "EB")
+        _check_strings(r, path, where, ("camera", "direction"))
+        _check_matrix(r, "h", path, where)
+        if r["camera"] in out:
+            raise MalformedInput(f"{path}: {where}: repeated camera {r['camera']!r}")
+        try:
+            out[r["camera"]] = Homography(np.asarray(r["h"], dtype=float),
+                                          r["camera"], r["direction"])
+        except SingularFit as e:
+            raise MalformedInput(f"{path}: {where}: {e}") from e
+    return out
 
 
 # --- snapshots ----------------------------------------------------------------
 
 def write_snapshots(path: str, snapshots) -> None:
-    """snapshots: [{epoch, camera, direction, points: [{id, im: [u,v]}]}]"""
-    write_jsonl(path, snapshots)
+    """snapshots: RediscoverySnapshot records, one line each."""
+    write_jsonl(path, ({"epoch": s.epoch, "camera": s.camera_id, "direction": s.direction,
+                        "points": [{"id": pid, "im": [im.x, im.y]} for pid, im in s.points]}
+                       for s in snapshots))
 
 
-def read_snapshots(path: str) -> list[dict]:
-    records = read_jsonl(path)
-    for i, r in enumerate(records, start=1):
-        _require(r, ("epoch", "camera", "points"), path, f"record {i}")
+def read_snapshots(path: str) -> list:
+    """RediscoverySnapshot records in file order; point ids unique within a
+    snapshot and epochs unique within a camera."""
+    from .drift import RediscoverySnapshot
+    from .geometry import ImagePoint
+
+    out = []
+    seen = set()
+    for i, r in enumerate(read_jsonl(path), start=1):
+        where = f"record {i}"
+        _require(r, ("epoch", "camera", "direction", "points"), path, where)
+        _check_strings(r, path, where, ("camera", "direction"))
+        _check_numbers(r, path, where, ("epoch",))
+        if not isinstance(r["points"], list):
+            raise MalformedInput(f"{path}: {where}: points must be a list")
         for p in r["points"]:
-            _require(p, ("id", "im"), path, f"record {i}")
-    return records
+            _require(p, ("id", "im"), path, where)
+            _check_strings(p, path, where, ("id",))
+            _check_numbers(p, path, where, lists=(("im", 2),))
+        ids = [p["id"] for p in r["points"]]
+        if len(set(ids)) != len(ids):
+            raise MalformedInput(f"{path}: {where}: repeated point id")
+        if (r["camera"], r["epoch"]) in seen:
+            raise MalformedInput(f"{path}: {where}: repeated epoch {r['epoch']!r} "
+                                 f"for camera {r['camera']!r}")
+        seen.add((r["camera"], r["epoch"]))
+        out.append(RediscoverySnapshot(
+            float(r["epoch"]), r["camera"], r["direction"],
+            tuple((p["id"], ImagePoint(*map(float, p["im"]))) for p in r["points"])))
+    return out
+
+
+# --- image-to-image alignment maps ----------------------------------------------
+
+def write_sift_maps(path: str, sift_maps: dict) -> None:
+    """sift_maps: {camera: [(epoch, 3x3 image->image matrix)]}"""
+    write_json(path, [{"camera": cid,
+                       "maps": [{"epoch": e, "m": h_to_list(m)} for e, m in maps]}
+                      for cid, maps in sorted(sift_maps.items())])
+
+
+def read_sift_maps(path: str) -> dict:
+    """{camera: [(epoch, 3x3 ndarray)]}"""
+    entries = read_json(path)
+    if not isinstance(entries, list):
+        raise MalformedInput(f"{path}: expected a JSON list")
+    out = {}
+    for i, r in enumerate(entries, start=1):
+        where = f"entry {i}"
+        _require(r, ("camera", "maps"), path, where)
+        _check_strings(r, path, where, ("camera",))
+        if not isinstance(r["maps"], list):
+            raise MalformedInput(f"{path}: {where}: maps must be a list")
+        if r["camera"] in out:
+            raise MalformedInput(f"{path}: {where}: repeated camera {r['camera']!r}")
+        for m in r["maps"]:
+            _require(m, ("epoch", "m"), path, where)
+            _check_numbers(m, path, where, ("epoch",))
+            _check_matrix(m, "m", path, where)
+        out[r["camera"]] = [(float(m["epoch"]), np.asarray(m["m"], dtype=float))
+                            for m in r["maps"]]
+    return out
 
 
 # --- detections / tracklets / trajectories ------------------------------------
@@ -198,12 +302,18 @@ def write_detections(path: str, detections) -> None:
                         "class": d.cls, "conf": d.conf} for d in detections))
 
 
-def read_detections(path: str) -> list[dict]:
+def read_detections(path: str) -> list:
+    """simulator.Detection records in file order; `camera` and `class`
+    default to ""."""
+    from .simulator import Detection
+
     records = read_jsonl(path)
     for i, r in enumerate(records, start=1):
         _require(r, ("t", "box", "conf"), path, f"record {i}")
         _check_numbers(r, path, f"record {i}", ("t", "conf"), (("box", 5),))
-    return records
+    return [Detection(float(r["t"]), r.get("camera", ""), tuple(map(float, r["box"])),
+                      r.get("class", ""), float(r["conf"]))
+            for r in records]
 
 
 def write_tracklets(path: str, tracklets) -> None:
@@ -223,16 +333,21 @@ def _sidecar(path: str) -> str:
     return root + ".dims.json"
 
 
-def _read_states(path: str, key=lambda v: v) -> dict:
+def _read_states(path: str, int_ids: bool) -> dict:
     """{id: [(t, box)] sorted by t} from {id, t, box} records, with `t` a
-    finite number unique within its id and `box` 5 finite numbers; `key`
-    maps the record id to the returned id."""
+    finite number unique within its id and `box` 5 finite numbers.  Ids
+    must be JSON integers when `int_ids`, and are taken as strings
+    otherwise."""
     by_id: dict = {}
     for i, r in enumerate(read_jsonl(path), start=1):
         _require(r, ("id", "t", "box"), path, f"record {i}")
         _check_numbers(r, path, f"record {i}", ("t",), (("box", 5),))
-        by_id.setdefault(key(r["id"]), []).append(
-            (float(r["t"]), i, tuple(map(float, r["box"]))))
+        sid = r["id"]
+        if not int_ids:
+            sid = str(sid)
+        elif type(sid) is not int:
+            raise MalformedInput(f"{path}: record {i}: id must be an integer, got {sid!r}")
+        by_id.setdefault(sid, []).append((float(r["t"]), i, tuple(map(float, r["box"]))))
     for sid, items in by_id.items():
         items.sort()
         _check_increasing(items, path, "record", f"id {sid!r}")
@@ -245,8 +360,14 @@ def read_tracklets(path: str):
 
     dims_path = _sidecar(path)
     dims = read_json(dims_path) if os.path.exists(dims_path) else {}
+    if not isinstance(dims, dict):
+        raise MalformedInput(f"{dims_path}: expected a JSON object")
+    for tid, d in dims.items():
+        if not (isinstance(d, list) and len(d) == 3 and _finite_numbers(d)):
+            raise MalformedInput(f"{dims_path}: id {tid}: dims must be a list of 3 "
+                                 f"finite numbers, got {d!r}")
     out = []
-    for tid, items in sorted(_read_states(path).items()):
+    for tid, items in sorted(_read_states(path, True).items()):
         boxes = [b for _, b in items]
         d = dims.get(str(tid))
         out.append(Tracklet(tid, [t for t, _ in items], boxes,
@@ -270,7 +391,7 @@ def read_gt_series(path: str):
 
     return [TrajectorySeries(sid, np.array([t for t, _ in items]),
                              np.array([b for _, b in items], dtype=float))
-            for sid, items in sorted(_read_states(path, str).items())]
+            for sid, items in sorted(_read_states(path, False).items())]
 
 
 # --- GPS & annotations ---------------------------------------------------------
@@ -324,8 +445,12 @@ def read_annotations(path: str):
     out = []
     for i, row in enumerate(rows, start=2):
         try:
-            out.append(PoleAnnotation(row[0], float(row[1]), float(row[2]),
-                                      float(row[3]), int(row[4])))
+            a = PoleAnnotation(row[0], float(row[1]), float(row[2]),
+                               float(row[3]), int(row[4]))
         except (ValueError, IndexError) as e:
             raise MalformedInput(f"{path}: line {i}: {e}") from e
+        if not all(map(math.isfinite, (a.epoch, a.x, a.y))):
+            raise MalformedInput(f"{path}: line {i}: t, x and y must be finite, "
+                                 f"got {row[1:4]}")
+        out.append(a)
     return out

@@ -18,6 +18,7 @@ import numpy as np
 from . import geometry, roadway
 from .errors import ConfigInvalid
 from .geometry import CorrespondencePoint, Homography, ImagePoint, StatePlanePoint
+from .gps import SAMPLE_PERIOD_S, GpsTrace, PoleAnnotation
 from .drift import RediscoverySnapshot
 
 VEHICLE_CLASSES = {
@@ -62,7 +63,6 @@ class GpsConfig:
     bias_x_ft: float = 8.0
     lateral_noise_ft: float = 1.0
     time_offset_s: float = 0.7
-    sample_period_s: float = 0.1
     long_noise_ft: float = 0.1
     fraction: float = 1.0
 
@@ -140,23 +140,6 @@ class Detection:
     box: tuple  # (x, y, l, w, h) roadway feet
     cls: str
     conf: float
-
-
-@dataclass
-class GpsTraceSim:
-    vehicle_id: str
-    times: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-
-@dataclass(frozen=True)
-class PoleAnnotationSim:
-    vehicle_id: str
-    epoch: float
-    x: float
-    y: float
-    pole: int
 
 
 @dataclass
@@ -367,15 +350,15 @@ def _emit_gps(cfg: SceneConfig, vehicles, rng) -> list:
         # reported timestamps lag truth by time_offset
         t0 = v.times[0] + g.time_offset_s
         t1 = v.times[-1] + g.time_offset_s
-        k0 = int(math.ceil(t0 / g.sample_period_s - 1e-9))
-        k1 = int(math.floor(t1 / g.sample_period_s + 1e-9))
-        ts = np.arange(k0, k1 + 1) * g.sample_period_s
+        k0 = int(math.ceil(t0 / SAMPLE_PERIOD_S - 1e-9))
+        k1 = int(math.floor(t1 / SAMPLE_PERIOD_S + 1e-9))
+        ts = np.arange(k0, k1 + 1) * SAMPLE_PERIOD_S
         true_t = ts - g.time_offset_s
         x = np.interp(true_t, v.times, v.x) + g.bias_x_ft \
             + rng.normal(0.0, g.long_noise_ft, len(ts))
         y = np.interp(true_t, v.times, v.y) \
             + rng.normal(0.0, g.lateral_noise_ft, len(ts))
-        traces.append(GpsTraceSim(v.vehicle_id, ts, x, y))
+        traces.append(GpsTrace(v.vehicle_id, ts, x, y))
     return traces
 
 
@@ -391,7 +374,7 @@ def _emit_annotations(cfg: SceneConfig, vehicles, pad) -> list:
                 continue
             t_cross = float(np.interp(xp, xs, ts))
             y = float(np.interp(t_cross, v.times, v.y))
-            anns.append(PoleAnnotationSim(v.vehicle_id, t_cross, xp, y, i))
+            anns.append(PoleAnnotation(v.vehicle_id, t_cross, xp, y, i))
     anns.sort(key=lambda a: (a.vehicle_id, a.epoch))
     return anns
 

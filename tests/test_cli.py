@@ -121,9 +121,8 @@ def test_calibrate_fits_references(tmp_path):
                 "--out", tmp_path / "fitted.json"]) == 0
     fitted = iof.read_homographies(str(tmp_path / "fitted.json"))
     reference = iof.read_homographies(str(tmp_path / "reference.json"))
-    by_cam = {e["camera"]: np.array(e["h"]) for e in fitted}
-    for e in reference:
-        assert np.abs(by_cam[e["camera"]] - np.array(e["h"])).max() < 1e-6
+    for cam, ref in reference.items():
+        assert np.abs(fitted[cam].h - ref.h).max() < 1e-6
 
 
 def test_track_and_eval_pipeline(tmp_path):
@@ -216,11 +215,12 @@ GOOD_POINT = {"id": "p0", "camera": "c0", "direction": "EB",
 
 @pytest.mark.parametrize("field, value", [
     ("im", [1.0]), ("st", [5213.4, "y"]), ("im", 412.7), ("st", [5213.4, float("inf")]),
-], ids=["im-short", "st-string", "im-scalar", "st-inf"])
+    ("direction", "WB"), ("id", "p0"),
+], ids=["im-short", "st-string", "im-scalar", "st-inf", "direction-both", "id-repeated"])
 def test_invalid_point_record_exits_one(tmp_path, field, value):
     points = tmp_path / "points.jsonl"
     points.write_text(json.dumps(GOOD_POINT) + "\n"
-                      + json.dumps(dict(GOOD_POINT, id="p1", **{field: value})) + "\n")
+                      + json.dumps(dict(GOOD_POINT, **{"id": "p1", field: value})) + "\n")
     assert_rejected(["calibrate", "--points", points, "--out", tmp_path / "out"],
                     "points.jsonl", "record 2")
 
@@ -234,6 +234,86 @@ def test_invalid_gps_row_exits_one(tmp_path, row):
     anns.write_text("vehicle_id,t,x,y,pole\n")
     assert_rejected(["gps-correct", "--gps", gps, "--annotations", anns,
                      "--out", tmp_path / "out"], "gps.csv", "line 3")
+    assert not (tmp_path / "out").exists()
+
+
+IDENTITY = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+GOOD_SNAPSHOT = {"epoch": 0.0, "camera": "c0", "direction": "EB",
+                 "points": [{"id": "p0", "im": [413.0, 882.6]}]}
+
+
+@pytest.mark.parametrize("name, i, bad, where", [
+    ("snapshots.jsonl", 1, dict(GOOD_SNAPSHOT, epoch=30.0,
+                                points=GOOD_SNAPSHOT["points"] * 2), "record 2"),
+    ("snapshots.jsonl", 1, dict(GOOD_SNAPSHOT, epoch=30.0,
+                                points=[{"id": "p0", "im": [413.0]}]), "record 2"),
+    ("snapshots.jsonl", 1, dict(GOOD_SNAPSHOT, epoch="30"), "record 2"),
+    ("snapshots.jsonl", 1, dict(GOOD_SNAPSHOT, epoch=30.0,
+                                points=[{"id": "p0", "im": [float("nan"), 882.6]}]),
+     "record 2"),
+    ("snapshots.jsonl", 1, GOOD_SNAPSHOT, "record 2"),
+    ("reference.json", 0, {"camera": "c0", "h": [[1.0, 0.0, 0.0], [0.0, "1", 0.0],
+                                                 [0.0, 0.0, 1.0]]}, "entry 1"),
+    ("reference.json", 0, {"camera": "c0", "h": [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0],
+                                                 [0.0, 0.0, 1.0]]}, "entry 1"),
+    ("sift_maps.json", 0, {"camera": "c0", "maps": [{"epoch": 0.0}]}, "entry 1"),
+], ids=["snap-repeated-id", "snap-im-short", "snap-epoch-string", "snap-im-nan",
+        "snap-repeated-epoch", "h-string", "h-nan", "sift-no-m"])
+def test_invalid_restim_input_exits_one(tmp_path, name, i, bad, where):
+    contents = {
+        "points.jsonl": [GOOD_POINT],
+        "reference.json": [{"camera": "c0", "direction": "EB", "h": IDENTITY}],
+        "snapshots.jsonl": [GOOD_SNAPSHOT, dict(GOOD_SNAPSHOT, epoch=30.0)],
+        "sift_maps.json": [{"camera": "c0", "maps": [{"epoch": 0.0, "m": IDENTITY}]}],
+    }
+    contents[name][i] = bad
+    for fname, records in contents.items():
+        (tmp_path / fname).write_text("".join(json.dumps(r) + "\n" for r in records)
+                                      if fname.endswith(".jsonl") else json.dumps(records))
+    assert_rejected(["restim", "--points", tmp_path / "points.jsonl",
+                     "--reference", tmp_path / "reference.json",
+                     "--snapshots", tmp_path / "snapshots.jsonl",
+                     "--sift", tmp_path / "sift_maps.json", "--out", tmp_path / "out"],
+                    name, where)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("second, dims, name, where", [
+    (dict(GOOD_STATE, id="a", t=0.1), None, "tracks.jsonl", "record 2"),
+    (dict(GOOD_STATE, id=True, t=0.1), None, "tracks.jsonl", "record 2"),
+    (dict(GOOD_STATE, t=0.1), {"0": "abc"}, "tracks.dims.json", "id 0"),
+    (dict(GOOD_STATE, t=0.1), {"0": [16.0, 6.0, float("nan")]}, "tracks.dims.json", "id 0"),
+    (dict(GOOD_STATE, t=0.1), [16.0, 6.0, 5.0], "tracks.dims.json", "JSON object"),
+], ids=["id-string", "id-bool", "dims-string", "dims-nan", "dims-not-object"])
+def test_invalid_track_id_or_dims_exits_one(tmp_path, second, dims, name, where):
+    gt, tracks = tmp_path / "gt_tracks.jsonl", tmp_path / "tracks.jsonl"
+    gt.write_text(json.dumps(GOOD_STATE) + "\n" + json.dumps(dict(GOOD_STATE, t=0.1)) + "\n")
+    tracks.write_text(json.dumps(GOOD_STATE) + "\n" + json.dumps(second) + "\n")
+    if dims is not None:
+        (tmp_path / "tracks.dims.json").write_text(json.dumps(dims))
+    assert_rejected(["eval", "--gt", gt, "--tracks", tracks,
+                     "--out", tmp_path / "report.json"], name, where)
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("row", ["v1,nan,1.5,0.0,0", "v1,0.05,inf,0.0,0", "v1,0.05,1.5,-inf,0"],
+                         ids=["t-nan", "x-inf", "y-inf"])
+def test_invalid_annotation_row_exits_one(tmp_path, row):
+    gps = tmp_path / "gps.csv"
+    gps.write_text("vehicle_id,t,x,y\nv1,0.0,1.0,0.0\nv1,0.1,2.0,0.0\n")
+    anns = tmp_path / "annotations.csv"
+    anns.write_text("vehicle_id,t,x,y,pole\nv1,0.05,1.5,0.0,0\n" + row + "\n")
+    assert_rejected(["gps-correct", "--gps", gps, "--annotations", anns,
+                     "--out", tmp_path / "out"], "annotations.csv", "line 3")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("period", [0.0, 0.1, 0.25])
+def test_gps_sample_period_is_not_configurable(tmp_path, period):
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps({"gps": {"sample_period_s": period}}))
+    assert_rejected(["simulate", "--config", cfg, "--out", tmp_path / "out"],
+                    "unknown gps config fields", "sample_period_s")
     assert not (tmp_path / "out").exists()
 
 
