@@ -367,7 +367,7 @@ def read_tracklets(path: str):
             raise MalformedInput(f"{dims_path}: id {tid}: dims must be a list of 3 "
                                  f"finite numbers, got {d!r}")
     out = []
-    for tid, items in sorted(_read_states(path, True).items()):
+    for tid, items in sorted(_read_states(path, int_ids=True).items()):
         boxes = [b for _, b in items]
         d = dims.get(str(tid))
         out.append(Tracklet(tid, [t for t, _ in items], boxes,
@@ -391,7 +391,7 @@ def read_gt_series(path: str):
 
     return [TrajectorySeries(sid, np.array([t for t, _ in items]),
                              np.array([b for _, b in items], dtype=float))
-            for sid, items in sorted(_read_states(path, False).items())]
+            for sid, items in sorted(_read_states(path, int_ids=False).items())]
 
 
 # --- GPS & annotations ---------------------------------------------------------
