@@ -20,41 +20,9 @@ from .errors import (AllOutliers, ConfigInvalid, CurvitrackError,
                      DataInvariantViolation, InsufficientAnnotations)
 from .geometry import fit_homography
 from .io_formats import MalformedInput
-from .simulator import (DetectionConfig, DriftConfig, GpsConfig, RoadConfig,
-                        SceneConfig, simulate)
+from .simulator import SceneConfig, simulate
 
 log = logging.getLogger("curvitrack")
-
-
-# ---------------------------------------------------------------------------
-# config plumbing
-
-def scene_config_from_dict(d: dict) -> SceneConfig:
-    d = dict(d)
-    nested = {"road": RoadConfig, "drift": DriftConfig,
-              "detection": DetectionConfig, "gps": GpsConfig}
-    kwargs = {}
-    for key, cls in nested.items():
-        if key in d:
-            sub = d.pop(key)
-            unknown = set(sub) - {f.name for f in dataclasses.fields(cls)}
-            if unknown:
-                raise ConfigInvalid(f"unknown {key} config fields {sorted(unknown)}")
-            kwargs[key] = cls(**sub)
-    unknown = set(d) - {f.name for f in dataclasses.fields(SceneConfig)}
-    if unknown:
-        raise ConfigInvalid(f"unknown config fields {sorted(unknown)}")
-    if "state_offset" in d:
-        d["state_offset"] = tuple(d["state_offset"])
-    return SceneConfig(**d, **kwargs)
-
-
-def _load_scene_config(args) -> SceneConfig:
-    cfg = scene_config_from_dict(iof.read_json(args.config)) if args.config \
-        else SceneConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
 
 
 class _GtTrace:
@@ -72,7 +40,9 @@ class _GtTrace:
 # stages
 
 def cmd_simulate(args) -> int:
-    cfg = _load_scene_config(args)
+    cfg = iof.read_scene_config(args.config) if args.config else SceneConfig()
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
     result = simulate(cfg)
@@ -102,8 +72,7 @@ def cmd_calibrate(args) -> int:
     for i, (cam, (direction, points)) in enumerate(
             sorted(iof.read_points(args.points).items())):
         h, inliers = fit_homography(points, camera_id=cam,
-                                    direction=direction,
-                                    seed=(args.seed or 0) + i)
+                                    direction=direction, seed=i)
         entries.append({"camera": cam, "direction": direction,
                         "h": iof.h_to_list(h.h), "inliers": len(inliers)})
     iof.write_homographies(args.out, entries)
@@ -223,21 +192,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    series = iof.read_drift(args.drift) if args.drift else None
+    summary = iof.read_eval_summary(args.eval) if args.eval else None
     os.makedirs(args.out, exist_ok=True)
-    if args.drift:
-        header, rows = iof.read_csv(args.drift)
-        methods = [c for c in header if c.startswith("fd_")]
-        series = {}
-        means = {}
-        for m in methods:
-            j = header.index(m)
-            pts = [(float(r[1]), float(r[j])) for r in rows if r[j] != ""]
-            if not pts:
-                continue
-            pts.sort()
-            series[m[3:]] = (np.array([p[0] for p in pts]),
-                             np.array([p[1] for p in pts]))
-            means[m[3:]] = float(np.mean([p[1] for p in pts]))
+    if series is not None:
+        means = {m: float(np.mean(v)) for m, (_, v) in series.items()}
         iof.write_csv(os.path.join(args.out, "drift_summary.csv"),
                       ("method", "mean_fulldrift_ft"),
                       sorted(means.items()))
@@ -247,13 +206,11 @@ def cmd_report(args) -> int:
         plots.bar_chart(os.path.join(args.out, "drift_means.svg"),
                         [k for k, _ in items], [v for _, v in items],
                         "Mean FullDrift by method", "feet")
-    if args.eval:
-        rep = iof.read_json(args.eval)
-        cols = [c for c in moteval.EvalReport.COLUMNS if c in rep]
+    if summary is not None:
         iof.write_csv(os.path.join(args.out, "eval_summary.csv"),
-                      cols, [[rep[c] for c in cols]])
+                      list(summary), [list(summary.values())])
         plots.bar_chart(os.path.join(args.out, "eval_metrics.svg"),
-                        cols, [rep[c] for c in cols], "Tracking metrics")
+                        list(summary), list(summary.values()), "Tracking metrics")
     if not args.drift and not args.eval:
         plots.line_chart(os.path.join(args.out, "drift_timeline.svg"),
                          {}, "FullDrift vs time")
@@ -261,15 +218,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    manifest = iof.read_json(args.manifest)
+    manifest = iof.read_manifest(args.manifest)
     out = manifest.get("out", args.out or "pipeline_out")
     os.makedirs(out, exist_ok=True)
 
     def p(name):
         return os.path.join(out, name)
 
-    stages = manifest.get("stages", ["simulate", "calibrate", "restim",
-                                     "track", "gps-correct", "eval", "report"])
+    stages = manifest.get("stages", iof.PIPELINE_STAGES)
     cfg_path = None
     if "scene" in manifest:
         cfg_path = p("scene_config.json")
@@ -309,14 +265,12 @@ def cmd_pipeline(args) -> int:
             _require_files(p("gt_tracks.jsonl"), p("tracks.jsonl"))
             argv = ["eval", "--gt", p("gt_tracks.jsonl"),
                     "--tracks", p("tracks.jsonl"), "--out", p("report.json")]
-        elif stage == "report":
+        else:  # report; read_manifest refuses unknown stages
             argv = ["report", "--out", out]
             if os.path.exists(p("drift.csv")):
                 argv += ["--drift", p("drift.csv")]
             if os.path.exists(p("report.json")):
                 argv += ["--eval", p("report.json")]
-        else:
-            raise MalformedInput(f"{args.manifest}: unknown stage {stage!r}")
         rc = main(argv)
         if rc != 0:
             return rc
@@ -337,18 +291,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multi-camera roadway geometry and tracking pipeline")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", required=out_required)
-
     p = sub.add_parser("simulate", help="generate a synthetic scene")
     p.add_argument("--config", help="scene config JSON")
-    common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("calibrate", help="fit homographies from points")
     p.add_argument("--points", required=True)
-    common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("restim", help="re-estimate drifting homographies")
@@ -356,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True)
     p.add_argument("--snapshots", required=True)
     p.add_argument("--sift", help="image-to-image alignment maps JSON")
-    common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_restim)
 
     p = sub.add_parser("track", help="run a tracker on detections")
@@ -364,30 +315,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True,
                    choices=sorted(tracking.ALGORITHMS) + ["oracle"])
     p.add_argument("--gt", help="ground truth (oracle tracker only)")
-    common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("gps-correct", help="refine GPS traces")
     p.add_argument("--gps", required=True)
     p.add_argument("--annotations", required=True)
-    common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gps_correct)
 
     p = sub.add_parser("eval", help="evaluate tracklets against ground truth")
     p.add_argument("--gt", required=True)
     p.add_argument("--tracks", required=True)
-    common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="summaries and SVG figures")
     p.add_argument("--drift", help="drift.csv from restim")
     p.add_argument("--eval", help="report.json from eval")
-    common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("pipeline", help="run stages from a manifest")
     p.add_argument("--manifest", required=True)
-    common(p, out_required=False)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_pipeline)
     return ap
 

@@ -51,8 +51,6 @@ class HomographyTimeline:
     direction: str
     reference: Homography
     instants: list = field(default_factory=list)  # (epoch, Homography, inlier ids)
-    static_estimate: Homography | None = None
-    dynamic_estimates: list = field(default_factory=list)  # (epoch, Homography)
     sift_maps: list = field(default_factory=list)  # optional (epoch, 3x3 image->image)
 
     def add_instant(self, epoch: float, h: Homography, inliers: list[str]):
@@ -76,7 +74,6 @@ def _join(reference_points: list[CorrespondencePoint], snap: RediscoverySnapshot
 def fit_instant(
     reference_points: list[CorrespondencePoint],
     snap: RediscoverySnapshot,
-    inlier_threshold: float = geometry.DEFAULT_INLIER_FT,
 ) -> tuple[float, Homography, list[str]]:
     """Fit the instantaneous homography for one snapshot.
 
@@ -88,7 +85,7 @@ def fit_instant(
         raise RejectedInstant(f"only {len(joined)} rediscovered points")
     try:
         h, inliers = geometry.fit_homography(
-            joined, inlier_threshold,
+            joined,
             camera_id=snap.camera_id, direction=snap.direction,
             epoch=snap.epoch, seed=int(snap.epoch * 1000) & 0x7FFFFFFF)
     except (DegenerateConfiguration, SingularFit) as exc:
@@ -105,14 +102,13 @@ def build_timeline(
     reference: Homography,
     reference_points: list[CorrespondencePoint],
     snapshots: list[RediscoverySnapshot],
-    inlier_threshold: float = geometry.DEFAULT_INLIER_FT,
 ) -> tuple[HomographyTimeline, list[tuple[float, str]]]:
     """Fit all snapshots into a timeline; returns (timeline, rejections)."""
     tl = HomographyTimeline(reference.camera_id, reference.direction, reference)
     rejected = []
     for snap in sorted(snapshots, key=lambda s: s.epoch):
         try:
-            epoch, h, inliers = fit_instant(reference_points, snap, inlier_threshold)
+            epoch, h, inliers = fit_instant(reference_points, snap)
         except RejectedInstant as exc:
             rejected.append((snap.epoch, exc.reason))
             continue
@@ -157,35 +153,28 @@ def build_static(timeline: HomographyTimeline) -> Homography:
     _, mats = _matrices(timeline)
     keep = _remove_outliers(mats)
     mean = geometry.normalize_h(mats[keep].mean(axis=0))
-    h = Homography(mean, timeline.camera_id, timeline.direction)
-    timeline.static_estimate = h
-    return h
+    return Homography(mean, timeline.camera_id, timeline.direction)
 
 
-def build_dynamic(
-    timeline: HomographyTimeline,
-    grid_spacing: float = GRID_SPACING_S,
-    base_window: float = BASE_WINDOW_S,
-    min_count: int = MIN_WINDOW_COUNT,
-) -> list[tuple[float, Homography]]:
-    """Gaussian-kernel smoothed estimates on a regular epoch grid.
+def build_dynamic(timeline: HomographyTimeline) -> list[tuple[float, Homography]]:
+    """Gaussian-kernel smoothed estimates on a GRID_SPACING_S epoch grid.
 
-    The window half-width starts at base_window and doubles until at least
-    min_count surviving instants fall inside (capped at the full span).
+    The window half-width starts at BASE_WINDOW_S and doubles until at least
+    MIN_WINDOW_COUNT surviving instants fall inside (capped at the full span).
     """
     if len(timeline.instants) < 3:
         raise AllOutliers("need >= 3 instants")
     epochs, mats = _matrices(timeline)
     keep = _remove_outliers(mats)
     epochs, mats = epochs[keep], mats[keep]
-    span = max(epochs[-1] - epochs[0], grid_spacing)
+    span = max(epochs[-1] - epochs[0], GRID_SPACING_S)
 
     out = []
     t0, t1 = epochs[0], epochs[-1]
-    grid = t0 + np.arange(0.0, (t1 - t0) + grid_spacing / 2.0, grid_spacing)
+    grid = t0 + np.arange(0.0, (t1 - t0) + GRID_SPACING_S / 2.0, GRID_SPACING_S)
     for t in grid:
-        half = base_window
-        while np.count_nonzero(np.abs(epochs - t) <= half) < min_count and half < span:
+        half = BASE_WINDOW_S
+        while np.count_nonzero(np.abs(epochs - t) <= half) < MIN_WINDOW_COUNT and half < span:
             half *= 2.0
         inside = np.abs(epochs - t) <= half
         if not inside.any():
@@ -196,7 +185,6 @@ def build_dynamic(
             np.tensordot(w, mats[inside], axes=1) / w.sum())
         out.append((float(t), Homography(m, timeline.camera_id, timeline.direction,
                                          epoch=float(t))))
-    timeline.dynamic_estimates = out
     return out
 
 

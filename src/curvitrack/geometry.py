@@ -29,6 +29,9 @@ COND_LIMIT = 1e10
 DEFAULT_INLIER_FT = 2.0  # state-plane consensus threshold
 RANSAC_ITERS = 200
 HEIGHT_MAX_FT = 30.0
+HEIGHT_MAX_ITER = 50       # golden-section steps of the height search
+HEIGHT_TOL_FT = 1e-3
+COLLINEAR_TOL = 1e-8       # relative singular-value floor
 
 CORNER_ORDER = ("bbl", "bbr", "btl", "btr", "fbl", "fbr", "ftl", "ftr")
 _BOTTOM = (0, 1, 4, 5)
@@ -130,7 +133,6 @@ class Projection3D:
     """
 
     p: np.ndarray
-    vp_h: ImagePoint | None = None
 
     def __post_init__(self):
         m = np.asarray(self.p, dtype=float)
@@ -140,10 +142,10 @@ class Projection3D:
         m.setflags(write=False)
         object.__setattr__(self, "p", m)
 
-    def homography(self, camera_id: str = "", direction: str = "EB") -> Homography:
+    def homography(self) -> Homography:
         """Recover the planar (z=0) homography implied by columns 1, 2, 4."""
         hinv = self.p[:, [0, 1, 3]]
-        return Homography(np.linalg.inv(hinv), camera_id, direction)
+        return Homography(np.linalg.inv(hinv))
 
 
 @dataclass(frozen=True)
@@ -151,16 +153,15 @@ class Prism3D:
     """Axis-consistent rectangular prism; corners ordered per CORNER_ORDER."""
 
     corners: np.ndarray  # 8x3, feet
-    z_tol: float = 1e-6
 
     def __post_init__(self):
         c = np.asarray(self.corners, dtype=float)
         if c.shape != (8, 3):
             raise ValueError("prism requires 8 corners of (x, y, z)")
-        if np.max(np.abs(c[list(_BOTTOM), 2])) > max(self.z_tol, 1e-6):
+        if np.max(np.abs(c[list(_BOTTOM), 2])) > 1e-6:
             raise ValueError("bottom corners must lie on z=0")
         tops = c[list(_TOP), 2]
-        if np.ptp(tops) > max(self.z_tol, 1e-6):
+        if np.ptp(tops) > 1e-6:
             raise ValueError("top corners must share a common height")
         c = c.copy()
         c.setflags(write=False)
@@ -169,9 +170,6 @@ class Prism3D:
     @property
     def height(self) -> float:
         return float(np.mean(self.corners[list(_TOP), 2]))
-
-    def corner(self, name: str) -> np.ndarray:
-        return self.corners[CORNER_ORDER.index(name)]
 
     @property
     def back_bottom_center(self) -> np.ndarray:
@@ -260,13 +258,13 @@ def _refine_lm(h0: np.ndarray, img: np.ndarray, world: np.ndarray) -> np.ndarray
     return normalize_h(np.append(res.x, 1.0).reshape(3, 3))
 
 
-def _collinear(pts: np.ndarray, tol: float = 1e-8) -> bool:
+def _collinear(pts: np.ndarray) -> bool:
     """True when 2D points have no spread perpendicular to their best line."""
     if pts.shape[0] < 3:
         return True
     c = pts - pts.mean(axis=0)
     sv = np.linalg.svd(c, compute_uv=False)
-    return sv[1] <= tol * max(1.0, sv[0])
+    return sv[1] <= COLLINEAR_TOL * max(1.0, sv[0])
 
 
 def points_collinear_within(pts: np.ndarray, band_ft: float) -> bool:
@@ -290,7 +288,6 @@ def _residuals_ft(h: np.ndarray, img: np.ndarray, world: np.ndarray) -> np.ndarr
 
 def fit_homography(
     points: list[CorrespondencePoint],
-    inlier_threshold: float = DEFAULT_INLIER_FT,
     camera_id: str = "",
     direction: str = "EB",
     epoch: float | None = None,
@@ -299,7 +296,7 @@ def fit_homography(
     """Fit H to correspondence points with RANSAC consensus.
 
     Returns the least-squares homography over the inlier set and the ids of
-    the inliers (points within inlier_threshold feet on the state plane).
+    the inliers (points within DEFAULT_INLIER_FT feet on the state plane).
     """
     if len(points) < 4:
         raise DegenerateConfiguration(f"need >= 4 points, got {len(points)}")
@@ -312,8 +309,8 @@ def fit_homography(
     # Fast path: a fit over everything whose residuals all pass is final.
     try:
         h_all = _refine_lm(_dlt(img, world), img, world)
-        if np.all(_residuals_ft(h_all, img, world) <= inlier_threshold):
-            return _finalize(h_all, ids, camera_id, direction, epoch)
+        if np.all(_residuals_ft(h_all, img, world) <= DEFAULT_INLIER_FT):
+            return Homography(h_all, camera_id, direction, epoch), ids
     except (np.linalg.LinAlgError, SingularFit):
         pass
 
@@ -328,7 +325,7 @@ def fit_homography(
             h_try = _dlt(img[sample], world[sample])
         except (np.linalg.LinAlgError, SingularFit):
             continue
-        mask = _residuals_ft(h_try, img, world) <= inlier_threshold
+        mask = _residuals_ft(h_try, img, world) <= DEFAULT_INLIER_FT
         if best_mask is None or mask.sum() > best_mask.sum():
             best_mask = mask
     if best_mask is None or best_mask.sum() < 4:
@@ -338,16 +335,11 @@ def fit_homography(
         raise DegenerateConfiguration("inlier set is collinear")
     h = _refine_lm(_dlt(img[sel], world[sel]), img[sel], world[sel])
     # Re-evaluate consensus once with the refined matrix.
-    mask = _residuals_ft(h, img, world) <= inlier_threshold
+    mask = _residuals_ft(h, img, world) <= DEFAULT_INLIER_FT
     if mask.sum() >= 4 and not _collinear(img[mask]) and not _collinear(world[mask]):
         sel = np.flatnonzero(mask)
         h = _refine_lm(_dlt(img[sel], world[sel]), img[sel], world[sel])
-    inlier_ids = [ids[i] for i in sel]
-    return _finalize(h, inlier_ids, camera_id, direction, epoch)
-
-
-def _finalize(h: np.ndarray, inlier_ids, camera_id, direction, epoch):
-    return Homography(h, camera_id, direction, epoch), list(inlier_ids)
+    return Homography(h, camera_id, direction, epoch), [ids[i] for i in sel]
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +429,7 @@ def fit_projection3d(
         options={"xatol": 1e-15},
     )
     p33 = float(res.x) if res.fun <= cost(seed) else seed
-    return Projection3D(build(p33), vp_h=vp)
+    return Projection3D(build(p33))
 
 
 def project_prism_to_image(p3: Projection3D, prism: Prism3D) -> list[ImagePoint]:
@@ -450,8 +442,6 @@ def lift_image_box_to_prism(
     p3: Projection3D,
     footprint: list[ImagePoint],
     top_hint: list[ImagePoint],
-    max_iter: int = 50,
-    height_tol: float = 1e-3,
 ) -> Prism3D:
     """Lift a 4-corner image footprint plus top-corner hints to a 3D prism.
 
@@ -481,8 +471,8 @@ def lift_image_box_to_prism(
     fc, fd = cost(c), cost(d)
     best = min(fc, fd)
     last_drop = 0.0
-    for _ in range(max_iter):
-        if (b - a) < height_tol:
+    for _ in range(HEIGHT_MAX_ITER):
+        if (b - a) < HEIGHT_TOL_FT:
             break
         if fc < fd:
             b, d, fd = d, c, fc

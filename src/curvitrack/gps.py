@@ -82,15 +82,14 @@ def _ann_arrays(trace: GpsTrace, annotations) -> tuple[np.ndarray, ...]:
     return t, x, y
 
 
-def sawtooth_filter(trace: GpsTrace,
-                    max_speed: float = MAX_SPEED_FT_S) -> tuple[GpsTrace, int]:
+def sawtooth_filter(trace: GpsTrace) -> tuple[GpsTrace, int]:
     """Drop samples whose implied longitudinal speed from the previous kept
-    sample exceeds max_speed (GPS multipath sawtooth artifacts)."""
+    sample exceeds MAX_SPEED_FT_S (GPS multipath sawtooth artifacts)."""
     keep = [0]
     for i in range(1, len(trace.times)):
         j = keep[-1]
         speed = abs(trace.x[i] - trace.x[j]) / (trace.times[i] - trace.times[j])
-        if speed <= max_speed:
+        if speed <= MAX_SPEED_FT_S:
             keep.append(i)
     dropped = len(trace.times) - len(keep)
     if dropped == 0:
@@ -107,10 +106,7 @@ def correct_bias(trace: GpsTrace, annotations) -> tuple[GpsTrace, float]:
     return replace(trace, x=trace.x - bias), bias
 
 
-def correct_time_offset(trace: GpsTrace, annotations,
-                        search_s: float = OFFSET_RANGE_S,
-                        step_s: float = OFFSET_STEP_S
-                        ) -> tuple[GpsTrace, float, bool]:
+def correct_time_offset(trace: GpsTrace, annotations) -> tuple[GpsTrace, float, bool]:
     """Estimate the receiver clock offset by grid search.
 
     Tries shifting the trace clock and keeps the shift minimizing the
@@ -125,8 +121,8 @@ def correct_time_offset(trace: GpsTrace, annotations,
     if len(at) < 3:
         raise InsufficientAnnotations(
             f"trace {trace.vehicle_id}: need >= 3 annotations, got {len(at)}")
-    n = int(round(search_s / step_s))
-    deltas = np.arange(-n, n + 1) * step_s
+    n = int(round(OFFSET_RANGE_S / OFFSET_STEP_S))
+    deltas = np.arange(-n, n + 1) * OFFSET_STEP_S
     variances = np.empty_like(deltas)
     for i, d in enumerate(deltas):
         res = np.interp(at, trace.times - d, trace.x) - ax

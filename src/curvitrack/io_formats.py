@@ -8,6 +8,7 @@ raise MalformedInput naming the file and the offending record.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import CurvitrackError, SingularFit
+from .errors import ConfigInvalid, CurvitrackError, SingularFit
 
 
 class MalformedInput(CurvitrackError):
@@ -454,3 +455,151 @@ def read_annotations(path: str):
                                  f"got {row[1:4]}")
         out.append(a)
     return out
+
+
+# --- report inputs ---------------------------------------------------------------
+
+def _finite_cell(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def read_drift(path: str) -> dict:
+    """{method: (epochs, FullDrift values)} from restim's drift.csv, one entry
+    per `fd_*` column with a value, sorted by epoch.  `epoch` and every
+    non-empty `fd_*` cell must be a finite number; an empty cell (a camera
+    without a baseline) is skipped."""
+    header, rows = read_csv(path)
+    if "epoch" not in header:
+        raise MalformedInput(f"{path}: no epoch column in header {header}")
+    e = header.index("epoch")
+    methods = [(c[3:], j) for j, c in enumerate(header) if c.startswith("fd_")]
+    pts = {m: [] for m, _ in methods}
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise MalformedInput(f"{path}: line {i}: expected {len(header)} cells, "
+                                 f"got {len(row)}")
+        if not (_finite_cell(row[e])
+                and all(row[j] == "" or _finite_cell(row[j]) for _, j in methods)):
+            raise MalformedInput(f"{path}: line {i}: epoch and the non-empty fd_* "
+                                 f"cells must be finite numbers, got {row}")
+        epoch = float(row[e])
+        for m, j in methods:
+            if row[j] != "":
+                pts[m].append((epoch, float(row[j])))
+    out = {}
+    for m, items in pts.items():
+        if items:
+            items.sort()
+            out[m] = (np.array([t for t, _ in items]), np.array([v for _, v in items]))
+    return out
+
+
+def read_eval_summary(path: str) -> dict:
+    """{column: value} for the EvalReport.COLUMNS present in eval's
+    report.json; each must be a finite number."""
+    from .moteval import EvalReport
+
+    rep = read_json(path)
+    if not isinstance(rep, dict):
+        raise MalformedInput(f"{path}: expected a JSON object")
+    out = {c: rep[c] for c in EvalReport.COLUMNS if c in rep}
+    _check_numbers(out, path, "summary", out)
+    return out
+
+
+# --- scene config and pipeline manifest -----------------------------------------
+
+PIPELINE_STAGES = ("simulate", "calibrate", "restim", "track", "gps-correct",
+                   "eval", "report")
+
+
+def _json_int(v) -> bool:
+    """A JSON integer (not a bool) within numpy's int64 range."""
+    return type(v) is int and -2 ** 63 <= v < 2 ** 63
+
+
+def _config_fields(cls, d, name: str) -> dict:
+    """`d`'s fields of dataclass `cls`, each of its default's JSON type: a
+    float default takes a finite number, an int default an integer, the None
+    default of `pole_outage` an integer or null, and a str default a string.
+    Fields without a plain default (the nested sections) are left to the
+    caller."""
+    if not isinstance(d, dict):
+        raise ConfigInvalid(f"{name} must be a JSON object, got {d!r}")
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(fields)
+    if unknown:
+        raise ConfigInvalid(f"unknown {name} fields {sorted(unknown)}")
+    for key, v in d.items():
+        default = fields[key]
+        if default is dataclasses.MISSING:
+            continue
+        if type(default) is float:
+            ok, want = _finite_numbers((v,)), "a finite number"
+        elif type(default) is int:
+            ok, want = _json_int(v), "an integer"
+        elif default is None:
+            ok, want = v is None or _json_int(v), "an integer or null"
+        else:
+            ok, want = type(v) is type(default), f"of type {type(default).__name__}"
+        if not ok:
+            raise ConfigInvalid(f"{name} field {key} must be {want}, got {v!r}")
+    return dict(d)
+
+
+def scene_config_from_dict(d):
+    """A SceneConfig from its JSON form; ConfigInvalid names the bad field."""
+    from .simulator import (DetectionConfig, DriftConfig, GpsConfig, RoadConfig,
+                            SceneConfig)
+
+    kwargs = _config_fields(SceneConfig, d, "config")
+    for key, cls in (("road", RoadConfig), ("drift", DriftConfig),
+                     ("detection", DetectionConfig), ("gps", GpsConfig)):
+        if key in kwargs:
+            kwargs[key] = cls(**_config_fields(cls, kwargs[key], f"{key} config"))
+    return SceneConfig(**kwargs)
+
+
+def read_scene_config(path: str):
+    """A validated SceneConfig from a scene config file."""
+    try:
+        cfg = scene_config_from_dict(read_json(path))
+        cfg.validate()
+        return cfg
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from exc
+
+
+def read_manifest(path: str) -> dict:
+    """The pipeline manifest, a JSON object whose optional fields are
+    `stages` (a list of PIPELINE_STAGES names), `track` (an object whose
+    optional `algo` names a tracker), `seed` (a non-negative integer),
+    `scene` (a valid scene config) and `out` (a string)."""
+    from .tracking import ALGORITHMS
+
+    m = read_json(path)
+    if not isinstance(m, dict):
+        raise MalformedInput(f"{path}: expected a JSON object")
+    for key, kind, want in (("stages", list, "a list"), ("track", dict, "an object"),
+                            ("scene", dict, "an object"), ("out", str, "a string")):
+        if key in m and not isinstance(m[key], kind):
+            raise MalformedInput(f"{path}: {key} must be {want}, got {m[key]!r}")
+    if "seed" in m and not (_json_int(m["seed"]) and m["seed"] >= 0):
+        raise MalformedInput(f"{path}: seed must be a non-negative integer, "
+                             f"got {m['seed']!r}")
+    for stage in m.get("stages", ()):
+        if stage not in PIPELINE_STAGES:
+            raise MalformedInput(f"{path}: unknown stage {stage!r}")
+    algos = sorted(ALGORITHMS) + ["oracle"]
+    if m.get("track", {}).get("algo", "sort") not in algos:
+        raise MalformedInput(f"{path}: track algo must be one of {algos}, "
+                             f"got {m['track']['algo']!r}")
+    if "scene" in m:
+        try:
+            scene_config_from_dict(m["scene"]).validate()
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"{path}: scene: {exc}") from exc
+    return m

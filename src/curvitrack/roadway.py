@@ -120,14 +120,14 @@ def _as_xy(points) -> np.ndarray:
     return np.asarray(points, dtype=float)[:, :2]
 
 
-def _fit_param_spline(xy: np.ndarray, spacing: float = KNOT_SPACING_FT):
+def _fit_param_spline(xy: np.ndarray):
     """Quadratic least-squares splines x(u), y(u) with chord parameter u."""
     seg = np.linalg.norm(np.diff(xy, axis=0), axis=1)
     keep = np.concatenate([[True], seg > 1e-9])
     xy = xy[keep]
     seg = np.linalg.norm(np.diff(xy, axis=0), axis=1)
     u = np.concatenate([[0.0], np.cumsum(seg)])
-    knots = np.arange(spacing, u[-1] - spacing / 2.0, spacing)
+    knots = np.arange(KNOT_SPACING_FT, u[-1] - KNOT_SPACING_FT / 2.0, KNOT_SPACING_FT)
     tck_x = interpolate.splrep(u, xy[:, 0], k=2, task=-1, t=knots)
     tck_y = interpolate.splrep(u, xy[:, 1], k=2, task=-1, t=knots)
     return tck_x, tck_y, u[-1]

@@ -29,13 +29,18 @@ VEHICLE_CLASSES = {
     "semi": (60.0, 8.5, 13.0),
     "truck": (30.0, 8.0, 11.0),
 }
+STATE_OFFSET = (5000.0, 2000.0)   # state-plane origin of the road, feet
+YELLOW_OFFSET_FT = 24.0
+LANES_PER_DIRECTION = 4
+LANE_WIDTH_FT = 12.0
+SIFT_BIAS_FT = 2.0      # non-ground-plane bias of the matcher baseline
+SIFT_NOISE_FT = 0.2
 
 
 @dataclass(frozen=True)
 class RoadConfig:
     kind: str = "straight"        # "straight" | "arc"
     radius_ft: float = 5000.0     # arc roads only
-    yellow_offset_ft: float = 24.0
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,6 @@ class DriftConfig:
     period_s: float = 2400.0
     bias_ft: float = 3.0
     noise_ft: float = 0.1         # per-point rediscovery noise (world feet)
-    sift_bias_ft: float = 2.0     # non-ground-plane bias of the matcher baseline
-    sift_noise_ft: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,6 @@ class SceneConfig:
     snapshot_interval_s: float = 30.0
     snapshot_dropout: float = 0.0
     pole_outage: int | None = None
-    state_offset: tuple = (5000.0, 2000.0)
-    lanes_per_direction: int = 4
-    lane_width_ft: float = 12.0
 
     def validate(self):
         rates = {
@@ -103,8 +103,25 @@ class SceneConfig:
             raise ConfigInvalid("gps time offset must be in [-2, 2] s")
         if self.road.kind not in ("straight", "arc"):
             raise ConfigInvalid(f"unknown road kind {self.road.kind!r}")
+        if self.road.radius_ft <= 0:
+            raise ConfigInvalid("road radius must be positive")
         if self.extent_ft <= 0 or self.duration_s <= 0:
             raise ConfigInvalid("extent and duration must be positive")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be non-negative, got {self.seed}")
+        if self.detection.rate_hz <= 0 or self.snapshot_interval_s <= 0:
+            raise ConfigInvalid("detection rate and snapshot interval must be positive")
+        scales = {
+            "detection.noise_ft": self.detection.noise_ft,
+            "detection.dims_noise_ft": self.detection.dims_noise_ft,
+            "detection.conf_std": self.detection.conf_std,
+            "drift.noise_ft": self.drift.noise_ft,
+            "gps.lateral_noise_ft": self.gps.lateral_noise_ft,
+            "gps.long_noise_ft": self.gps.long_noise_ft,
+        }
+        for name, scale in scales.items():
+            if scale < 0:
+                raise ConfigInvalid(f"{name} must be non-negative, got {scale}")
 
 
 @dataclass
@@ -126,11 +143,6 @@ class VehicleTrack:
     times: np.ndarray
     x: np.ndarray
     y: np.ndarray
-
-    def box_at(self, t: float):
-        x = float(np.interp(t, self.times, self.x))
-        y = float(np.interp(t, self.times, self.y))
-        return (x, y) + self.dims
 
 
 @dataclass(frozen=True)
@@ -189,8 +201,8 @@ class SimulationResult:
 
 def _road_yellow_lines(cfg: SceneConfig):
     """Sampled state-plane points of the EB (+) and WB (-) yellow lines."""
-    off = np.asarray(cfg.state_offset, dtype=float)
-    g = cfg.road.yellow_offset_ft
+    off = np.asarray(STATE_OFFSET, dtype=float)
+    g = YELLOW_OFFSET_FT
     # pad so the usable extent sits strictly inside the spline extent
     pad = 200.0
     length = cfg.extent_ft + 2 * pad
@@ -274,8 +286,8 @@ def _build_vehicles(cfg: SceneConfig, pad, rng) -> list:
         direction = "EB" if i % 2 == 0 else "WB"
         cls = classes[rng.integers(len(classes))]
         dims = VEHICLE_CLASSES[cls]
-        lane = int(rng.integers(cfg.lanes_per_direction))
-        lane_y = 12.0 + cfg.lane_width_ft * (lane + 0.5)
+        lane = int(rng.integers(LANES_PER_DIRECTION))
+        lane_y = 12.0 + LANE_WIDTH_FT * (lane + 0.5)
         if direction == "WB":
             lane_y = -lane_y
         speed = float(np.clip(rng.normal(105.0, 8.0), 70.0, 130.0))
@@ -403,8 +415,8 @@ def _emit_snapshots(cfg: SceneConfig, result_stub, cameras, rng):
                 snapshots.append(RediscoverySnapshot(
                     float(t), cam.camera_id, cam.direction, tuple(pts)))
             # feature-matcher map: captures the drift plus an off-plane bias
-            b = d.sift_bias_ft * result_stub.ground_truth.drift_dir[cam.pole]
-            vs = v + b + rng.normal(0.0, d.sift_noise_ft, 2)
+            b = SIFT_BIAS_FT * result_stub.ground_truth.drift_dir[cam.pole]
+            vs = v + b + rng.normal(0.0, SIFT_NOISE_FT, 2)
             trans = np.array([[1.0, 0.0, -vs[0]], [0.0, 1.0, -vs[1]], [0, 0, 1.0]])
             m = geometry.normalize_h(hinv @ trans @ cam.reference.h)
             sift_maps[cam.camera_id].append((float(t), m))

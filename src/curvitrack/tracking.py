@@ -16,6 +16,9 @@ from scipy.optimize import linear_sum_assignment
 
 T_MAX_S = 2.0   # max gap before termination
 T_MIN_S = 2.0   # min matched duration to emit
+ORACLE_PHI_MIN = 0.1    # min IOU for the oracle to claim a detection
+ORACLE_F_TRACK = 10.0   # oracle output rate (Hz)
+ORACLE_SMOOTH_S = 2.5   # half-window of the oracle's x/y smoothing
 
 _BIG = 1e9
 _NMS_BLOCK = 256   # ranked detections per NMS block; bounds the pair arrays
@@ -367,9 +370,7 @@ def _smooth_irregular(t: np.ndarray, v: np.ndarray, half_window: float) -> np.nd
     return out
 
 
-def run_oracle(detections, gt_traces, phi_min: float = 0.1,
-               f_track: float = 10.0, t_max: float = T_MAX_S,
-               t_min: float = T_MIN_S, smooth_s: float = 2.5):
+def run_oracle(detections, gt_traces):
     """Upper-bound tracker: claim detections overlapping each ground-truth
     trace, average concurrent claims, smooth, and interpolate between them."""
     dets = sorted(detections, key=lambda d: d.t)
@@ -378,7 +379,7 @@ def run_oracle(detections, gt_traces, phi_min: float = 0.1,
         dboxes = np.array([d.box for d in dets])
     tracklets = []
     next_id = 0
-    dt = 1.0 / f_track
+    dt = 1.0 / ORACLE_F_TRACK
     for trace in gt_traces:
         times = np.asarray(trace.times, dtype=float)
         if not dets or len(times) < 2:
@@ -396,7 +397,7 @@ def run_oracle(detections, gt_traces, phi_min: float = 0.1,
                              np.full_like(gx, w), np.full_like(gx, h)], axis=1)
         # elementwise IOU of each candidate against the trace at its time
         iou = _rect_iou(footprint_rect(gt_boxes), footprint_rect(cand_b))
-        mask = iou >= phi_min
+        mask = iou >= ORACLE_PHI_MIN
         if not mask.any():
             continue
         ct, cb = cand_t[mask], cand_b[mask]
@@ -411,16 +412,15 @@ def run_oracle(detections, gt_traces, phi_min: float = 0.1,
                                    minlength=n_groups) / counts
                        for j in range(5)], axis=1)
         ct = ct[new]
-        if smooth_s > 0:
-            for j in range(2):
-                cb[:, j] = _smooth_irregular(ct, cb[:, j], smooth_s)
+        for j in range(2):
+            cb[:, j] = _smooth_irregular(ct, cb[:, j], ORACLE_SMOOTH_S)
         # split into contiguous segments
-        breaks = np.flatnonzero(np.diff(ct) > t_max)
+        breaks = np.flatnonzero(np.diff(ct) > T_MAX_S)
         starts = np.concatenate([[0], breaks + 1])
         ends = np.concatenate([breaks, [len(ct) - 1]])
         for s, e in zip(starts, ends):
             seg_t, seg_b = ct[s:e + 1], cb[s:e + 1]
-            if seg_t[-1] - seg_t[0] < t_min:
+            if seg_t[-1] - seg_t[0] < T_MIN_S:
                 continue
             k0 = int(math.ceil(seg_t[0] / dt - 1e-9))
             k1 = int(math.floor(seg_t[-1] / dt + 1e-9))

@@ -317,6 +317,80 @@ def test_gps_sample_period_is_not_configurable(tmp_path, period):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cfg, where", [
+    ({"vehicle_count": "abc"}, "vehicle_count"),
+    ({"road": 5}, "road config"),
+    ([1, 2], "JSON object"),
+    ({"duration_s": True}, "duration_s"),
+    ({"seed": -1}, "seed"),
+    ({"detection": {"rate_hz": 0.0}}, "detection rate"),
+    ({"snapshot_interval_s": 0.0}, "snapshot interval"),
+    ({"drift": {"noise_ft": -1.0}}, "drift.noise_ft"),
+    ({"road": {"kind": "arc", "radius_ft": 0.0}}, "radius"),
+], ids=["count-string", "road-not-object", "not-object", "duration-bool", "seed-negative",
+        "rate-zero", "snapshot-interval-zero", "noise-negative", "radius-zero"])
+def test_invalid_scene_config_exits_one(tmp_path, cfg, where):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(cfg))
+    assert_rejected(["simulate", "--config", path, "--out", tmp_path / "out"],
+                    "scene.json", where)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, field, value", [
+    (None, "state_offset", [5000.0, 2000.0]),
+    (None, "lanes_per_direction", 4),
+    (None, "lane_width_ft", 12.0),
+    ("road", "yellow_offset_ft", 24.0),
+    ("drift", "sift_bias_ft", 2.0),
+    ("drift", "sift_noise_ft", 0.2),
+])
+def test_removed_config_fields_are_unknown(tmp_path, section, field, value):
+    """Each was a setting no caller changed; it is a constant now."""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({field: value} if section is None
+                               else {section: {field: value}}))
+    prefix = f"{section} " if section else ""
+    assert_rejected(["simulate", "--config", path, "--out", tmp_path / "out"],
+                    "scene.json", f"unknown {prefix}config fields ['{field}']")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, where", [
+    ({"stages": 5}, "stages"),
+    ({"track": "kiou"}, "track"),
+    ({"seed": "abc"}, "seed"),
+], ids=["stages-int", "track-string", "seed-string"])
+def test_invalid_manifest_exits_one(tmp_path, change, where):
+    manifest = {"out": str(tmp_path / "run"), "stages": ["simulate", "track"],
+                "scene": {"extent_ft": 500.0, "vehicle_count": 2, "duration_s": 10.0}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(dict(manifest, **change)))
+    assert_rejected(["pipeline", "--manifest", path], "manifest.json", where)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag, name, text, where", [
+    ("--drift", "drift.csv", "camera,epoch,fd_static,fd_baseline\nc0,abc,1.0,\n", "line 2"),
+    ("--eval", "report.json", '{"HOTA": "x"}', "HOTA"),
+    ("--eval", "report.json", "[1]", "JSON object"),
+], ids=["drift-epoch-string", "eval-value-string", "eval-not-object"])
+def test_invalid_report_input_exits_one(tmp_path, flag, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    assert_rejected(["report", flag, path, "--out", tmp_path / "out"], name, where)
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_is_only_a_simulate_option(tmp_path, capsys):
+    for argv in (["track", "--detections", tmp_path / "d.jsonl", "--algo", "kiou"],
+                 ["eval", "--gt", tmp_path / "g.jsonl", "--tracks", tmp_path / "t.jsonl"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", tmp_path / "out", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_invalid_config_exits_one(tmp_path):
     cfg = tmp_path / "scene.json"
     cfg.write_text(json.dumps({"duration_s": -5.0}))

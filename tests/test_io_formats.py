@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -69,6 +70,13 @@ def test_detections_and_annotations_round_trip(tmp_path, scene):
     assert iof.read_annotations(anns) == scene.annotations
 
 
+def test_default_scene_config_round_trips_through_json():
+    """Every default passes the config type check, so a new field whose
+    default JSON cannot carry, or the check refuses, fails here."""
+    doc = json.loads(json.dumps(dataclasses.asdict(SceneConfig())))
+    assert iof.scene_config_from_dict(doc) == SceneConfig()
+
+
 # ---------------------------------------------------------------------------
 # names the benchmark's tracer wraps
 
@@ -93,7 +101,11 @@ DROP = object()
 JSON_BAD = ["abc", True, None, [1.0], math.nan, math.inf, 10 ** 400, DROP]
 CSV_BAD = ["abc", "true", "", "[1.0]", "nan", "inf", "1" + "0" * 400, DROP]
 
+SMALL_SCENE = {"extent_ft": 500.0, "cameras_per_pole": 2, "vehicle_count": 3,
+               "duration_s": 12.0, "snapshot_interval_s": 4.0}
 STAGES = {
+    "simulate": (["simulate", "--config", "scene.json", "--seed", "4", "--out", "sim"],
+                 ["scene.json"]),
     "calibrate": (["calibrate", "--points", "points.jsonl", "--out", "fitted.json"],
                   ["points.jsonl"]),
     "restim": (["restim", "--points", "points.jsonl", "--reference", "reference.json",
@@ -110,6 +122,10 @@ STAGES = {
              ["gt_tracks.jsonl", "tracks.jsonl", "tracks.dims.json"]),
     "gps-correct": (["gps-correct", "--gps", "gps.csv", "--annotations", "annotations.csv",
                      "--out", "gps"], ["gps.csv", "annotations.csv"]),
+    "report": (["report", "--drift", "drift.csv", "--eval", "report.json",
+                "--out", "report_out"], ["drift.csv", "report.json"]),
+    # the manifest's relative `out` resolves inside the per-example directory
+    "pipeline": (["pipeline", "--manifest", "manifest.json"], ["manifest.json"]),
 }
 CASES = [(stage, name) for stage, (_, names) in STAGES.items() for name in names]
 
@@ -118,13 +134,21 @@ CASES = [(stage, name) for stage, (_, names) in STAGES.items() for name in names
 def small_run(tmp_path_factory):
     """Valid inputs of every stage on a one-pole, two-camera scene."""
     d = tmp_path_factory.mktemp("small_run")
-    (d / "scene.json").write_text(json.dumps(
-        {"extent_ft": 500.0, "cameras_per_pole": 2, "vehicle_count": 3,
-         "duration_s": 12.0, "snapshot_interval_s": 4.0}))
+    (d / "scene.json").write_text(json.dumps(SMALL_SCENE))
+    (d / "manifest.json").write_text(json.dumps(
+        {"out": "run", "seed": 4, "scene": SMALL_SCENE, "stages": ["simulate"],
+         "track": {"algo": "kiou"}}))
     assert cli.main(["simulate", "--config", str(d / "scene.json"), "--seed", "4",
                      "--out", str(d)]) == 0
     assert cli.main(["track", "--detections", str(d / "detections.jsonl"), "--algo", "kiou",
                      "--out", str(d / "tracks.jsonl")]) == 0
+    assert cli.main(["restim", "--points", str(d / "points.jsonl"),
+                     "--reference", str(d / "reference.json"),
+                     "--snapshots", str(d / "snapshots.jsonl"),
+                     "--sift", str(d / "sift_maps.json"), "--out", str(d)]) == 0
+    assert cli.main(["eval", "--gt", str(d / "gt_tracks.jsonl"),
+                     "--tracks", str(d / "tracks.jsonl"),
+                     "--out", str(d / "report.json")]) == 0
     return d
 
 
@@ -157,7 +181,7 @@ def _slots(obj):
         yield from _slots(value)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=st.sampled_from(CASES), data=st.data())
 def test_one_bad_field_never_escapes(small_run, case, data):
@@ -179,7 +203,7 @@ def test_one_bad_field_never_escapes(small_run, case, data):
             container[key] = bad
         _dump(path, doc)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.chdir(d), contextlib.redirect_stderr(err):
             rc = cli.main([os.path.join(d, a) if a in inputs or a == argv[-1] else a
                            for a in argv])
     assert rc in (0, 1, 2)
