@@ -1,61 +1,40 @@
 """curvitrack: multi-camera roadway geometry, homography drift correction,
-curvilinear coordinates, tracking baselines, and trajectory evaluation."""
+curvilinear coordinates, tracking baselines, and trajectory evaluation.
 
-from .errors import CurvitrackError
-from .geometry import (
-    CorrespondencePoint,
-    Homography,
-    ImagePoint,
-    Prism3D,
-    Projection3D,
-    StatePlanePoint,
-    decode_anchor_detection,
-    fit_homography,
-    fit_projection3d,
-    lift_image_box_to_prism,
-    project_image_to_world,
-    project_world_to_image,
-)
-from .roadway import (
-    RoadwayBox,
-    RoadwaySpline,
-    fit_centerline,
-    roadway_to_world,
-    world_to_roadway,
-)
-from .drift import (
-    ErrorStats,
-    HomographyTimeline,
-    RediscoverySnapshot,
-    build_dynamic,
-    build_static,
-    build_timeline,
-    metric_fitness,
-    metric_full_drift,
-    metric_sub_drift,
-)
-from .gps import GpsTrace, PoleAnnotation, refine
-from .moteval import EvalConfig, EvalReport, evaluate
-from .simulator import SceneConfig, simulate
-from .tracking import (
-    Tracklet,
-    hungarian_match,
-    run_oracle,
-    run_tracker,
-)
+The names below are imported from their modules on first use, so
+`import curvitrack` loads no module, and no stage process loads scipy for
+a layer it does not run.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "errors": ("CurvitrackError",),
+    "geometry": ("CorrespondencePoint", "Homography", "ImagePoint", "Prism3D",
+                 "Projection3D", "StatePlanePoint", "decode_anchor_detection",
+                 "fit_homography", "fit_projection3d", "lift_image_box_to_prism",
+                 "project_image_to_world", "project_world_to_image"),
+    "roadway": ("RoadwayBox", "RoadwaySpline", "fit_centerline",
+                "roadway_to_world", "world_to_roadway"),
+    "drift": ("ErrorStats", "HomographyTimeline", "RediscoverySnapshot",
+              "build_dynamic", "build_static", "build_timeline", "metric_fitness",
+              "metric_full_drift", "metric_sub_drift"),
+    "gps": ("GpsTrace", "PoleAnnotation", "refine"),
+    "moteval": ("EvalConfig", "EvalReport", "evaluate"),
+    "simulator": ("SceneConfig", "simulate"),
+    "tracking": ("Tracklet", "hungarian_match", "run_oracle", "run_tracker"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrespondencePoint", "CurvitrackError", "ErrorStats", "EvalConfig",
-    "EvalReport", "GpsTrace", "Homography", "HomographyTimeline",
-    "ImagePoint", "PoleAnnotation", "Prism3D", "Projection3D",
-    "RediscoverySnapshot", "RoadwayBox", "RoadwaySpline", "SceneConfig",
-    "StatePlanePoint", "Tracklet", "build_dynamic", "build_static",
-    "build_timeline", "decode_anchor_detection", "evaluate",
-    "fit_centerline", "fit_homography", "fit_projection3d",
-    "hungarian_match", "lift_image_box_to_prism", "metric_fitness",
-    "metric_full_drift", "metric_sub_drift", "project_image_to_world",
-    "project_world_to_image", "refine", "roadway_to_world", "run_oracle",
-    "run_tracker", "simulate", "world_to_roadway",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     DegenerateConfiguration,
@@ -32,6 +31,9 @@ HEIGHT_MAX_FT = 30.0
 HEIGHT_MAX_ITER = 50       # golden-section steps of the height search
 HEIGHT_TOL_FT = 1e-3
 COLLINEAR_TOL = 1e-8       # relative singular-value floor
+LM_MAX_ITER = 100          # Levenberg-Marquardt steps of the homography refine
+LM_TOL = 1e-15             # relative change in cost or step that ends the refine
+LM_DAMP_START = 1e-6       # damping on unit-scaled columns; the DLT start is close
 
 CORNER_ORDER = ("bbl", "bbr", "btl", "btr", "fbl", "fbr", "ftl", "ftr")
 _BOTTOM = (0, 1, 4, 5)
@@ -229,13 +231,12 @@ def _dlt(img: np.ndarray, world: np.ndarray) -> np.ndarray:
     ih = _project_h(ti, img)
     wh = _project_h(tw, world)
 
-    n = img.shape[0]
-    a = np.zeros((2 * n, 9))
-    for i in range(n):
-        x, y = ih[i]
-        u, v = wh[i]
-        a[2 * i] = [x, y, 1, 0, 0, 0, -u * x, -u * y, -u]
-        a[2 * i + 1] = [0, 0, 0, x, y, 1, -v * x, -v * y, -v]
+    x, y = ih[:, 0], ih[:, 1]
+    u, v = wh[:, 0], wh[:, 1]
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    a = np.empty((2 * len(x), 9))
+    a[0::2] = np.stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u], axis=1)
+    a[1::2] = np.stack([zero, zero, zero, x, y, one, -v * x, -v * y, -v], axis=1)
     _, _, vt = np.linalg.svd(a)
     hn = vt[-1].reshape(3, 3)
     h = np.linalg.inv(tw) @ hn @ ti
@@ -243,19 +244,55 @@ def _dlt(img: np.ndarray, world: np.ndarray) -> np.ndarray:
 
 
 def _refine_lm(h0: np.ndarray, img: np.ndarray, world: np.ndarray) -> np.ndarray:
-    """Minimize the squared state-plane reprojection error over all 8 dof."""
+    """Minimize the squared state-plane reprojection error over all 8 dof.
 
-    def residual(params):
-        m = np.append(params, 1.0).reshape(3, 3)
-        q = (m @ np.hstack([img, np.ones((img.shape[0], 1))]).T).T
-        denom = q[:, 2]
-        bad = np.abs(denom) < 1e-12
-        denom = np.where(bad, 1e-12, denom)
-        proj = q[:, :2] / denom[:, None]
-        return (proj - world).ravel()
+    Levenberg-Marquardt on the analytic Jacobian, with the normal equations
+    scaled to a unit diagonal and solved by one eigendecomposition per
+    Jacobian; a projective denominator below 1e-12 is clamped there.
+    An accepted step divides the damping by 10.  A step that does not lower
+    the cost, or is not finite, is retried with 100 times the damping.
+    """
+    n = len(img)
+    x, y = img[:, 0], img[:, 1]
+    basis = np.stack([x, y, np.ones(n)], axis=1)
 
-    res = optimize.least_squares(residual, h0.ravel()[:8], method="lm", xtol=1e-15, ftol=1e-15)
-    return normalize_h(np.append(res.x, 1.0).reshape(3, 3))
+    def evaluate(p):
+        d = p[6] * x + p[7] * y + 1.0
+        live = np.abs(d) >= 1e-12
+        d = np.where(live, d, 1e-12)
+        a = basis / d[:, None]
+        u, v = a @ p[0:3], a @ p[3:6]
+        jac = np.zeros((2 * n, 8))
+        jac[:n, 0:3] = a
+        jac[n:, 3:6] = a
+        jac[:n, 6:] = -(u * live)[:, None] * a[:, :2]
+        jac[n:, 6:] = -(v * live)[:, None] * a[:, :2]
+        r = np.concatenate([u - world[:, 0], v - world[:, 1]])
+        return r, jac, r @ r
+
+    p = h0.ravel()[:8] / h0[2, 2]
+    r, jac, cost = evaluate(p)
+    damping, improved = LM_DAMP_START, True
+    for _ in range(LM_MAX_ITER):
+        if improved:
+            gram = jac.T @ jac
+            col = np.sqrt(np.diag(gram))
+            col[col == 0.0] = 1.0
+            w, vec = np.linalg.eigh(gram / np.outer(col, col))
+            proj = vec.T @ (jac.T @ r / col)
+        step = -(vec @ (proj / (np.maximum(w, 0.0) + damping))) / col
+        r_new, jac_new, cost_new = evaluate(p + step)
+        improved = cost_new < cost
+        if improved:
+            done = cost - cost_new <= LM_TOL * cost
+            p, r, jac, cost = p + step, r_new, jac_new, cost_new
+            damping /= 10.0
+        else:
+            done = False
+            damping *= 100.0
+        if done or np.linalg.norm(col * step) <= LM_TOL * np.linalg.norm(col * p):
+            break
+    return normalize_h(np.append(p, 1.0).reshape(3, 3))
 
 
 def _collinear(pts: np.ndarray) -> bool:
@@ -423,8 +460,10 @@ def fit_projection3d(
             return 1e12
         return float(((proj - img) ** 2).sum())
 
+    from scipy.optimize import minimize_scalar
+
     span = max(abs(seed), 1e-6)
-    res = optimize.minimize_scalar(
+    res = minimize_scalar(
         cost, bounds=(seed - span, seed + span), method="bounded",
         options={"xatol": 1e-15},
     )

@@ -110,14 +110,16 @@ def _match_iou(iou: np.ndarray, alphas) -> tuple:
     label = _components(rows[edges], cols[edges])
     pair_of = np.full(iou.shape, -1)
     pair_of[rows, cols] = np.arange(len(rows))
+    ascending = np.argsort(alphas, kind="stable")
     for comp in np.unique(label):
         e = edges[label == comp]
         r, c = np.unique(rows[e]), np.unique(cols[e])
         sub = iou[np.ix_(r, c)]
-        for k, alpha in enumerate(alphas):
+        for k in ascending.tolist():
+            alpha = alphas[k]
             feasible = sub >= alpha
             if feasible.sum(0).max() <= 1 and feasible.sum(1).max() <= 1:
-                continue    # no shared row or column left at this alpha
+                break   # no shared row or column here, nor at any higher alpha
             matched[k, e] = False
             cost = np.where(feasible, 1.0 - sub, np.inf)
             for i, j in hungarian_match(cost, 1.0 - alpha):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, roadway
+from . import geometry
 from .errors import ConfigInvalid
 from .geometry import CorrespondencePoint, Homography, ImagePoint, StatePlanePoint
 from .gps import SAMPLE_PERIOD_S, GpsTrace, PoleAnnotation
@@ -35,6 +35,9 @@ LANES_PER_DIRECTION = 4
 LANE_WIDTH_FT = 12.0
 SIFT_BIAS_FT = 2.0      # non-ground-plane bias of the matcher baseline
 SIFT_NOISE_FT = 0.2
+ROAD_PAD_FT = 200.0     # road beyond each end of the extent, so it sits inside the spline
+ARC_MAX_TURN_RAD = 0.9 * math.pi   # the padded arc stays short of a half circle
+MAX_CAMERAS = 1000      # poles x 2 x max(1, cameras_per_pole // 2); the paper has 234
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,24 @@ class SceneConfig:
         for name, scale in scales.items():
             if scale < 0:
                 raise ConfigInvalid(f"{name} must be non-negative, got {scale}")
+        min_radius = (self.extent_ft + 2 * ROAD_PAD_FT) / ARC_MAX_TURN_RAD
+        if self.road.kind == "arc" and self.road.radius_ft < min_radius:
+            raise ConfigInvalid(
+                f"road.radius_ft {self.road.radius_ft} is too small for extent_ft "
+                f"{self.extent_ft}: the padded arc must stay short of a half circle, "
+                f"so radius_ft >= {min_radius:.1f}")
+        per_pole = 2 * max(1, self.cameras_per_pole // 2)
+        # the ratio test first: math.ceil cannot take the inf of a tiny spacing
+        if (self.extent_ft / self.pole_spacing_ft > MAX_CAMERAS
+                or self.poles * per_pole > MAX_CAMERAS):
+            raise ConfigInvalid(
+                f"pole_spacing_ft {self.pole_spacing_ft} and cameras_per_pole "
+                f"{self.cameras_per_pole} ask for more than {MAX_CAMERAS} cameras "
+                f"over extent_ft {self.extent_ft}")
+
+    @property
+    def poles(self) -> int:
+        return max(1, math.ceil(self.extent_ft / self.pole_spacing_ft))
 
 
 @dataclass
@@ -203,9 +224,7 @@ def _road_yellow_lines(cfg: SceneConfig):
     """Sampled state-plane points of the EB (+) and WB (-) yellow lines."""
     off = np.asarray(STATE_OFFSET, dtype=float)
     g = YELLOW_OFFSET_FT
-    # pad so the usable extent sits strictly inside the spline extent
-    pad = 200.0
-    length = cfg.extent_ft + 2 * pad
+    length = cfg.extent_ft + 2 * ROAD_PAD_FT
     s = np.arange(0.0, length + 1.0, 50.0)
     if cfg.road.kind == "straight":
         base = np.stack([s, np.zeros_like(s)], axis=1)
@@ -218,7 +237,7 @@ def _road_yellow_lines(cfg: SceneConfig):
         normal = np.stack([np.sin(theta), np.cos(theta)], axis=1)
     eb = base + g * normal + off
     wb = base - g * normal + off
-    return eb, wb, pad
+    return eb, wb, ROAD_PAD_FT
 
 
 def _make_camera(cfg, spline, pole, idx, direction, fov, rng) -> Camera:
@@ -256,9 +275,8 @@ def _make_camera(cfg, spline, pole, idx, direction, fov, rng) -> Camera:
 
 def _build_cameras(cfg: SceneConfig, spline, pad, rng) -> list:
     cams = []
-    n_poles = max(1, int(math.ceil(cfg.extent_ft / cfg.pole_spacing_ft)))
     per_dir = max(1, cfg.cameras_per_pole // 2)
-    for pole in range(n_poles):
+    for pole in range(cfg.poles):
         if cfg.pole_outage is not None and pole == cfg.pole_outage:
             continue
         lo = pad + pole * cfg.pole_spacing_ft
@@ -375,8 +393,7 @@ def _emit_gps(cfg: SceneConfig, vehicles, rng) -> list:
 
 
 def _emit_annotations(cfg: SceneConfig, vehicles, pad) -> list:
-    n_poles = max(1, int(math.ceil(cfg.extent_ft / cfg.pole_spacing_ft)))
-    pole_x = [pad + (i + 0.5) * cfg.pole_spacing_ft for i in range(n_poles)]
+    pole_x = [pad + (i + 0.5) * cfg.pole_spacing_ft for i in range(cfg.poles)]
     anns = []
     for v in vehicles:
         for i, xp in enumerate(pole_x):
@@ -427,16 +444,17 @@ def _emit_snapshots(cfg: SceneConfig, result_stub, cameras, rng):
 
 def simulate(config: SceneConfig) -> SimulationResult:
     """Generate a full synthetic scene; deterministic given config.seed."""
+    from . import roadway   # scipy's spline and search; only this stage needs them
+
     config.validate()
     rng = np.random.default_rng(config.seed)
 
     eb, wb, pad = _road_yellow_lines(config)
     spline = roadway.fit_centerline(eb, wb)
     cameras = _build_cameras(config, spline, pad, rng)
-    n_poles = max(1, int(math.ceil(config.extent_ft / config.pole_spacing_ft)))
 
     drift_dir, drift_phase = {}, {}
-    for pole in range(n_poles):
+    for pole in range(config.poles):
         ang = rng.uniform(0.0, 2 * math.pi)
         drift_dir[pole] = np.array([math.cos(ang), math.sin(ang)])
         drift_phase[pole] = float(rng.uniform(0.0, 2 * math.pi))

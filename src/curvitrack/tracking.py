@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 T_MAX_S = 2.0   # max gap before termination
 T_MIN_S = 2.0   # min matched duration to emit
@@ -66,6 +65,8 @@ def hungarian_match(cost: np.ndarray, max_cost: float) -> list[tuple[int, int]]:
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
     if cost.size == 0:
         return []
+    from scipy.optimize import linear_sum_assignment
+
     capped = np.where(np.isfinite(cost) & (cost <= max_cost), cost, _BIG)
     rows, cols = linear_sum_assignment(capped)
     keep = capped[rows, cols] < _BIG

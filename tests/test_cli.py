@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -10,7 +11,8 @@ import pytest
 
 from curvitrack import io_formats as iof
 from curvitrack.cli import main
-from curvitrack.errors import DataInvariantViolation
+from curvitrack.errors import ConfigInvalid, DataInvariantViolation
+from curvitrack.simulator import ARC_MAX_TURN_RAD, MAX_CAMERAS, ROAD_PAD_FT, SceneConfig
 
 
 def run(args):
@@ -174,13 +176,17 @@ def test_invalid_detection_record_exits_one(tmp_path, bad):
     assert not (tmp_path / "tracks.jsonl").exists()
 
 
+def child_env():
+    """The environment of a child process that imports the package from src/."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def assert_rejected(args, name, where):
     """The CLI, run in its own process, exits 1 naming file and record."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "curvitrack.cli"] + [str(a) for a in args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 1, proc.stderr
     assert name in proc.stderr
     assert where in proc.stderr
@@ -335,6 +341,71 @@ def test_invalid_scene_config_exits_one(tmp_path, cfg, where):
     assert_rejected(["simulate", "--config", path, "--out", tmp_path / "out"],
                     "scene.json", where)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extent", [500.0, 3000.0])
+def test_arc_radius_bound_separates_refused_from_simulated(tmp_path, extent):
+    """An arc road that turns too near a half circle is refused, naming
+    road.radius_ft; every radius the check accepts simulates."""
+    bound = (extent + 2 * ROAD_PAD_FT) / ARC_MAX_TURN_RAD
+    for factor in (0.3, 0.99, 1.0, 1.01, 2.0):
+        path = tmp_path / f"scene{factor}.json"
+        path.write_text(json.dumps({
+            "road": {"kind": "arc", "radius_ft": factor * bound}, "extent_ft": extent,
+            "vehicle_count": 2, "duration_s": 2.0, "snapshot_interval_s": 2.0}))
+        out = tmp_path / f"out{factor}"
+        if factor < 1.0:
+            assert_rejected(["simulate", "--config", path, "--out", out],
+                            path.name, "road.radius_ft")
+            assert not out.exists()
+        else:
+            assert run(["simulate", "--config", path, "--out", out]) == 0, factor
+
+
+def test_camera_count_is_capped(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"pole_spacing_ft": 0.001, "extent_ft": 10,
+                                "duration_s": 5}))
+    assert_rejected(["simulate", "--config", path, "--out", tmp_path / "out"],
+                    "scene.json", "pole_spacing_ft")
+    # at the cap exactly: 500 poles x 2 cameras
+    ok = SceneConfig(extent_ft=500.0, pole_spacing_ft=1.0, cameras_per_pole=2)
+    ok.validate()
+    assert ok.poles * 2 == MAX_CAMERAS
+    with pytest.raises(ConfigInvalid, match="cameras_per_pole"):
+        dataclasses.replace(ok, cameras_per_pole=4).validate()
+
+
+def test_stage_processes_load_no_scipy(tmp_path):
+    """calibrate, restim, gps-correct and report run without importing scipy,
+    and so does `import curvitrack`.  Each is checked in a fresh process."""
+    simulate(tmp_path)
+    (tmp_path / "report.json").write_text(json.dumps({"HOTA": 0.5, "DetA": 0.6}))
+    d = str(tmp_path)
+    stages = [
+        ["calibrate", "--points", f"{d}/points.jsonl", "--out", f"{d}/fitted.json"],
+        ["restim", "--points", f"{d}/points.jsonl", "--reference", f"{d}/reference.json",
+         "--snapshots", f"{d}/snapshots.jsonl", "--sift", f"{d}/sift_maps.json",
+         "--out", d],
+        ["gps-correct", "--gps", f"{d}/gps.csv", "--annotations", f"{d}/annotations.csv",
+         "--out", d],
+        ["report", "--drift", f"{d}/drift.csv", "--eval", f"{d}/report.json", "--out", d],
+    ]
+    loaded = ("sorted({'.'.join(m.split('.')[:2]) for m in sys.modules"
+              " if m.split('.')[0] == 'scipy'})")
+    programs = [
+        "import sys, curvitrack\n"
+        f"assert not {loaded}, {loaded}\n",
+        "import sys\nfrom curvitrack.cli import main\n"
+        f"for argv in {stages!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        f"    assert not {loaded}, (argv[0], {loaded})\n",
+    ]
+    for program in programs:
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "drift_summary.csv").exists()
 
 
 @pytest.mark.parametrize("section, field, value", [

@@ -8,6 +8,7 @@ from curvitrack.errors import (DegenerateConfiguration, HorizonPoint,
                                InsufficientHeightInfo, ParallelVerticals)
 from curvitrack.geometry import (CorrespondencePoint, Homography, ImagePoint,
                                  Prism3D, StatePlanePoint)
+from curvitrack.simulator import SceneConfig, simulate
 
 from conftest import points_from_h, random_homography
 
@@ -79,6 +80,113 @@ def test_too_few_points():
            for i in range(3)]
     with pytest.raises(DegenerateConfiguration):
         g.fit_homography(pts)
+
+
+def loop_dlt(img, world):
+    """Reference: the DLT with its design matrix built one point at a time."""
+    def norm_transform(pts):
+        c = pts.mean(axis=0)
+        d = np.sqrt(((pts - c) ** 2).sum(axis=1)).mean()
+        s = np.sqrt(2.0) / d if d > 1e-12 else 1.0
+        return np.array([[s, 0, -s * c[0]], [0, s, -s * c[1]], [0, 0, 1.0]])
+
+    ti, tw = norm_transform(img), norm_transform(world)
+    ih, wh = g._project_h(ti, img), g._project_h(tw, world)
+    a = np.zeros((2 * len(img), 9))
+    for i in range(len(img)):
+        x, y = ih[i]
+        u, v = wh[i]
+        a[2 * i] = [x, y, 1, 0, 0, 0, -u * x, -u * y, -u]
+        a[2 * i + 1] = [0, 0, 0, x, y, 1, -v * x, -v * y, -v]
+    _, _, vt = np.linalg.svd(a)
+    return g.normalize_h(np.linalg.inv(tw) @ vt[-1].reshape(3, 3) @ ti)
+
+
+def test_dlt_equals_loop_reference():
+    rng = np.random.default_rng(12)
+    for n in (4, 5, 17, 60):
+        img = rng.uniform(0.0, 1900.0, (n, 2))
+        world = rng.uniform(-1e4, 1e4, (n, 2))
+        assert np.array_equal(g._dlt(img, world), loop_dlt(img, world))
+
+
+# ---------------------------------------------------------------------------
+# the refine against MINPACK's Levenberg-Marquardt, which it replaced
+
+def minpack_refine(h0, img, world):
+    """Reference: MINPACK LM with a finite-difference Jacobian, on the same
+    residual with the denominator clamped at 1e-12."""
+    from scipy.optimize import least_squares
+
+    def residual(params):
+        m = np.append(params, 1.0).reshape(3, 3)
+        q = (m @ np.hstack([img, np.ones((len(img), 1))]).T).T
+        denom = np.where(np.abs(q[:, 2]) < 1e-12, 1e-12, q[:, 2])
+        return (q[:, :2] / denom[:, None] - world).ravel()
+
+    res = least_squares(residual, h0.ravel()[:8], method="lm", xtol=1e-15, ftol=1e-15)
+    return g.normalize_h(np.append(res.x, 1.0).reshape(3, 3))
+
+
+def refine_cases():
+    """(image, world) point sets: random homographies with 0 to 3 ft of
+    noise; every simulated camera's points, exact and with 1 px of noise;
+    and its rediscovery snapshots, as restim fits them."""
+    rng = np.random.default_rng(31)
+    for k in range(40):
+        h = random_homography(rng)
+        img = rng.uniform([0.0, 0.0], [1920.0, 1080.0], size=(int(rng.integers(5, 60)), 2))
+        q = (h @ np.hstack([img, np.ones((len(img), 1))]).T).T
+        noise = (0.0, 0.1, 1.0, 3.0)[k % 4]
+        yield img, q[:, :2] / q[:, 2:3] + rng.normal(0.0, noise, img.shape)
+    scene = simulate(SceneConfig(duration_s=2.0, vehicle_count=1,
+                                 snapshot_interval_s=2.0, seed=3))
+    for cam in scene.cameras:
+        img = np.array([[p.image.x, p.image.y] for p in cam.points])
+        world = np.array([[p.world.x, p.world.y] for p in cam.points])
+        yield img, world
+        yield img + rng.normal(0.0, 1.0, img.shape), world
+    where = {p.id: (p.world.x, p.world.y) for cam in scene.cameras for p in cam.points}
+    for snap in scene.snapshots:
+        yield (np.array([[p.x, p.y] for _, p in snap.points]),
+               np.array([where[i] for i, _ in snap.points]))
+
+
+def test_refine_no_worse_than_minpack():
+    def sse(h, img, world):
+        return float((g._residuals_ft(h, img, world) ** 2).sum())
+
+    cases = 0
+    for img, world in refine_cases():
+        h0 = g._dlt(img, world)
+        new = sse(g._refine_lm(h0, img, world), img, world)
+        ref = sse(minpack_refine(h0, img, world), img, world)
+        assert new <= ref * (1 + 1e-9) + 1e-18, (new, ref)
+        cases += 1
+    assert cases == 40 + 36 * 2 + 36 * 2
+
+
+def test_refine_converges_from_far_starts():
+    rng = np.random.default_rng(9)
+    h_true = random_homography(rng)
+    pts, _ = points_from_h(h_true, grid_pixels())
+    img = np.array([[p.image.x, p.image.y] for p in pts])
+    world = np.array([[p.world.x, p.world.y] for p in pts])
+    for _ in range(10):
+        h0 = h_true * (1.0 + rng.uniform(-1.0, 1.0, (3, 3)))   # every entry off by up to 100%
+        h0[2, 2] = 1.0
+        assert np.abs(g._refine_lm(h0, img, world) - h_true).max() < 1e-9
+
+
+def test_refine_from_a_start_on_the_horizon_stays_finite():
+    h_true = random_homography(np.random.default_rng(8))
+    pts, _ = points_from_h(h_true, grid_pixels())
+    img = np.array([[p.image.x, p.image.y] for p in pts])
+    world = np.array([[p.world.x, p.world.y] for p in pts])
+    h0 = h_true.copy()
+    h0[2, 0] = -(h0[2, 1] * img[0, 1] + 1.0) / img[0, 0]   # point 0's denominator is 0
+    h = g._refine_lm(h0, img, world)
+    assert np.isfinite(h).all() and h[2, 2] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,27 @@ def test_match_frame_thresholds_each_alpha():
                                 [False, False, False]]
 
 
+def test_match_frame_alpha_order_only_permutes_rows():
+    # Thresholds are walked in ascending order whatever order the caller
+    # gives; the rows of `matched` stay in the caller's order.
+    rng = np.random.default_rng(11)
+    alphas = np.asarray(EvalConfig().hota_alphas)
+    shared = 0
+    for _ in range(20):
+        gt = np.column_stack([rng.uniform(0.0, 60.0, 8), rng.choice([6.0, 18.0], 8),
+                              np.full(8, 16.0), np.full(8, 6.0), np.full(8, 5.0)])
+        tr = gt[rng.permutation(8)[:6]] + np.column_stack(
+            [rng.normal(0.0, 4.0, 6), np.zeros((6, 4))])
+        rows, cols, iou, matched = match_frame(gt, tr, alphas)
+        shared += len(rows) > len(set(rows.tolist())) or len(cols) > len(set(cols.tolist()))
+        for order in (alphas.argsort()[::-1], rng.permutation(len(alphas))):
+            r, c, v, m = match_frame(gt, tr, alphas[order])
+            assert np.array_equal(r, rows) and np.array_equal(c, cols)
+            assert np.array_equal(v, iou)
+            assert np.array_equal(m, matched[order])
+    assert shared >= 10    # most frames reach Hungarian
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
