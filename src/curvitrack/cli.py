@@ -49,10 +49,8 @@ def cmd_simulate(args) -> int:
 
     iof.write_json(os.path.join(out, "spline.json"), result.spline.to_dict())
     iof.write_points(os.path.join(out, "points.jsonl"), result.cameras)
-    iof.write_homographies(
-        os.path.join(out, "reference.json"),
-        [{"camera": c.camera_id, "direction": c.direction,
-          "h": iof.h_to_list(c.reference.h)} for c in result.cameras])
+    iof.write_homographies(os.path.join(out, "reference.json"),
+                           [c.reference for c in result.cameras])
     iof.write_snapshots(os.path.join(out, "snapshots.jsonl"), result.snapshots)
     iof.write_sift_maps(os.path.join(out, "sift_maps.json"), result.sift_maps)
     iof.write_detections(os.path.join(out, "detections.jsonl"),
@@ -68,14 +66,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    entries = []
+    homographies, inliers = [], []
     for i, (cam, (direction, points)) in enumerate(
             sorted(iof.read_points(args.points).items())):
-        h, inliers = fit_homography(points, camera_id=cam,
-                                    direction=direction, seed=i)
-        entries.append({"camera": cam, "direction": direction,
-                        "h": iof.h_to_list(h.h), "inliers": len(inliers)})
-    iof.write_homographies(args.out, entries)
+        h, ids = fit_homography(points, camera_id=cam,
+                                direction=direction, seed=i)
+        homographies.append(h)
+        inliers.append(len(ids))
+    iof.write_homographies(args.out, homographies, inliers)
     return 0
 
 

@@ -119,12 +119,6 @@ def build_timeline(
 # ---------------------------------------------------------------------------
 # aggregation
 
-def _matrices(timeline: HomographyTimeline) -> tuple[np.ndarray, np.ndarray]:
-    epochs = np.array([e for e, _, _ in timeline.instants])
-    mats = np.stack([h.h for _, h, _ in timeline.instants])
-    return epochs, mats
-
-
 def _remove_outliers(mats: np.ndarray) -> np.ndarray:
     """Iterative element-wise 30%-deviation filter; returns a survivor mask."""
     keep = np.ones(mats.shape[0], dtype=bool)
@@ -146,13 +140,20 @@ def _remove_outliers(mats: np.ndarray) -> np.ndarray:
     return keep
 
 
-def build_static(timeline: HomographyTimeline) -> Homography:
-    """Element-wise mean homography after iterative 30% outlier removal."""
+def _surviving(timeline: HomographyTimeline) -> tuple[np.ndarray, np.ndarray]:
+    """Epochs and matrices of the instants that survive the outlier filter."""
     if len(timeline.instants) < 3:
         raise AllOutliers("need >= 3 instants")
-    _, mats = _matrices(timeline)
+    epochs = np.array([e for e, _, _ in timeline.instants])
+    mats = np.stack([h.h for _, h, _ in timeline.instants])
     keep = _remove_outliers(mats)
-    mean = geometry.normalize_h(mats[keep].mean(axis=0))
+    return epochs[keep], mats[keep]
+
+
+def build_static(timeline: HomographyTimeline) -> Homography:
+    """Element-wise mean homography after iterative 30% outlier removal."""
+    _, mats = _surviving(timeline)
+    mean = geometry.normalize_h(mats.mean(axis=0))
     return Homography(mean, timeline.camera_id, timeline.direction)
 
 
@@ -162,11 +163,7 @@ def build_dynamic(timeline: HomographyTimeline) -> list[tuple[float, Homography]
     The window half-width starts at BASE_WINDOW_S and doubles until at least
     MIN_WINDOW_COUNT surviving instants fall inside (capped at the full span).
     """
-    if len(timeline.instants) < 3:
-        raise AllOutliers("need >= 3 instants")
-    epochs, mats = _matrices(timeline)
-    keep = _remove_outliers(mats)
-    epochs, mats = epochs[keep], mats[keep]
+    epochs, mats = _surviving(timeline)
     span = max(epochs[-1] - epochs[0], GRID_SPACING_S)
 
     out = []
@@ -177,8 +174,6 @@ def build_dynamic(timeline: HomographyTimeline) -> list[tuple[float, Homography]
         while np.count_nonzero(np.abs(epochs - t) <= half) < MIN_WINDOW_COUNT and half < span:
             half *= 2.0
         inside = np.abs(epochs - t) <= half
-        if not inside.any():
-            inside = np.ones_like(inside)
         sigma = half / 3.0
         w = np.exp(-0.5 * ((epochs[inside] - t) / sigma) ** 2)
         m = geometry.normalize_h(

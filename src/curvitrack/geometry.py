@@ -38,6 +38,8 @@ LM_DAMP_START = 1e-6       # damping on unit-scaled columns; the DLT start is cl
 CORNER_ORDER = ("bbl", "bbr", "btl", "btr", "fbl", "fbr", "ftl", "ftr")
 _BOTTOM = (0, 1, 4, 5)
 _TOP = (2, 3, 6, 7)
+_BACK, _FRONT = (0, 1, 2, 3), (4, 5, 6, 7)
+_LEFT, _RIGHT = (0, 2, 4, 6), (1, 3, 5, 7)
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,27 @@ class Prism3D:
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "corners", c)
+
+    @classmethod
+    def from_footprint(cls, footprint, height: float) -> "Prism3D":
+        """Prism standing `height` over a ground footprint of four (x, y)
+        points ordered (bbl, bbr, fbl, fbr)."""
+        corners = np.zeros((8, 3))
+        corners[list(_BOTTOM), :2] = footprint
+        corners[list(_TOP), :2] = footprint
+        corners[list(_TOP), 2] = height
+        return cls(corners)
+
+    @property
+    def dims(self) -> tuple[float, float, float]:
+        """(length, width, height): mean distances between opposing corners."""
+        c = self.corners
+        length = float(np.mean(np.linalg.norm(
+            c[list(_FRONT), :2] - c[list(_BACK), :2], axis=1)))
+        width = float(np.mean(np.linalg.norm(
+            c[list(_RIGHT), :2] - c[list(_LEFT), :2], axis=1)))
+        height = float(np.mean(c[list(_TOP), 2] - c[list(_BOTTOM), 2]))
+        return length, width, height
 
     @property
     def height(self) -> float:
@@ -530,31 +553,16 @@ def lift_image_box_to_prism(
     height = (a + b) / 2.0
     if cost(0.0) <= cost(height):
         height = 0.0
-    corners = np.zeros((8, 3))
-    # footprint order follows CORNER_ORDER bottoms: bbl, bbr, fbl, fbr
-    corners[0, :2], corners[1, :2] = base[0], base[1]
-    corners[4, :2], corners[5, :2] = base[2], base[3]
-    corners[2], corners[3] = corners[0], corners[1]
-    corners[6], corners[7] = corners[4], corners[5]
-    corners[list(_TOP), 2] = height
-    return Prism3D(corners)
+    return Prism3D.from_footprint(base, height)
 
 
 # ---------------------------------------------------------------------------
 # anchor-box decode
 
-# (sign_l, sign_w, sign_h) per corner in CORNER_ORDER. Bottom corners carry
-# +h/2 and tops -h/2; back carries -l/2, left -w/2.
-_DECODE_SIGNS = (
-    (-1, -1, +1),  # bbl
-    (-1, +1, +1),  # bbr
-    (-1, -1, -1),  # btl
-    (-1, +1, -1),  # btr
-    (+1, -1, +1),  # fbl
-    (+1, +1, +1),  # fbr
-    (+1, -1, -1),  # ftl
-    (+1, +1, -1),  # ftr
-)
+# (sign_l, sign_w, sign_h) per corner in CORNER_ORDER: back corners carry
+# -l/2, left ones -w/2, and bottom ones +h/2 (image rows grow downward).
+_DECODE_SIGNS = [(1 if i in _FRONT else -1, 1 if i in _RIGHT else -1,
+                  1 if i in _BOTTOM else -1) for i in range(8)]
 
 
 def decode_anchor_detection(

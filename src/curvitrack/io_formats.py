@@ -96,14 +96,6 @@ def read_csv(path: str) -> tuple[list, list]:
     return rows[0], rows[1:]
 
 
-def _require(record: dict, keys, path: str, where: str) -> None:
-    if not isinstance(record, dict):
-        raise MalformedInput(f"{path}: {where}: expected a JSON object")
-    missing = [k for k in keys if k not in record]
-    if missing:
-        raise MalformedInput(f"{path}: {where}: missing fields {missing}")
-
-
 _NUMBER_TYPES = {int, float}
 
 
@@ -116,32 +108,52 @@ def _finite_numbers(values) -> bool:
         return False
 
 
-def _check_increasing(items: list, path: str, unit: str, owner: str) -> None:
-    """Refuse a repeated time in (t, record number, ...) items sorted by t."""
-    for a, b in zip(items, items[1:]):
-        if a[0] == b[0]:
-            raise MalformedInput(f"{path}: {unit} {b[1]}: repeated t {a[0]!r} for {owner}")
+# Field kinds of a _check table; an int n stands for a list of n finite
+# numbers and a nested table for a list of sub-records.
+ANY, STR, NUM = "any value", "a string", "a finite number"
+MATRIX = "a 3x3 list of finite numbers"
 
 
-def _check_strings(record: dict, path: str, where: str, keys) -> None:
-    for key in keys:
-        if not isinstance(record[key], str):
-            raise MalformedInput(f"{path}: {where}: {key} must be a string, "
-                                 f"got {record[key]!r}")
-
-
-def _check_numbers(record: dict, path: str, where: str, scalars=(), lists=()) -> None:
-    """Require each key in `scalars` to be a finite number and each
-    (key, n) in `lists` a list of n finite numbers."""
-    for key in scalars:
-        if not _finite_numbers((record[key],)):
-            raise MalformedInput(f"{path}: {where}: {key} must be a finite number, "
-                                 f"got {record[key]!r}")
-    for key, n in lists:
+def _check(record, fields: dict, path: str, where: str) -> None:
+    """Refuse a record that is not a JSON object, lacks a key of `fields`, or
+    holds a field not of its kind, naming the file and `where`."""
+    if not isinstance(record, dict):
+        raise MalformedInput(f"{path}: {where}: expected a JSON object")
+    if not record.keys() >= fields.keys():
+        missing = [k for k in fields if k not in record]
+        raise MalformedInput(f"{path}: {where}: missing fields {missing}")
+    for key, kind in fields.items():
         v = record[key]
-        if not (isinstance(v, list) and len(v) == n and _finite_numbers(v)):
-            raise MalformedInput(f"{path}: {where}: {key} must be a list of {n} "
-                                 f"finite numbers, got {v!r}")
+        if kind is NUM:
+            ok = _finite_numbers((v,))
+        elif type(kind) is int:
+            ok = isinstance(v, list) and len(v) == kind and _finite_numbers(v)
+        elif kind is STR:
+            ok = isinstance(v, str)
+        elif kind is MATRIX:
+            ok = isinstance(v, list) and len(v) == 3 and all(
+                isinstance(row, list) and len(row) == 3 and _finite_numbers(row) for row in v)
+        elif type(kind) is dict:
+            ok = isinstance(v, list)
+            for sub in v if ok else ():
+                _check(sub, kind, path, where)
+        else:
+            ok = True
+        if not ok:
+            want = {int: f"a list of {kind} finite numbers",
+                    dict: "a list"}.get(type(kind), kind)
+            raise MalformedInput(f"{path}: {where}: {key} must be {want}, got {v!r}")
+
+
+def _sort_series(by_id: dict, path: str, unit: str, owner: str) -> None:
+    """Sort each id's (t, record number, ...) samples in place, refusing a
+    repeated t within an id."""
+    for sid, items in by_id.items():
+        items.sort()
+        for a, b in zip(items, items[1:]):
+            if a[0] == b[0]:
+                raise MalformedInput(f"{path}: {unit} {b[1]}: repeated t {a[0]!r} "
+                                     f"for {owner} {sid!r}")
 
 
 # --- correspondence points --------------------------------------------------
@@ -162,9 +174,8 @@ def read_points(path: str) -> dict:
     seen = set()
     for i, r in enumerate(read_jsonl(path), start=1):
         where = f"record {i}"
-        _require(r, ("id", "camera", "direction", "im", "st"), path, where)
-        _check_strings(r, path, where, ("id", "camera", "direction"))
-        _check_numbers(r, path, where, lists=(("im", 2), ("st", 2)))
+        _check(r, {"id": STR, "camera": STR, "direction": STR, "im": 2, "st": 2},
+               path, where)
         direction, points = cameras.setdefault(r["camera"], (r["direction"], []))
         if r["direction"] != direction:
             raise MalformedInput(f"{path}: {where}: camera {r['camera']!r} is listed "
@@ -184,18 +195,14 @@ def h_to_list(h: np.ndarray) -> list:
     return np.asarray(h, dtype=float).reshape(3, 3).tolist()
 
 
-def _check_matrix(record: dict, key: str, path: str, where: str) -> None:
-    v = record[key]
-    if not (isinstance(v, list) and len(v) == 3
-            and all(isinstance(row, list) and len(row) == 3 and _finite_numbers(row)
-                    for row in v)):
-        raise MalformedInput(f"{path}: {where}: {key} must be a 3x3 list of finite "
-                             f"numbers, got {v!r}")
-
-
-def write_homographies(path: str, entries) -> None:
-    """entries: [{camera, direction, h: 3x3}, ...]"""
-    write_json(path, list(entries))
+def write_homographies(path: str, homographies, inliers=()) -> None:
+    """One entry per Homography, under its camera_id and direction; the
+    i-th entry also carries inliers[i] when given."""
+    entries = [{"camera": h.camera_id, "direction": h.direction, "h": h_to_list(h.h)}
+               for h in homographies]
+    for entry, n in zip(entries, inliers):
+        entry["inliers"] = n
+    write_json(path, entries)
 
 
 def read_homographies(path: str) -> dict:
@@ -208,10 +215,9 @@ def read_homographies(path: str) -> dict:
     out = {}
     for i, r in enumerate(entries, start=1):
         where = f"entry {i}"
-        _require(r, ("camera", "h"), path, where)
-        r.setdefault("direction", "EB")
-        _check_strings(r, path, where, ("camera", "direction"))
-        _check_matrix(r, "h", path, where)
+        if isinstance(r, dict):
+            r.setdefault("direction", "EB")
+        _check(r, {"camera": STR, "direction": STR, "h": MATRIX}, path, where)
         if r["camera"] in out:
             raise MalformedInput(f"{path}: {where}: repeated camera {r['camera']!r}")
         try:
@@ -241,15 +247,8 @@ def read_snapshots(path: str) -> list:
     seen = set()
     for i, r in enumerate(read_jsonl(path), start=1):
         where = f"record {i}"
-        _require(r, ("epoch", "camera", "direction", "points"), path, where)
-        _check_strings(r, path, where, ("camera", "direction"))
-        _check_numbers(r, path, where, ("epoch",))
-        if not isinstance(r["points"], list):
-            raise MalformedInput(f"{path}: {where}: points must be a list")
-        for p in r["points"]:
-            _require(p, ("id", "im"), path, where)
-            _check_strings(p, path, where, ("id",))
-            _check_numbers(p, path, where, lists=(("im", 2),))
+        _check(r, {"epoch": NUM, "camera": STR, "direction": STR,
+                   "points": {"id": STR, "im": 2}}, path, where)
         ids = [p["id"] for p in r["points"]]
         if len(set(ids)) != len(ids):
             raise MalformedInput(f"{path}: {where}: repeated point id")
@@ -280,16 +279,9 @@ def read_sift_maps(path: str) -> dict:
     out = {}
     for i, r in enumerate(entries, start=1):
         where = f"entry {i}"
-        _require(r, ("camera", "maps"), path, where)
-        _check_strings(r, path, where, ("camera",))
-        if not isinstance(r["maps"], list):
-            raise MalformedInput(f"{path}: {where}: maps must be a list")
+        _check(r, {"camera": STR, "maps": {"epoch": NUM, "m": MATRIX}}, path, where)
         if r["camera"] in out:
             raise MalformedInput(f"{path}: {where}: repeated camera {r['camera']!r}")
-        for m in r["maps"]:
-            _require(m, ("epoch", "m"), path, where)
-            _check_numbers(m, path, where, ("epoch",))
-            _check_matrix(m, "m", path, where)
         out[r["camera"]] = [(float(m["epoch"]), np.asarray(m["m"], dtype=float))
                             for m in r["maps"]]
     return out
@@ -310,8 +302,7 @@ def read_detections(path: str) -> list:
 
     records = read_jsonl(path)
     for i, r in enumerate(records, start=1):
-        _require(r, ("t", "box", "conf"), path, f"record {i}")
-        _check_numbers(r, path, f"record {i}", ("t", "conf"), (("box", 5),))
+        _check(r, {"t": NUM, "box": 5, "conf": NUM}, path, f"record {i}")
     return [Detection(float(r["t"]), r.get("camera", ""), tuple(map(float, r["box"])),
                       r.get("class", ""), float(r["conf"]))
             for r in records]
@@ -341,17 +332,15 @@ def _read_states(path: str, int_ids: bool) -> dict:
     otherwise."""
     by_id: dict = {}
     for i, r in enumerate(read_jsonl(path), start=1):
-        _require(r, ("id", "t", "box"), path, f"record {i}")
-        _check_numbers(r, path, f"record {i}", ("t",), (("box", 5),))
+        _check(r, {"id": ANY, "t": NUM, "box": 5}, path, f"record {i}")
         sid = r["id"]
         if not int_ids:
             sid = str(sid)
         elif type(sid) is not int:
             raise MalformedInput(f"{path}: record {i}: id must be an integer, got {sid!r}")
         by_id.setdefault(sid, []).append((float(r["t"]), i, tuple(map(float, r["box"]))))
+    _sort_series(by_id, path, "record", "id")
     for sid, items in by_id.items():
-        items.sort()
-        _check_increasing(items, path, "record", f"id {sid!r}")
         by_id[sid] = [(t, box) for t, _, box in items]
     return by_id
 
@@ -364,9 +353,7 @@ def read_tracklets(path: str):
     if not isinstance(dims, dict):
         raise MalformedInput(f"{dims_path}: expected a JSON object")
     for tid, d in dims.items():
-        if not (isinstance(d, list) and len(d) == 3 and _finite_numbers(d)):
-            raise MalformedInput(f"{dims_path}: id {tid}: dims must be a list of 3 "
-                                 f"finite numbers, got {d!r}")
+        _check({"dims": d}, {"dims": 3}, dims_path, f"id {tid}")
     out = []
     for tid, items in sorted(_read_states(path, int_ids=True).items()):
         boxes = [b for _, b in items]
@@ -405,13 +392,12 @@ def write_gps(path: str, traces) -> None:
     write_csv(path, ("vehicle_id", "t", "x", "y"), rows)
 
 
-def read_gps(path: str):
-    from .gps import GpsTrace
-
-    header, rows = read_csv(path)
-    if header[:4] != ["vehicle_id", "t", "x", "y"]:
-        raise MalformedInput(f"{path}: unexpected header {header}")
-    by_id: dict = {}
+def _vehicle_rows(path: str, header: list):
+    """(line number, row, t, x, y) per row of a CSV whose header starts with
+    `header` (vehicle_id, t, x, y, ...); t, x and y must be finite numbers."""
+    head, rows = read_csv(path)
+    if head[:len(header)] != header:
+        raise MalformedInput(f"{path}: unexpected header {head}")
     for i, row in enumerate(rows, start=2):
         try:
             t, x, y = float(row[1]), float(row[2]), float(row[3])
@@ -420,11 +406,18 @@ def read_gps(path: str):
         if not all(map(math.isfinite, (t, x, y))):
             raise MalformedInput(f"{path}: line {i}: t, x and y must be finite, "
                                  f"got {row[1:4]}")
+        yield i, row, t, x, y
+
+
+def read_gps(path: str):
+    from .gps import GpsTrace
+
+    by_id: dict = {}
+    for i, row, t, x, y in _vehicle_rows(path, ["vehicle_id", "t", "x", "y"]):
         by_id.setdefault(row[0], []).append((t, i, x, y))
+    _sort_series(by_id, path, "line", "vehicle")
     traces = []
-    for vid in sorted(by_id):
-        items = sorted(by_id[vid])
-        _check_increasing(items, path, "line", f"vehicle {vid!r}")
+    for vid, items in sorted(by_id.items()):
         traces.append(GpsTrace(vid,
                                np.array([a for a, _, _, _ in items]),
                                np.array([b for _, _, b, _ in items]),
@@ -440,20 +433,12 @@ def write_annotations(path: str, annotations) -> None:
 def read_annotations(path: str):
     from .gps import PoleAnnotation
 
-    header, rows = read_csv(path)
-    if header[:5] != ["vehicle_id", "t", "x", "y", "pole"]:
-        raise MalformedInput(f"{path}: unexpected header {header}")
     out = []
-    for i, row in enumerate(rows, start=2):
+    for i, row, t, x, y in _vehicle_rows(path, ["vehicle_id", "t", "x", "y", "pole"]):
         try:
-            a = PoleAnnotation(row[0], float(row[1]), float(row[2]),
-                               float(row[3]), int(row[4]))
+            out.append(PoleAnnotation(row[0], t, x, y, int(row[4])))
         except (ValueError, IndexError) as e:
             raise MalformedInput(f"{path}: line {i}: {e}") from e
-        if not all(map(math.isfinite, (a.epoch, a.x, a.y))):
-            raise MalformedInput(f"{path}: line {i}: t, x and y must be finite, "
-                                 f"got {row[1:4]}")
-        out.append(a)
     return out
 
 
@@ -506,7 +491,7 @@ def read_eval_summary(path: str) -> dict:
     if not isinstance(rep, dict):
         raise MalformedInput(f"{path}: expected a JSON object")
     out = {c: rep[c] for c in EvalReport.COLUMNS if c in rep}
-    _check_numbers(out, path, "summary", out)
+    _check(out, dict.fromkeys(out, NUM), path, "summary")
     return out
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tracking import _rect_iou, footprint_rect, hungarian_match, iou_matrix
+from .tracking import _rect_iou, footprint_rect, hungarian_match, iou_matrix, time_grid
 
 DEFAULT_STEP_S = 0.1
 DEFAULT_MATCH_IOU = 0.1
@@ -320,10 +320,8 @@ def evaluate(gt_series: list, track_series: list,
     if not gt_series:
         return EvalReport(0, 0, 0, 0, 0, 0, 0, 0, 0, td, 0, len(tracks))
 
-    t_lo = min(s.times[0] for s in gt_series)
-    t_hi = max(s.times[-1] for s in gt_series)
-    k0, k1 = int(np.ceil(t_lo / step - 1e-9)), int(np.floor(t_hi / step + 1e-9))
-    grid = np.arange(k0, k1 + 1) * step
+    grid = time_grid(min(s.times[0] for s in gt_series),
+                     max(s.times[-1] for s in gt_series), step)
 
     gt = _samples(gt_series, grid, cfg.x_clip)
     tr = _samples(tracks, grid)

@@ -114,10 +114,9 @@ class RoadwaySpline:
                    d["gamma_wb"], d["extent"], d["eb_sign"])
 
 
-def _as_xy(points) -> np.ndarray:
-    if len(points) and isinstance(points[0], StatePlanePoint):
-        return np.array([[p.x, p.y] for p in points], dtype=float)
-    return np.asarray(points, dtype=float)[:, :2]
+def line_span(xy: np.ndarray) -> float:
+    """Length in feet of the polyline through sampled yellow-line points."""
+    return float(np.linalg.norm(np.diff(xy, axis=0), axis=1).sum())
 
 
 def _fit_param_spline(xy: np.ndarray):
@@ -147,12 +146,12 @@ def fit_centerline(yellow_eb, yellow_wb) -> RoadwaySpline:
     """
     sides = {}
     for name, pts in (("EB", yellow_eb), ("WB", yellow_wb)):
-        xy = _as_xy(pts)
+        xy = np.asarray(pts, dtype=float)[:, :2]
         if xy.shape[0] < 3:
             raise TooShort(f"{name} yellow line needs >= 3 points")
         if np.any(np.diff(xy[:, 0]) <= 0):
             raise NonMonotonic(f"{name} yellow line x must be strictly increasing")
-        span = float(np.linalg.norm(np.diff(xy, axis=0), axis=1).sum())
+        span = line_span(xy)
         if span < MIN_SPAN_FT:
             raise TooShort(f"{name} yellow line spans {span:.0f} ft < {MIN_SPAN_FT:.0f}")
         sides[name] = _fit_param_spline(xy)
@@ -203,12 +202,11 @@ def fit_centerline(yellow_eb, yellow_wb) -> RoadwaySpline:
 # ---------------------------------------------------------------------------
 # conversions
 
-_BACK = (0, 1, 2, 3)
-_FRONT = (4, 5, 6, 7)
-_LEFTS = (0, 2, 4, 6)
-_RIGHTS = (1, 3, 5, 7)
-_BOTTOMS = (0, 1, 4, 5)
-_TOPS = (2, 3, 6, 7)
+def _yellow_shift(spline: RoadwaySpline, s: float, direction: str) -> float:
+    """The constant-yellow-line offset at arc position s: added to y on the
+    way into roadway coordinates and subtracted on the way back."""
+    c_target = YELLOW_LINE_Y if direction == "EB" else -YELLOW_LINE_Y
+    return c_target - spline.gamma(s, direction)
 
 
 def _nearest_arc(spline: RoadwaySpline, p: np.ndarray) -> float:
@@ -237,12 +235,7 @@ def world_to_roadway(spline: RoadwaySpline, prism: Prism3D,
     of the closest centerline point to the back-bottom-center; y is the
     signed lateral distance, then shifted by the constant-yellow-line rule.
     """
-    c = prism.corners
-    length = float(np.mean(np.linalg.norm(
-        c[list(_FRONT), :2] - c[list(_BACK), :2], axis=1)))
-    width = float(np.mean(np.linalg.norm(
-        c[list(_RIGHTS), :2] - c[list(_LEFTS), :2], axis=1)))
-    height = float(np.mean(c[list(_TOPS), 2] - c[list(_BOTTOMS), 2]))
+    length, width, height = prism.dims
     o_c = prism.back_bottom_center[:2]
 
     s = _nearest_arc(spline, o_c)
@@ -251,9 +244,7 @@ def world_to_roadway(spline: RoadwaySpline, prism: Prism3D,
     if yellow_shift:
         if abs(y) < MEDIAN_AMBIGUITY_FT:
             raise AmbiguousMedian(f"|y|={abs(y):.3f} ft too close to the median")
-        direction = "EB" if y > 0 else "WB"
-        c_target = YELLOW_LINE_Y if direction == "EB" else -YELLOW_LINE_Y
-        y += c_target - spline.gamma(s, direction)
+        y += _yellow_shift(spline, s, "EB" if y > 0 else "WB")
     return RoadwayBox(s, y, length, width, height)
 
 
@@ -270,8 +261,7 @@ def roadway_to_world(spline: RoadwaySpline, box: RoadwayBox,
     y = box.y
     direction = box.direction
     if yellow_shift:
-        c_target = YELLOW_LINE_Y if direction == "EB" else -YELLOW_LINE_Y
-        y -= c_target - spline.gamma(box.x, direction)
+        y -= _yellow_shift(spline, box.x, direction)
 
     u_f = spline.tangent(box.x)
     u_perp = spline.normal(box.x)
@@ -282,20 +272,9 @@ def roadway_to_world(spline: RoadwaySpline, box: RoadwayBox,
     front = sign * box.l * u_f
     bbl = o_c + (box.w / 2.0) * left
     bbr = o_c - (box.w / 2.0) * left
-    corners = np.zeros((8, 3))
-    corners[0, :2] = bbl
-    corners[1, :2] = bbr
-    corners[4, :2] = bbl + front
-    corners[5, :2] = bbr + front
-    corners[2, :2] = bbl
-    corners[3, :2] = bbr
-    corners[6, :2] = bbl + front
-    corners[7, :2] = bbr + front
-    corners[list(_TOPS), 2] = box.h
-    return Prism3D(corners)
+    return Prism3D.from_footprint([bbl, bbr, bbl + front, bbr + front], box.h)
 
 
 def point_prism(p: StatePlanePoint) -> Prism3D:
     """Zero-size prism wrapping a single ground-plane point."""
-    c = np.tile([p.x, p.y, 0.0], (8, 1))
-    return Prism3D(c)
+    return Prism3D.from_footprint(np.tile([p.x, p.y], (4, 1)), 0.0)

@@ -11,7 +11,7 @@ and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import ConfigInvalid
 from .geometry import CorrespondencePoint, Homography, ImagePoint, StatePlanePoint
 from .gps import SAMPLE_PERIOD_S, GpsTrace, PoleAnnotation
 from .drift import RediscoverySnapshot
+from .tracking import time_grid
 
 VEHICLE_CLASSES = {
     "sedan": (15.0, 6.0, 5.0),
@@ -131,6 +132,18 @@ class SceneConfig:
                 f"road.radius_ft {self.road.radius_ft} is too small for extent_ft "
                 f"{self.extent_ft}: the padded arc must stay short of a half circle, "
                 f"so radius_ft >= {min_radius:.1f}")
+        if self.road.kind == "arc":
+            # loads scipy, which simulate needs anyway; only simulate and pipeline validate
+            from .roadway import MIN_SPAN_FT, line_span
+            span = min(map(line_span, _road_yellow_lines(self)[:2]))
+            if span < MIN_SPAN_FT:
+                # no radius gives the inner line more span than a straight road has
+                straight = _road_yellow_lines(replace(self, road=RoadConfig()))[0]
+                key = "road.radius_ft" if line_span(straight) > MIN_SPAN_FT else "extent_ft"
+                raise ConfigInvalid(
+                    f"{key}: an arc road of extent_ft {self.extent_ft} and radius_ft "
+                    f"{self.road.radius_ft} has a yellow line spanning {span:.0f} ft, "
+                    f"short of the {MIN_SPAN_FT:.0f} ft the roadway frame needs")
         per_pole = 2 * max(1, self.cameras_per_pole // 2)
         # the ratio test first: math.ceil cannot take the inf of a tiny spacing
         if (self.extent_ft / self.pole_spacing_ft > MAX_CAMERAS
@@ -344,10 +357,7 @@ def _emit_detections(cfg: SceneConfig, vehicles, cameras, rng) -> list:
         by_dir[cam.direction].append(cam)
     dets = []
     for v in vehicles:
-        t0, t1 = v.times[0], v.times[-1]
-        k0 = int(math.ceil(t0 / dt - 1e-9))
-        k1 = int(math.floor(t1 / dt + 1e-9))
-        ts = np.arange(k0, k1 + 1) * dt
+        ts = time_grid(v.times[0], v.times[-1], dt)
         xs = np.interp(ts, v.times, v.x)
         ys = np.interp(ts, v.times, v.y)
         for t, x, y in zip(ts, xs, ys):
@@ -378,11 +388,8 @@ def _emit_gps(cfg: SceneConfig, vehicles, rng) -> list:
         if rng.random() > g.fraction:
             continue
         # reported timestamps lag truth by time_offset
-        t0 = v.times[0] + g.time_offset_s
-        t1 = v.times[-1] + g.time_offset_s
-        k0 = int(math.ceil(t0 / SAMPLE_PERIOD_S - 1e-9))
-        k1 = int(math.floor(t1 / SAMPLE_PERIOD_S + 1e-9))
-        ts = np.arange(k0, k1 + 1) * SAMPLE_PERIOD_S
+        ts = time_grid(v.times[0] + g.time_offset_s, v.times[-1] + g.time_offset_s,
+                       SAMPLE_PERIOD_S)
         true_t = ts - g.time_offset_s
         x = np.interp(true_t, v.times, v.x) + g.bias_x_ft \
             + rng.normal(0.0, g.long_noise_ft, len(ts))

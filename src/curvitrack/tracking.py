@@ -23,6 +23,13 @@ _BIG = 1e9
 _NMS_BLOCK = 256   # ranked detections per NMS block; bounds the pair arrays
 
 
+def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
+    """The multiples of dt in [t0, t1], with 1e-9 of slack at each end."""
+    k0 = int(math.ceil(t0 / dt - 1e-9))
+    k1 = int(math.floor(t1 / dt + 1e-9))
+    return np.arange(k0, k1 + 1) * dt
+
+
 def footprint_rect(boxes: np.ndarray) -> np.ndarray:
     """(N,5) roadway boxes -> (N,4) rectangles (x0, y0, x1, y1)."""
     boxes = np.atleast_2d(np.asarray(boxes, dtype=float))
@@ -131,8 +138,8 @@ def _frames(detections, params: TrackerParams):
     A detection's frame is round(t / dt) on the tracking grid.  Within a
     frame, detections are ranked by (-conf, input order), and one is kept
     unless a kept, higher-ranked one overlaps it with IOU >= phi_nms.
-    Returns the kept detections' frames, the detections, and their boxes,
-    rects and confidences, in input order, which is frame order.
+    Returns the kept detections' frames, boxes, rects and confidences, in
+    input order, which is frame order.
     """
     dt = 1.0 / params.f_track
     dets = [d for d in detections if not d.conf < params.sigma_high]
@@ -156,8 +163,7 @@ def _frames(detections, params: TrackerParams):
             if keep[i]:
                 keep[j] = False
     kept = np.sort(order[np.array(keep, dtype=bool)])
-    return (frame[kept], [dets[i] for i in kept.tolist()], boxes[kept], rects[kept],
-            conf[kept])
+    return frame[kept], boxes[kept], rects[kept], conf[kept]
 
 
 def _associate(tboxes, dboxes, drects, params: TrackerParams):
@@ -191,8 +197,8 @@ def _run_stream(detections, params: TrackerParams, id_start: int):
     Kalman filter on (x, y, l, w, h, vx, vy); without Kalman, X[:, :5] is
     the last matched box.  Returns (tracklets, next_id).
     """
-    frame, dets, boxes, rects, conf = _frames(detections, params)
-    if not dets:
+    frame, boxes, rects, conf = _frames(detections, params)
+    if not len(frame):
         return [], id_start
     dt = 1.0 / params.f_track
     cut = np.searchsorted(frame, np.arange(frame[0], frame[-1] + 2))
@@ -201,7 +207,6 @@ def _run_stream(detections, params: TrackerParams, id_start: int):
         low = conf < params.tau_high
         order = np.lexsort((low, frame))
         boxes, rects = boxes[order], rects[order]
-        dets = [dets[i] for i in order.tolist()]
         n_high = np.concatenate([[0], np.cumsum(~low[order])])
         mid = cut[:-1] + n_high[cut[1:]] - n_high[cut[:-1]]
     else:
@@ -274,12 +279,12 @@ def _run_stream(detections, params: TrackerParams, id_start: int):
     ended = np.concatenate(ended + [state])
     lasted = ended[:, 3] * dt - ended[:, 2] * dt
     emit = (ended[:, 1] >= confirm) & ~(lasted < params.t_min)
-    return _cut_tracklets(history, ended[emit], dets, dt), next_id
+    return _cut_tracklets(history, ended[emit], boxes, dt), next_id
 
 
-def _cut_tracklets(history, ended, dets, dt: float) -> list:
+def _cut_tracklets(history, ended, boxes, dt: float) -> list:
     """Tracklets of the `ended` state rows, in order, each cut after its
-    last matched frame."""
+    last matched frame; the reported dims are those of the matched boxes."""
     if not len(ended):
         return []
     ids, states, source, frames = zip(*history)
@@ -292,9 +297,10 @@ def _cut_tracklets(history, ended, dets, dt: float) -> list:
     out = []
     for i, a, b in zip(ended[:, 0].tolist(), start.tolist(), stop.tolist()):
         rows = order[a:b]
+        matched = source[rows]
         out.append(Tracklet(i, (frame[rows] * dt).tolist(),
                             list(map(tuple, states[rows].tolist())),
-                            [tuple(dets[j].box[2:5]) for j in source[rows].tolist() if j >= 0]))
+                            list(map(tuple, boxes[matched[matched >= 0], 2:5].tolist()))))
     return out
 
 
@@ -423,9 +429,7 @@ def run_oracle(detections, gt_traces):
             seg_t, seg_b = ct[s:e + 1], cb[s:e + 1]
             if seg_t[-1] - seg_t[0] < T_MIN_S:
                 continue
-            k0 = int(math.ceil(seg_t[0] / dt - 1e-9))
-            k1 = int(math.floor(seg_t[-1] / dt + 1e-9))
-            grid = np.arange(k0, k1 + 1) * dt
+            grid = time_grid(seg_t[0], seg_t[-1], dt)
             cols = [np.interp(grid, seg_t, seg_b[:, j]) for j in range(5)]
             tl = Tracklet(next_id,
                           list(map(float, grid)),

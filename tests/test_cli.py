@@ -343,10 +343,17 @@ def test_invalid_scene_config_exits_one(tmp_path, cfg, where):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("extent", [500.0, 3000.0])
+# (extent_ft, radius factor) of the arcs whose inner yellow line is too short,
+# and the field the refusal names: extent_ft where no radius would do
+SHORT_ARCS = {(10.0, 1.0): "extent_ft", (10.0, 1.01): "extent_ft", (10.0, 2.0): "extent_ft",
+              (60.0, 1.0): "road.radius_ft", (60.0, 1.01): "road.radius_ft"}
+
+
+@pytest.mark.parametrize("extent", [10.0, 60.0, 100.0, 500.0, 3000.0])
 def test_arc_radius_bound_separates_refused_from_simulated(tmp_path, extent):
     """An arc road that turns too near a half circle is refused, naming
-    road.radius_ft; every radius the check accepts simulates."""
+    road.radius_ft, and so is one with a yellow line too short for the
+    roadway frame; every config the checks accept simulates."""
     bound = (extent + 2 * ROAD_PAD_FT) / ARC_MAX_TURN_RAD
     for factor in (0.3, 0.99, 1.0, 1.01, 2.0):
         path = tmp_path / f"scene{factor}.json"
@@ -354,9 +361,10 @@ def test_arc_radius_bound_separates_refused_from_simulated(tmp_path, extent):
             "road": {"kind": "arc", "radius_ft": factor * bound}, "extent_ft": extent,
             "vehicle_count": 2, "duration_s": 2.0, "snapshot_interval_s": 2.0}))
         out = tmp_path / f"out{factor}"
-        if factor < 1.0:
+        field = "road.radius_ft" if factor < 1.0 else SHORT_ARCS.get((extent, factor))
+        if field:
             assert_rejected(["simulate", "--config", path, "--out", out],
-                            path.name, "road.radius_ft")
+                            path.name, field)
             assert not out.exists()
         else:
             assert run(["simulate", "--config", path, "--out", out]) == 0, factor

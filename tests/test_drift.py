@@ -149,6 +149,27 @@ def test_dynamic_grid_spacing_is_ten_seconds(scene):
     assert ts[0] == tl.instants[0][0]
 
 
+def test_dynamic_window_doubles_over_sparse_instants(scene):
+    # instants 100 s apart: under 10 fall within 300 s (or 600 s) of the first
+    # grid epoch, so its window doubles twice, to 1200 s
+    h, pts, ref = scene
+    epochs = 100.0 * np.arange(1, 13)
+    snaps = [snapshot_for(h, pts, (0.5 * i, -0.25 * i), t) for i, t in enumerate(epochs)]
+    tl, rejected = drift.build_timeline(ref, pts, snaps)
+    assert not rejected
+    t, est = drift.build_dynamic(tl)[0]
+    assert t == epochs[0]
+    assert np.count_nonzero(np.abs(epochs - t) <= 600.0) < drift.MIN_WINDOW_COUNT
+
+    def kernel_mean(half):
+        w = np.exp(-0.5 * ((epochs - t) / (half / 3.0)) ** 2) * (np.abs(epochs - t) <= half)
+        mats = np.stack([h_i.h for _, h_i, _ in tl.instants])
+        return geometry.normalize_h(np.tensordot(w, mats, axes=1) / w.sum())
+
+    assert np.abs(est.h - kernel_mean(1200.0)).max() < 1e-9
+    assert np.abs(est.h - kernel_mean(300.0)).max() > 1e-3
+
+
 def test_dynamic_tracks_sinusoid_better_than_static(scene, rng):
     h, pts, ref = scene
     epochs = np.arange(0.0, 3600.0, 30.0)

@@ -296,6 +296,25 @@ def test_prism_projection_z0_matches_homography(rng):
         assert abs(got.x - want[0]) < 1e-9 and abs(got.y - want[1]) < 1e-9
 
 
+def test_prism_from_footprint_follows_corner_order():
+    footprint = [[4000.0, 8000.0], [4000.0, 7994.0], [4016.0, 8000.0], [4016.0, 7994.0]]
+    prism = Prism3D.from_footprint(footprint, 5.0)
+    corner = dict(zip(g.CORNER_ORDER, prism.corners.tolist()))
+    for name, (x, y) in zip(("bbl", "bbr", "fbl", "fbr"), footprint):
+        assert corner[name] == [x, y, 0.0]
+        assert corner[name[0] + "t" + name[2]] == [x, y, 5.0]
+    assert prism.dims == (16.0, 6.0, 5.0)
+
+
+def test_prism_dims_of_a_turned_prism():
+    u, n = np.array([np.cos(0.7), np.sin(0.7)]), np.array([-np.sin(0.7), np.cos(0.7)])
+    bbl = np.array([4000.0, 8000.0])
+    prism = Prism3D.from_footprint([bbl, bbl - 8.5 * n, bbl + 60.0 * u,
+                                    bbl + 60.0 * u - 8.5 * n], 13.0)
+    assert prism.dims == pytest.approx((60.0, 8.5, 13.0), abs=1e-12)
+    assert prism.back_bottom_center[:2] == pytest.approx(bbl - 4.25 * n, abs=1e-12)
+
+
 def test_prism_projection_direct_multiply_oracle(rng):
     hom, p_true, _ = make_projection(rng)
     p3 = g.Projection3D(p_true)

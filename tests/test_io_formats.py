@@ -53,8 +53,7 @@ def test_sift_maps_round_trip(tmp_path, scene):
 
 def test_homographies_round_trip(tmp_path, scene):
     p = str(tmp_path / "reference.json")
-    iof.write_homographies(p, [{"camera": c.camera_id, "direction": c.direction,
-                                "h": iof.h_to_list(c.reference.h)} for c in scene.cameras])
+    iof.write_homographies(p, [c.reference for c in scene.cameras])
     back = iof.read_homographies(p)
     assert sorted(back) == sorted(c.camera_id for c in scene.cameras)
     for c in scene.cameras:

@@ -78,6 +78,22 @@ def test_non_monotonic_raises():
 # ---------------------------------------------------------------------------
 # coordinate conversion
 
+def test_eastbound_side_at_negative_state_plane_y_is_positive_y():
+    # the EB yellow line lies right of the direction of travel along x,
+    # so the normal that points toward it is flipped
+    xs = np.arange(0.0, 3001.0, 20.0)
+    sp = fit_centerline(np.column_stack([xs, np.full_like(xs, -24.0)]),
+                        np.column_stack([xs, np.full_like(xs, 24.0)]))
+    assert sp.eb_sign == -1
+    box = rw.world_to_roadway(sp, point_prism(StatePlanePoint(1500.0, -18.0, 0.0)))
+    assert box.y == pytest.approx(6.0, abs=1e-2)
+    for box, y_st in ((RoadwayBox(800.0, 6.0, 16.0, 6.0, 5.0), -18.0),
+                      (RoadwayBox(1600.0, -30.0, 60.0, 8.5, 13.0), 42.0)):
+        prism = rw.roadway_to_world(sp, box)
+        assert prism.back_bottom_center[1] == pytest.approx(y_st, abs=1e-2)
+        round_trip(sp, box)
+
+
 def test_shift_example_lane_offset():
     # gamma = 24, target +12: a point at raw lateral 18 lands at 18 + (12-24) = 6
     sp = straight_road(gamma=24.0)

@@ -480,10 +480,10 @@ def test_nms_chain_keeps_third_box():
     dets = [Det(0.0, (120.0, 6.0, 16.0, 6.0, 5.0), 0.7),   # C: IOU(B, C) = 0.23, IOU(A, C) = 0
             Det(0.0, (100.0, 6.0, 16.0, 6.0, 5.0), 0.9),   # A
             Det(0.0, (110.0, 6.0, 16.0, 6.0, 5.0), 0.8)]   # B: IOU(A, B) = 0.23
-    frame, kept, _, _, _ = tk._frames(dets, ALGORITHMS["kiou"])
+    frame, boxes, _, _ = tk._frames(dets, ALGORITHMS["kiou"])
     assert frame.tolist() == [0, 0]
-    assert kept == [dets[0], dets[1]]
-    assert _ref_nms(dets, 0.1) == kept
+    assert boxes.tolist() == [list(dets[0].box), list(dets[1].box)]
+    assert [list(d.box) for d in _ref_nms(dets, 0.1)] == boxes.tolist()
 
 
 def test_one_to_one_frames_skip_hungarian(monkeypatch):
