@@ -1,5 +1,5 @@
-"""Command-line pipeline: simulate, calibrate, restim, track, gps-correct,
-eval, report — plus a manifest-driven runner chaining them.
+"""Command-line pipeline: one subcommand per stage of `STAGES`, plus a
+manifest-driven runner chaining them.
 
 Exit codes: 0 success, 1 malformed input or configuration, 2 data
 invariant violation (e.g. non-monotonic timestamps).
@@ -221,118 +221,78 @@ def cmd_pipeline(args) -> int:
     os.makedirs(out, exist_ok=True)
 
     def p(name):
-        return os.path.join(out, name)
+        return os.path.join(out, name) if name else out
 
-    stages = manifest.get("stages", iof.PIPELINE_STAGES)
-    cfg_path = None
+    # Written only when the manifest holds a scene; a stale copy is no input.
+    skip = set() if "scene" in manifest else {"scene_config.json"}
     if "scene" in manifest:
-        cfg_path = p("scene_config.json")
-        iof.write_json(cfg_path, manifest["scene"])
+        iof.write_json(p("scene_config.json"), manifest["scene"])
     seed = manifest.get("seed")
+    by_hand = {"simulate": [] if seed is None else ["--seed", str(seed)],
+               "track": ["--algo", manifest.get("track", {}).get("algo", "sort")]}
 
-    for stage in stages:
-        log.info("pipeline: stage %s", stage)
-        if stage == "simulate":
-            argv = ["simulate", "--out", out]
-            if cfg_path:
-                argv += ["--config", cfg_path]
-            if seed is not None:
-                argv += ["--seed", str(seed)]
-        elif stage == "calibrate":
-            _require_files(p("points.jsonl"))
-            argv = ["calibrate", "--points", p("points.jsonl"),
-                    "--out", p("fitted.json")]
-        elif stage == "restim":
-            _require_files(p("points.jsonl"), p("reference.json"),
-                           p("snapshots.jsonl"))
-            argv = ["restim", "--points", p("points.jsonl"),
-                    "--reference", p("reference.json"),
-                    "--snapshots", p("snapshots.jsonl"),
-                    "--sift", p("sift_maps.json"), "--out", out]
-        elif stage == "track":
-            _require_files(p("detections.jsonl"))
-            algo = manifest.get("track", {}).get("algo", "sort")
-            argv = ["track", "--detections", p("detections.jsonl"),
-                    "--algo", algo, "--out", p("tracks.jsonl"),
-                    "--gt", p("gt_tracks.jsonl")]
-        elif stage == "gps-correct":
-            _require_files(p("gps.csv"), p("annotations.csv"))
-            argv = ["gps-correct", "--gps", p("gps.csv"),
-                    "--annotations", p("annotations.csv"), "--out", out]
-        elif stage == "eval":
-            _require_files(p("gt_tracks.jsonl"), p("tracks.jsonl"))
-            argv = ["eval", "--gt", p("gt_tracks.jsonl"),
-                    "--tracks", p("tracks.jsonl"), "--out", p("report.json")]
-        else:  # report; read_manifest refuses unknown stages
-            argv = ["report", "--out", out]
-            if os.path.exists(p("drift.csv")):
-                argv += ["--drift", p("drift.csv")]
-            if os.path.exists(p("report.json")):
-                argv += ["--eval", p("report.json")]
-        rc = main(argv)
+    for name in manifest.get("stages", list(STAGES)):
+        log.info("pipeline: stage %s", name)
+        _, _, out_file, files = STAGES[name]
+        argv, missing = [name, "--out", p(out_file)], []
+        for flag, file, option_help in files:
+            if file not in skip and os.path.exists(p(file)):
+                argv += [flag, p(file)]
+            elif option_help is None:
+                missing.append(p(file))
+        if missing:
+            raise MalformedInput(f"missing stage inputs: {missing}")
+        rc = main(argv + by_hand.get(name, []))
         if rc != 0:
             return rc
     return 0
 
 
-def _require_files(*paths):
-    missing = [q for q in paths if not os.path.exists(q)]
-    if missing:
-        raise MalformedInput(f"missing stage inputs: {missing}")
-
-
 # ---------------------------------------------------------------------------
+
+# Each stage in the pipeline's default order: name -> (help, function, the
+# run-directory file `--out` names or "" for the directory, input options). An
+# input option is (flag, run-directory file, help), optional exactly when it has help.
+STAGES = {
+    "simulate": ("generate a synthetic scene", cmd_simulate, "", [
+        ("--config", "scene_config.json", "scene config JSON")]),
+    "calibrate": ("fit homographies from points", cmd_calibrate, "fitted.json", [
+        ("--points", "points.jsonl", None)]),
+    "restim": ("re-estimate drifting homographies", cmd_restim, "", [
+        ("--points", "points.jsonl", None),
+        ("--reference", "reference.json", None),
+        ("--snapshots", "snapshots.jsonl", None),
+        ("--sift", "sift_maps.json", "image-to-image alignment maps JSON")]),
+    "track": ("run a tracker on detections", cmd_track, "tracks.jsonl", [
+        ("--detections", "detections.jsonl", None),
+        ("--gt", "gt_tracks.jsonl", "ground truth (oracle tracker only)")]),
+    "gps-correct": ("refine GPS traces", cmd_gps_correct, "", [
+        ("--gps", "gps.csv", None),
+        ("--annotations", "annotations.csv", None)]),
+    "eval": ("evaluate tracklets against ground truth", cmd_eval, "report.json", [
+        ("--gt", "gt_tracks.jsonl", None),
+        ("--tracks", "tracks.jsonl", None)]),
+    "report": ("summaries and SVG figures", cmd_report, "", [
+        ("--drift", "drift.csv", "drift.csv from restim"),
+        ("--eval", "report.json", "report.json from eval")]),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="curvitrack",
         description="Multi-camera roadway geometry and tracking pipeline")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic scene")
-    p.add_argument("--config", help="scene config JSON")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("calibrate", help="fit homographies from points")
-    p.add_argument("--points", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("restim", help="re-estimate drifting homographies")
-    p.add_argument("--points", required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--snapshots", required=True)
-    p.add_argument("--sift", help="image-to-image alignment maps JSON")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_restim)
-
-    p = sub.add_parser("track", help="run a tracker on detections")
-    p.add_argument("--detections", required=True)
-    p.add_argument("--algo", required=True,
-                   choices=sorted(tracking.ALGORITHMS) + ["oracle"])
-    p.add_argument("--gt", help="ground truth (oracle tracker only)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_track)
-
-    p = sub.add_parser("gps-correct", help="refine GPS traces")
-    p.add_argument("--gps", required=True)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gps_correct)
-
-    p = sub.add_parser("eval", help="evaluate tracklets against ground truth")
-    p.add_argument("--gt", required=True)
-    p.add_argument("--tracks", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", help="summaries and SVG figures")
-    p.add_argument("--drift", help="drift.csv from restim")
-    p.add_argument("--eval", help="report.json from eval")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
+    parsers = {}
+    for name, (help_, func, _, files) in STAGES.items():
+        p = parsers[name] = sub.add_parser(name, help=help_)
+        for flag, _, option_help in files:
+            p.add_argument(flag, required=option_help is None, help=option_help)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func)
+    parsers["simulate"].add_argument("--seed", type=int, default=None)
+    parsers["track"].add_argument("--algo", required=True,
+                                  choices=sorted(tracking.ALGORITHMS) + ["oracle"])
 
     p = sub.add_parser("pipeline", help="run stages from a manifest")
     p.add_argument("--manifest", required=True)

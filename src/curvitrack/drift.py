@@ -87,7 +87,7 @@ def fit_instant(
         h, inliers = geometry.fit_homography(
             joined,
             camera_id=snap.camera_id, direction=snap.direction,
-            epoch=snap.epoch, seed=int(snap.epoch * 1000) & 0x7FFFFFFF)
+            seed=int(snap.epoch * 1000) & 0x7FFFFFFF)
     except (DegenerateConfiguration, SingularFit) as exc:
         raise RejectedInstant(str(exc)) from exc
     if len(inliers) < MIN_INSTANT_INLIERS:
@@ -178,8 +178,7 @@ def build_dynamic(timeline: HomographyTimeline) -> list[tuple[float, Homography]
         w = np.exp(-0.5 * ((epochs[inside] - t) / sigma) ** 2)
         m = geometry.normalize_h(
             np.tensordot(w, mats[inside], axes=1) / w.sum())
-        out.append((float(t), Homography(m, timeline.camera_id, timeline.direction,
-                                         epoch=float(t))))
+        out.append((float(t), Homography(m, timeline.camera_id, timeline.direction)))
     return out
 
 
@@ -194,8 +193,7 @@ def build_baseline(timeline: HomographyTimeline) -> list[tuple[float, Homography
             raise SingularFit(f"alignment map at epoch {epoch} is singular") from exc
         comp = geometry.normalize_h(timeline.reference.h @ inv)
         out.append((float(epoch),
-                    Homography(comp, timeline.camera_id, timeline.direction,
-                               epoch=float(epoch))))
+                    Homography(comp, timeline.camera_id, timeline.direction)))
     return out
 
 

@@ -25,10 +25,6 @@ class InsufficientHeightInfo(CurvitrackError):
     """All height samples lie on the ground plane."""
 
 
-class NoConvergence(CurvitrackError):
-    """Iterative search failed to converge."""
-
-
 class NonMonotonic(CurvitrackError):
     """Input coordinates are not monotonically increasing."""
 

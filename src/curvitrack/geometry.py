@@ -17,7 +17,6 @@ from .errors import (
     DegenerateConfiguration,
     HorizonPoint,
     InsufficientHeightInfo,
-    NoConvergence,
     ParallelVerticals,
     SingularFit,
 )
@@ -28,7 +27,6 @@ COND_LIMIT = 1e10
 DEFAULT_INLIER_FT = 2.0  # state-plane consensus threshold
 RANSAC_ITERS = 200
 HEIGHT_MAX_FT = 30.0
-HEIGHT_MAX_ITER = 50       # golden-section steps of the height search
 HEIGHT_TOL_FT = 1e-3
 COLLINEAR_TOL = 1e-8       # relative singular-value floor
 LM_MAX_ITER = 100          # Levenberg-Marquardt steps of the homography refine
@@ -101,6 +99,13 @@ def normalize_h(m: np.ndarray) -> np.ndarray:
     return m / m[2, 2]
 
 
+def check_conditioned(m: np.ndarray) -> None:
+    """Raise SingularFit unless m's condition number is finite and <= COND_LIMIT."""
+    cond = np.linalg.cond(m)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularFit(f"homography condition number {cond:.3g} exceeds limit")
+
+
 @dataclass(frozen=True)
 class Homography:
     """3x3 map from image pixels to state-plane feet, normalized h33=1."""
@@ -108,14 +113,11 @@ class Homography:
     h: np.ndarray
     camera_id: str = ""
     direction: str = "EB"
-    epoch: float | None = None
     _hinv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = normalize_h(_as_matrix(self.h))
-        cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularFit(f"homography condition number {cond:.3g} exceeds limit")
+        check_conditioned(m)
         m.setflags(write=False)
         object.__setattr__(self, "h", m)
         hinv = np.linalg.inv(m)
@@ -189,12 +191,11 @@ class Prism3D:
             c[list(_FRONT), :2] - c[list(_BACK), :2], axis=1)))
         width = float(np.mean(np.linalg.norm(
             c[list(_RIGHT), :2] - c[list(_LEFT), :2], axis=1)))
-        height = float(np.mean(c[list(_TOP), 2] - c[list(_BOTTOM), 2]))
-        return length, width, height
+        return length, width, self.height
 
     @property
     def height(self) -> float:
-        return float(np.mean(self.corners[list(_TOP), 2]))
+        return float(np.mean(self.corners[list(_TOP), 2] - self.corners[list(_BOTTOM), 2]))
 
     @property
     def back_bottom_center(self) -> np.ndarray:
@@ -350,7 +351,6 @@ def fit_homography(
     points: list[CorrespondencePoint],
     camera_id: str = "",
     direction: str = "EB",
-    epoch: float | None = None,
     seed: int = 0,
 ) -> tuple[Homography, list[str]]:
     """Fit H to correspondence points with RANSAC consensus.
@@ -370,7 +370,7 @@ def fit_homography(
     try:
         h_all = _refine_lm(_dlt(img, world), img, world)
         if np.all(_residuals_ft(h_all, img, world) <= DEFAULT_INLIER_FT):
-            return Homography(h_all, camera_id, direction, epoch), ids
+            return Homography(h_all, camera_id, direction), ids
     except (np.linalg.LinAlgError, SingularFit):
         pass
 
@@ -399,7 +399,7 @@ def fit_homography(
     if mask.sum() >= 4 and not _collinear(img[mask]) and not _collinear(world[mask]):
         sel = np.flatnonzero(mask)
         h = _refine_lm(_dlt(img[sel], world[sel]), img[sel], world[sel])
-    return Homography(h, camera_id, direction, epoch), [ids[i] for i in sel]
+    return Homography(h, camera_id, direction), [ids[i] for i in sel]
 
 
 # ---------------------------------------------------------------------------
@@ -525,17 +525,12 @@ def lift_image_box_to_prism(
             return 1e12
         return float(np.linalg.norm(proj - hints, axis=1).mean())
 
-    lo, hi = 0.0, HEIGHT_MAX_FT
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.0, HEIGHT_MAX_FT
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = cost(c), cost(d)
-    best = min(fc, fd)
-    last_drop = 0.0
-    for _ in range(HEIGHT_MAX_ITER):
-        if (b - a) < HEIGHT_TOL_FT:
-            break
+    while b - a >= HEIGHT_TOL_FT:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -544,12 +539,6 @@ def lift_image_box_to_prism(
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = cost(d)
-        new_best = min(best, fc, fd)
-        last_drop = best - new_best
-        best = new_best
-    else:
-        if last_drop > 1.0:
-            raise NoConvergence("height search still improving after max iterations")
     height = (a + b) / 2.0
     if cost(0.0) <= cost(height):
         height = 0.0

@@ -272,7 +272,10 @@ def write_sift_maps(path: str, sift_maps: dict) -> None:
 
 
 def read_sift_maps(path: str) -> dict:
-    """{camera: [(epoch, 3x3 ndarray)]}"""
+    """{camera: [(epoch, 3x3 ndarray)]}; epochs unique within a camera and
+    every map as well-conditioned as a Homography."""
+    from .geometry import check_conditioned
+
     entries = read_json(path)
     if not isinstance(entries, list):
         raise MalformedInput(f"{path}: expected a JSON list")
@@ -282,8 +285,17 @@ def read_sift_maps(path: str) -> dict:
         _check(r, {"camera": STR, "maps": {"epoch": NUM, "m": MATRIX}}, path, where)
         if r["camera"] in out:
             raise MalformedInput(f"{path}: {where}: repeated camera {r['camera']!r}")
-        out[r["camera"]] = [(float(m["epoch"]), np.asarray(m["m"], dtype=float))
-                            for m in r["maps"]]
+        maps = {}
+        for j, m in enumerate(r["maps"], start=1):
+            if m["epoch"] in maps:
+                raise MalformedInput(f"{path}: {where}: map {j}: repeated epoch "
+                                     f"{m['epoch']!r} for camera {r['camera']!r}")
+            maps[m["epoch"]] = np.asarray(m["m"], dtype=float)
+            try:
+                check_conditioned(maps[m["epoch"]])
+            except SingularFit as e:
+                raise MalformedInput(f"{path}: {where}: map {j}: {e}") from e
+        out[r["camera"]] = [(float(e), mat) for e, mat in maps.items()]
     return out
 
 
@@ -497,10 +509,6 @@ def read_eval_summary(path: str) -> dict:
 
 # --- scene config and pipeline manifest -----------------------------------------
 
-PIPELINE_STAGES = ("simulate", "calibrate", "restim", "track", "gps-correct",
-                   "eval", "report")
-
-
 def _json_int(v) -> bool:
     """A JSON integer (not a bool) within numpy's int64 range."""
     return type(v) is int and -2 ** 63 <= v < 2 ** 63
@@ -560,9 +568,10 @@ def read_scene_config(path: str):
 
 def read_manifest(path: str) -> dict:
     """The pipeline manifest, a JSON object whose optional fields are
-    `stages` (a list of PIPELINE_STAGES names), `track` (an object whose
+    `stages` (a list of `cli.STAGES` names), `track` (an object whose
     optional `algo` names a tracker), `seed` (a non-negative integer),
     `scene` (a valid scene config) and `out` (a string)."""
+    from .cli import STAGES
     from .tracking import ALGORITHMS
 
     m = read_json(path)
@@ -576,7 +585,7 @@ def read_manifest(path: str) -> dict:
         raise MalformedInput(f"{path}: seed must be a non-negative integer, "
                              f"got {m['seed']!r}")
     for stage in m.get("stages", ()):
-        if stage not in PIPELINE_STAGES:
+        if not isinstance(stage, str) or stage not in STAGES:
             raise MalformedInput(f"{path}: unknown stage {stage!r}")
     algos = sorted(ALGORITHMS) + ["oracle"]
     if m.get("track", {}).get("algo", "sort") not in algos:

@@ -191,7 +191,6 @@ class Detection:
 @dataclass
 class GroundTruth:
     trajectories: list  # of VehicleTrack
-    camera_fovs: dict   # camera_id -> (x_min, x_max, direction)
     drift_dir: dict     # pole -> unit vector (2,)
     drift_phase: dict   # pole -> phase
 
@@ -207,7 +206,6 @@ class SimulationResult:
     annotations: list
     snapshots: list          # RediscoverySnapshot
     sift_maps: dict          # camera_id -> list of (epoch, 3x3 ndarray)
-    pole_of: dict            # camera_id -> pole index
 
     def camera(self, camera_id: str) -> Camera:
         for c in self.cameras:
@@ -225,9 +223,9 @@ class SimulationResult:
     def true_homography(self, camera_id: str, t: float) -> Homography:
         """Reference homography composed with the pole's drift translation."""
         cam = self.camera(camera_id)
-        v = self.drift_vector(self.pole_of[camera_id], t)
+        v = self.drift_vector(cam.pole, t)
         trans = np.array([[1.0, 0.0, v[0]], [0.0, 1.0, v[1]], [0.0, 0.0, 1.0]])
-        return Homography(trans @ cam.reference.h, camera_id, cam.direction, epoch=t)
+        return Homography(trans @ cam.reference.h, camera_id, cam.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +465,12 @@ def simulate(config: SceneConfig) -> SimulationResult:
         drift_phase[pole] = float(rng.uniform(0.0, 2 * math.pi))
 
     vehicles = _build_vehicles(config, pad, rng)
-    fovs = {c.camera_id: (c.fov[0], c.fov[1], c.direction) for c in cameras}
-    gt = GroundTruth(vehicles, fovs, drift_dir, drift_phase)
+    gt = GroundTruth(vehicles, drift_dir, drift_phase)
 
     result = SimulationResult(
         config=config, spline=spline, cameras=cameras, ground_truth=gt,
         detections=[], gps_traces=[], annotations=[], snapshots=[],
-        sift_maps={}, pole_of={c.camera_id: c.pole for c in cameras})
+        sift_maps={})
 
     result.detections = _emit_detections(config, vehicles, cameras, rng)
     result.gps_traces = _emit_gps(config, vehicles, rng)

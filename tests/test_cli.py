@@ -263,8 +263,19 @@ GOOD_SNAPSHOT = {"epoch": 0.0, "camera": "c0", "direction": "EB",
     ("reference.json", 0, {"camera": "c0", "h": [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0],
                                                  [0.0, 0.0, 1.0]]}, "entry 1"),
     ("sift_maps.json", 0, {"camera": "c0", "maps": [{"epoch": 0.0}]}, "entry 1"),
+    ("sift_maps.json", 0, {"camera": "c0", "maps": [
+        {"epoch": 0.0, "m": IDENTITY},
+        {"epoch": 10.0, "m": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]}]},
+     "entry 1: map 2: homography condition number"),
+    ("sift_maps.json", 0, {"camera": "c0", "maps": [
+        {"epoch": 10.0, "m": [[1.0, 0.0, 0.0], [0.0, 1e-14, 0.0], [0.0, 0.0, 1.0]]}]},
+     "entry 1: map 1: homography condition number"),
+    ("sift_maps.json", 0, {"camera": "c0", "maps": [
+        {"epoch": 0.0, "m": IDENTITY}, {"epoch": 0.0, "m": IDENTITY}]},
+     "entry 1: map 2: repeated epoch 0.0"),
 ], ids=["snap-repeated-id", "snap-im-short", "snap-epoch-string", "snap-im-nan",
-        "snap-repeated-epoch", "h-string", "h-nan", "sift-no-m"])
+        "snap-repeated-epoch", "h-string", "h-nan", "sift-no-m", "sift-singular",
+        "sift-ill-conditioned", "sift-repeated-epoch"])
 def test_invalid_restim_input_exits_one(tmp_path, name, i, bad, where):
     contents = {
         "points.jsonl": [GOOD_POINT],
@@ -416,6 +427,16 @@ def test_stage_processes_load_no_scipy(tmp_path):
     assert (tmp_path / "drift_summary.csv").exists()
 
 
+def test_readme_import_loads_no_scipy():
+    program = ("import sys\n"
+               "from curvitrack import SceneConfig, simulate, run_tracker, evaluate\n"
+               "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+               "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("section, field, value", [
     (None, "state_offset", [5000.0, 2000.0]),
     (None, "lanes_per_direction", 4),
@@ -535,3 +556,70 @@ def test_full_pipeline_rerun_byte_identical(tmp_path):
     for name in names1:
         assert filecmp.cmp(tmp_path / "run1" / name, tmp_path / "run2" / name,
                            shallow=False), name
+
+
+def write_manifest(tmp_path, **fields):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(dict(fields, out=str(tmp_path))))
+    return path
+
+
+def test_pipeline_missing_required_input_stops_before_the_stage(tmp_path):
+    path = write_manifest(tmp_path, stages=["calibrate", "report"])
+    assert_rejected(["pipeline", "--manifest", path],
+                    str(tmp_path / "points.jsonl"), "missing stage inputs")
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_pipeline_returns_a_failing_stage_code_and_stops(tmp_path):
+    (tmp_path / "gps.csv").write_text("vehicle_id,t,x,y\nv1,0.0,1.0,0.0\nv1,0.13,2.0,0.0\n")
+    (tmp_path / "annotations.csv").write_text("vehicle_id,t,x,y,pole\nv1,0.05,1.5,0.0,0\n")
+    path = write_manifest(tmp_path, stages=["gps-correct", "report"])
+    assert run(["pipeline", "--manifest", path]) == 2
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_pipeline_restim_runs_without_alignment_maps(tmp_path):
+    simulate(tmp_path, extra={"duration_s": 60.0, "snapshot_interval_s": 10.0})
+    (tmp_path / "sift_maps.json").unlink()
+    assert run(["pipeline", "--manifest",
+                write_manifest(tmp_path, stages=["restim"])]) == 0
+    header, rows = iof.read_csv(str(tmp_path / "drift.csv"))
+    assert rows
+    assert {row[header.index("fd_baseline")] for row in rows} == {""}
+
+
+def test_pipeline_oracle_without_ground_truth_exits_one(tmp_path):
+    simulate(tmp_path)
+    (tmp_path / "gt_tracks.jsonl").unlink()
+    path = write_manifest(tmp_path, stages=["track"], track={"algo": "oracle"})
+    assert_rejected(["pipeline", "--manifest", path], "oracle", "requires --gt")
+    assert not (tmp_path / "tracks.jsonl").exists()
+
+
+def test_pipeline_refuses_a_stage_that_is_not_a_name(tmp_path):
+    path = write_manifest(tmp_path, stages=[["simulate"]])
+    assert_rejected(["pipeline", "--manifest", path], "manifest.json",
+                    "unknown stage ['simulate']")
+
+
+def test_pipeline_ignores_a_stale_scene_config(tmp_path):
+    """Without `scene` in the manifest, simulate runs the default scene even
+    when an earlier run left a scene_config.json behind."""
+    (tmp_path / "scene_config.json").write_text(json.dumps({"duration_s": -5.0}))
+    path = write_manifest(tmp_path, stages=["simulate"], seed=4)
+    assert run(["pipeline", "--manifest", path]) == 0
+    assert (tmp_path / "detections.jsonl").exists()
+
+
+def test_restim_skips_a_camera_with_fewer_than_three_instants(tmp_path, caplog):
+    simulate(tmp_path, extra={"duration_s": 15.0, "snapshot_interval_s": 10.0})
+    with caplog.at_level("WARNING", logger="curvitrack"):
+        assert run(["restim", "--points", tmp_path / "points.jsonl",
+                    "--reference", tmp_path / "reference.json",
+                    "--snapshots", tmp_path / "snapshots.jsonl",
+                    "--out", tmp_path]) == 0
+    assert "has 2 usable instants, skipping" in caplog.text
+    assert json.loads((tmp_path / "timelines.json").read_text()) == []
+    _, rows = iof.read_csv(str(tmp_path / "drift.csv"))
+    assert rows == []

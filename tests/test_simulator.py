@@ -54,9 +54,10 @@ def detection_recall(res):
     expected = 0
     dt = 1.0 / res.config.detection.rate_hz
     for tr in res.ground_truth.trajectories:
-        for cam_id, (lo, hi, direction) in res.ground_truth.camera_fovs.items():
-            if direction != tr.direction:
+        for cam in res.cameras:
+            if cam.direction != tr.direction:
                 continue
+            lo, hi = cam.fov
             grid = np.arange(np.ceil(tr.times[0] / dt) * dt,
                              tr.times[-1] + 1e-9, dt)
             xs = np.interp(grid, tr.times, tr.x)
@@ -86,16 +87,16 @@ def test_zero_noise_detections_match_ground_truth(result=None):
 
 
 def test_detections_inside_camera_fov(result):
-    fovs = result.ground_truth.camera_fovs
+    fovs = {c.camera_id: c.fov for c in result.cameras}
     for d in result.detections:
-        lo, hi, direction = fovs[d.camera]
+        lo, hi = fovs[d.camera]
         assert lo - 1e-9 <= d.box[0] <= hi + 1e-9
 
 
 def test_detection_direction_matches_camera(result):
-    fovs = result.ground_truth.camera_fovs
+    directions = {c.camera_id: c.direction for c in result.cameras}
     for d in result.detections:
-        direction = fovs[d.camera][2]
+        direction = directions[d.camera]
         assert (d.box[1] > 0) == (direction == "EB")
 
 
@@ -107,14 +108,14 @@ def test_true_homography_is_translation_of_reference(result):
     for t in (0.0, 7.5, 19.0):
         h_t = result.true_homography(cam.camera_id, t)
         delta = h_t.h @ np.linalg.inv(cam.reference.h)
-        v = result.drift_vector(result.pole_of[cam.camera_id], t)
+        v = result.drift_vector(cam.pole, t)
         want = np.array([[1.0, 0.0, v[0]], [0.0, 1.0, v[1]], [0.0, 0.0, 1.0]])
         assert np.abs(delta - want).max() < 1e-9
 
 
 def test_drift_magnitude_is_bias_plus_sinusoid(result):
     d = result.config.drift
-    pole = result.pole_of[result.cameras[0].camera_id]
+    pole = result.cameras[0].pole
     for t in (0.0, 5.0, 12.5):
         v = result.drift_vector(pole, t)
         mag = d.bias_ft + d.amplitude_ft * np.sin(
@@ -148,9 +149,10 @@ def test_snapshot_dropout_removes_points():
 def test_pole_outage_removes_cameras():
     with_outage = simulate(small_config(pole_outage=1))
     without = simulate(small_config())
-    assert 1 in set(without.pole_of.values())
-    assert 1 not in set(with_outage.pole_of.values())
-    assert all(s.camera_id in with_outage.pole_of for s in with_outage.snapshots)
+    assert 1 in {c.pole for c in without.cameras}
+    assert 1 not in {c.pole for c in with_outage.cameras}
+    ids = {c.camera_id for c in with_outage.cameras}
+    assert all(s.camera_id in ids for s in with_outage.snapshots)
 
 
 # ---------------------------------------------------------------------------
