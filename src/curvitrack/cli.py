@@ -292,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
     parsers["simulate"].add_argument("--seed", type=int, default=None)
     parsers["track"].add_argument("--algo", required=True,
-                                  choices=sorted(tracking.ALGORITHMS) + ["oracle"])
+                                  choices=tracking.TRACKER_NAMES)
 
     p = sub.add_parser("pipeline", help="run stages from a manifest")
     p.add_argument("--manifest", required=True)

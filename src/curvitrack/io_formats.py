@@ -572,7 +572,7 @@ def read_manifest(path: str) -> dict:
     optional `algo` names a tracker), `seed` (a non-negative integer),
     `scene` (a valid scene config) and `out` (a string)."""
     from .cli import STAGES
-    from .tracking import ALGORITHMS
+    from .tracking import TRACKER_NAMES
 
     m = read_json(path)
     if not isinstance(m, dict):
@@ -587,9 +587,8 @@ def read_manifest(path: str) -> dict:
     for stage in m.get("stages", ()):
         if not isinstance(stage, str) or stage not in STAGES:
             raise MalformedInput(f"{path}: unknown stage {stage!r}")
-    algos = sorted(ALGORITHMS) + ["oracle"]
-    if m.get("track", {}).get("algo", "sort") not in algos:
-        raise MalformedInput(f"{path}: track algo must be one of {algos}, "
+    if m.get("track", {}).get("algo", "sort") not in TRACKER_NAMES:
+        raise MalformedInput(f"{path}: track algo must be one of {TRACKER_NAMES}, "
                              f"got {m['track']['algo']!r}")
     if "scene" in m:
         try:

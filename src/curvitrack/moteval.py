@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tracking import _rect_iou, footprint_rect, hungarian_match, iou_matrix, time_grid
+from .tracking import (_components, _rect_iou, footprint_rect, hungarian_match, iou_matrix,
+                       time_grid)
 
 DEFAULT_STEP_S = 0.1
 DEFAULT_MATCH_IOU = 0.1
@@ -107,12 +108,11 @@ def _match_iou(iou: np.ndarray, alphas) -> tuple:
     if not shared.any():
         return rows, cols, vals, matched
     edges = np.flatnonzero(shared)
-    label = _components(rows[edges], cols[edges])
     pair_of = np.full(iou.shape, -1)
     pair_of[rows, cols] = np.arange(len(rows))
     ascending = np.argsort(alphas, kind="stable")
-    for comp in np.unique(label):
-        e = edges[label == comp]
+    for comp in _components(rows[edges].tolist(), cols[edges].tolist()):
+        e = edges[comp]
         r, c = np.unique(rows[e]), np.unique(cols[e])
         sub = iou[np.ix_(r, c)]
         for k in ascending.tolist():
@@ -125,20 +125,6 @@ def _match_iou(iou: np.ndarray, alphas) -> tuple:
             for i, j in hungarian_match(cost, 1.0 - alpha):
                 matched[k, pair_of[r[i], c[j]]] = True
     return rows, cols, vals, matched
-
-
-def _components(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Connected-component label of each edge (row, col) of a bipartite graph."""
-    parent = {}
-
-    def root(node):
-        while parent.setdefault(node, node) != node:
-            node = parent[node]
-        return node
-
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        parent[root(r)] = root(~c)      # columns are the negative nodes
-    return np.array([root(r) for r in rows.tolist()])
 
 
 @dataclass

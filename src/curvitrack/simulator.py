@@ -39,6 +39,13 @@ SIFT_NOISE_FT = 0.2
 ROAD_PAD_FT = 200.0     # road beyond each end of the extent, so it sits inside the spline
 ARC_MAX_TURN_RAD = 0.9 * math.pi   # the padded arc stays short of a half circle
 MAX_CAMERAS = 1000      # poles x 2 x max(1, cameras_per_pole // 2); the paper has 234
+# Work caps: every vehicle gets a 10 Hz grid over the whole scene, every
+# camera a snapshot per interval, and detections sample at rate_hz.
+MAX_VEHICLES = 10_000           # the paper has 500+ vehicles in view at once
+MAX_DURATION_S = 86_400         # one day; criterion 3 runs four hours
+MAX_VEHICLE_S = 2_000_000       # vehicle_count x duration_s
+MAX_SNAPSHOTS = 100_000         # cameras x duration_s / snapshot_interval_s
+MAX_DETECTION_RATE_HZ = 30
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,17 @@ class SceneConfig:
                 f"pole_spacing_ft {self.pole_spacing_ft} and cameras_per_pole "
                 f"{self.cameras_per_pole} ask for more than {MAX_CAMERAS} cameras "
                 f"over extent_ft {self.extent_ft}")
+        caps = (
+            ("vehicle_count", self.vehicle_count, MAX_VEHICLES),
+            ("duration_s", self.duration_s, MAX_DURATION_S),
+            ("vehicle_count x duration_s", self.vehicle_count * self.duration_s, MAX_VEHICLE_S),
+            ("detection.rate_hz", self.detection.rate_hz, MAX_DETECTION_RATE_HZ),
+            ("cameras x duration_s / snapshot_interval_s",
+             self.poles * per_pole * self.duration_s / self.snapshot_interval_s, MAX_SNAPSHOTS),
+        )
+        for name, value, cap in caps:
+            if value > cap:
+                raise ConfigInvalid(f"{name} must be at most {cap:,}, got {value:,}")
 
     @property
     def poles(self) -> int:

@@ -20,6 +20,7 @@ ORACLE_F_TRACK = 10.0   # oracle output rate (Hz)
 ORACLE_SMOOTH_S = 2.5   # half-window of the oracle's x/y smoothing
 
 _BIG = 1e9
+_WHOLE_CELLS = 16  # smaller matrices cost less to solve whole than to split
 _NMS_BLOCK = 256   # ranked detections per NMS block; bounds the pair arrays
 
 
@@ -65,19 +66,103 @@ def iou_footprint(box_a, box_b) -> float:
 
 
 def hungarian_match(cost: np.ndarray, max_cost: float) -> list[tuple[int, int]]:
-    """Minimum-cost bipartite assignment; pairs costing > max_cost dropped.
+    """Minimum-cost bipartite assignment over the feasible pairs, by row.
 
-    Infeasible entries may be +inf; they are never returned.
+    A pair is feasible when its cost is finite and at most max_cost.  The
+    matching has the most feasible pairs, then the least total cost.  Each
+    connected component of the feasible pairs is solved on its own
+    submatrix, with _BIG in its infeasible cells, and ties are broken there
+    as scipy's linear_sum_assignment breaks them; a one-pair component is
+    taken as it is.  A matrix of at most _WHOLE_CELLS cells is solved whole.
     """
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
-    if cost.size == 0:
-        return []
-    from scipy.optimize import linear_sum_assignment
+    feasible = np.isfinite(cost) & (cost <= max_cost)
+    if 0 < cost.size <= _WHOLE_CELLS:
+        sub = np.where(feasible, cost, _BIG).tolist()
+        return [(i, j) for i, j in _lsap(sub) if sub[i][j] < _BIG]
+    rows, cols = (a.tolist() for a in np.nonzero(feasible))
+    vals = cost[feasible].tolist()
+    pairs = []
+    for comp in _components(rows, cols):
+        if len(comp) == 1:
+            pairs.append((rows[comp[0]], cols[comp[0]]))
+            continue
+        r_ids, c_ids = sorted({rows[e] for e in comp}), sorted({cols[e] for e in comp})
+        sub = [[_BIG] * len(c_ids) for _ in r_ids]
+        for e in comp:
+            sub[r_ids.index(rows[e])][c_ids.index(cols[e])] = vals[e]
+        pairs += [(r_ids[i], c_ids[j]) for i, j in _lsap(sub) if sub[i][j] < _BIG]
+    return sorted(pairs)
 
-    capped = np.where(np.isfinite(cost) & (cost <= max_cost), cost, _BIG)
-    rows, cols = linear_sum_assignment(capped)
-    keep = capped[rows, cols] < _BIG
-    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+
+def _components(rows: list, cols: list) -> list[list[int]]:
+    """Edge indices of each connected component of the bipartite graph
+    with edges (rows[k], cols[k])."""
+    parent = {}     # union-find over rows and columns; a root has no entry
+    for r, c in zip(rows, cols):
+        c = ~c      # columns are the negative nodes
+        while r in parent:
+            r = parent[r]
+        while c in parent:
+            c = parent[c]
+        if r != c:
+            parent[r] = c
+    groups = {}
+    for k, r in enumerate(rows):
+        while r in parent:
+            r = parent[r]
+        groups.setdefault(r, []).append(k)
+    return list(groups.values())
+
+
+def _lsap(cost: list[list[float]]) -> list[tuple[int, int]]:
+    """Minimum-cost assignment of a full cost matrix, as (row, col) by row.
+
+    Crouse's shortest augmenting path (IEEE TAES 2016), ported from scipy's
+    rectangular_lsap with the same float operations and tie rules, so it
+    returns what linear_sum_assignment returns.
+    """
+    nr, nc = len(cost), len(cost[0])
+    transpose = nc < nr
+    if transpose:
+        cost, nr, nc = list(zip(*cost)), nc, nr
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        i, sink, min_val, seen = cur, -1, 0.0, []
+        remaining, short = list(range(nc - 1, -1, -1)), [math.inf] * nc
+        while sink == -1:
+            index, lowest, row, ui = -1, math.inf, cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < short[j]:
+                    path[j], short[j] = i, r
+                # on a tie, a free column wins: it ends the path
+                if short[j] < lowest or (short[j] == lowest and row4col[j] == -1):
+                    lowest, index = short[j], it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for j in seen:      # each seen column but the sink led to its row
+            if j != sink:
+                u[row4col[j]] += min_val - short[j]
+            v[j] -= min_val - short[j]
+        j, i = sink, -1
+        while i != cur:
+            i = path[j]
+            row4col[j], col4row[i], j = i, j, col4row[i]
+    if transpose:
+        return sorted((c, r) for r, c in enumerate(col4row))
+    return list(enumerate(col4row))
 
 
 @dataclass(frozen=True)
@@ -111,6 +196,7 @@ ALGORITHMS: dict[str, TrackerParams] = {
     "byte-l2": TrackerParams(similarity="l2", two_stage=True, sigma_high=0.01),
     "byte-iou": TrackerParams(two_stage=True, sigma_high=0.01),
 }
+TRACKER_NAMES = sorted(ALGORITHMS) + ["oracle"]   # the `track --algo` choices
 
 
 @dataclass

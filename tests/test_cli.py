@@ -12,7 +12,9 @@ import pytest
 from curvitrack import io_formats as iof
 from curvitrack.cli import main
 from curvitrack.errors import ConfigInvalid, DataInvariantViolation
-from curvitrack.simulator import ARC_MAX_TURN_RAD, MAX_CAMERAS, ROAD_PAD_FT, SceneConfig
+from curvitrack.simulator import (ARC_MAX_TURN_RAD, MAX_CAMERAS, MAX_DETECTION_RATE_HZ,
+                                  MAX_DURATION_S, MAX_SNAPSHOTS, MAX_VEHICLE_S,
+                                  MAX_VEHICLES, ROAD_PAD_FT, DetectionConfig, SceneConfig)
 
 
 def run(args):
@@ -395,19 +397,54 @@ def test_camera_count_is_capped(tmp_path):
         dataclasses.replace(ok, cameras_per_pole=4).validate()
 
 
+@pytest.mark.parametrize("cfg, field", [
+    ({"vehicle_count": MAX_VEHICLES + 1, "duration_s": 1.0}, "vehicle_count"),
+    ({"vehicle_count": 1, "duration_s": MAX_DURATION_S + 1.0}, "duration_s"),
+    ({"vehicle_count": 1000, "duration_s": MAX_VEHICLE_S / 1000 + 1.0},
+     "vehicle_count x duration_s"),
+    ({"detection": {"rate_hz": MAX_DETECTION_RATE_HZ + 0.5}}, "detection.rate_hz"),
+    ({"snapshot_interval_s": 1e-300}, "snapshot_interval_s"),
+], ids=["vehicles", "duration", "vehicle-seconds", "rate", "snapshots"])
+def test_scene_work_is_capped(tmp_path, cfg, field):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(cfg))
+    assert_rejected(["simulate", "--config", path, "--out", tmp_path / "out"],
+                    "scene.json", field)
+    assert not (tmp_path / "out").exists()
+
+
+def test_scene_work_caps_admit_the_largest_configs_in_use():
+    # criterion 3, scene M, the 800-vehicle sweep, drift-localize's scene
+    # and the cli-dense rate, then each cap exactly
+    for cfg in (SceneConfig(extent_ft=500.0, cameras_per_pole=2, vehicle_count=1,
+                            duration_s=4 * 3600.0),
+                SceneConfig(vehicle_count=200, duration_s=600.0),
+                SceneConfig(vehicle_count=800, duration_s=300.0),
+                SceneConfig(extent_ft=1000.0, vehicle_count=20, duration_s=2400.0),
+                SceneConfig(vehicle_count=MAX_VEHICLES, duration_s=MAX_VEHICLE_S / MAX_VEHICLES),
+                SceneConfig(vehicle_count=1, duration_s=MAX_DURATION_S,
+                            snapshot_interval_s=MAX_DURATION_S * 36 / MAX_SNAPSHOTS,
+                            detection=DetectionConfig(rate_hz=MAX_DETECTION_RATE_HZ))):
+        cfg.validate()
+
+
 def test_stage_processes_load_no_scipy(tmp_path):
-    """calibrate, restim, gps-correct and report run without importing scipy,
-    and so does `import curvitrack`.  Each is checked in a fresh process."""
-    simulate(tmp_path)
-    (tmp_path / "report.json").write_text(json.dumps({"HOTA": 0.5, "DetA": 0.6}))
+    """Every stage but simulate runs without importing scipy, and so does
+    `import curvitrack`.  Each is checked in a fresh process.  The scene is
+    crowded enough that track and eval reach Hungarian matching."""
+    simulate(tmp_path, extra={"vehicle_count": 20})
     d = str(tmp_path)
     stages = [
         ["calibrate", "--points", f"{d}/points.jsonl", "--out", f"{d}/fitted.json"],
         ["restim", "--points", f"{d}/points.jsonl", "--reference", f"{d}/reference.json",
          "--snapshots", f"{d}/snapshots.jsonl", "--sift", f"{d}/sift_maps.json",
          "--out", d],
+        ["track", "--detections", f"{d}/detections.jsonl", "--algo", "kiou",
+         "--out", f"{d}/tracks.jsonl"],
         ["gps-correct", "--gps", f"{d}/gps.csv", "--annotations", f"{d}/annotations.csv",
          "--out", d],
+        ["eval", "--gt", f"{d}/gt_tracks.jsonl", "--tracks", f"{d}/tracks.jsonl",
+         "--out", f"{d}/report.json"],
         ["report", "--drift", f"{d}/drift.csv", "--eval", f"{d}/report.json", "--out", d],
     ]
     loaded = ("sorted({'.'.join(m.split('.')[:2]) for m in sys.modules"

@@ -129,6 +129,87 @@ def test_hungarian_matches_brute_force(rng):
             sum(cost[r, c] for r, c in want), abs=1e-9)
 
 
+def whole_matrix_match(cost, max_cost):
+    """The whole-matrix rule: scipy on the matrix with 1e9 in every
+    infeasible cell, then the feasible pairs of its assignment."""
+    from scipy.optimize import linear_sum_assignment
+
+    capped = np.where(np.isfinite(cost) & (cost <= max_cost), cost, tk._BIG)
+    rows, cols = linear_sum_assignment(capped)
+    keep = capped[rows, cols] < tk._BIG
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+
+
+def random_cost(g, shape, kind):
+    if kind == "uniform":
+        return g.uniform(0.0, 10.0, shape)
+    if kind == "decimal":   # sums that round differently in another order
+        return g.choice([0.1, 0.2, 0.3, 0.6, 0.7], shape)
+    cost = g.integers(0, 3, shape).astype(float)      # ties
+    if kind == "ties":
+        return cost
+    if kind == "constant":
+        return np.full(shape, 2.5)
+    cost[g.uniform(size=shape) < 0.4] = np.inf if kind == "inf" else 1e9
+    return cost
+
+
+def test_lsap_equals_scipy():
+    # scipy's linear_sum_assignment is the reference for the port
+    from scipy.optimize import linear_sum_assignment
+
+    g = np.random.default_rng(0)
+    shapes = {"wide": 0, "tall": 0, "square": 0}
+    for trial in range(3000):
+        shape = tuple(g.integers(1, 9, 2).tolist())
+        cost = random_cost(g, shape, ("uniform", "decimal", "ties", "constant", "inf",
+                                      "big")[trial % 6])
+        try:
+            rows, cols = linear_sum_assignment(cost)
+            want = list(zip(rows.tolist(), cols.tolist()))
+        except ValueError:              # no complete assignment avoids inf
+            with pytest.raises(ValueError, match="infeasible"):
+                tk._lsap(cost.tolist())
+            continue
+        assert tk._lsap(cost.tolist()) == want, cost
+        shapes["wide" if shape[0] < shape[1] else "tall" if shape[0] > shape[1]
+               else "square"] += 1
+    assert min(shapes.values()) > 300
+
+
+def test_hungarian_equals_whole_matrix_rule_on_tracker_frames(monkeypatch):
+    """hungarian_match, split into components, returns what one scipy pass
+    over the whole matrix returns, on every matrix the trackers pass it
+    in a crowded scene."""
+    calls = []
+    real = tk.hungarian_match
+    monkeypatch.setattr(tk, "hungarian_match",
+                        lambda *a: calls.append(a) or real(*a))
+    dets = scene_detections(**EQUIVALENCE_SCENES["dense"])
+    for algo in ALGORITHMS:
+        run_tracker(algo, dets)
+    assert len(calls) > 50
+    assert any(min(c.shape) > 10 for c, _ in calls)
+    for cost, max_cost in calls:
+        assert real(cost, max_cost) == whole_matrix_match(cost, max_cost)
+
+
+def test_hungarian_equals_whole_matrix_rule_on_sparse_patterns():
+    # up to 40 tracks and detections spread over four lanes of a road, at
+    # most a few feasible pairs per row, as in a tracker's frame (in 2-D:
+    # on a line, distance sums tie exactly)
+    g = np.random.default_rng(1)
+    for trial in range(300):
+        tracks, dets = (np.column_stack([g.uniform(0.0, 600.0, n),
+                                         g.integers(0, 4, n) * 12.0 + g.normal(0.0, 1.0, n)])
+                        for n in g.integers(1, 41, 2))
+        dist = np.linalg.norm(tracks[:, None] - dets[None, :], axis=2)
+        cost = np.where(dist <= 10.0, dist, np.inf)
+        assert hungarian_match(cost, 10.0) == whole_matrix_match(cost, 10.0), trial
+        iou_cost = np.where(dist <= 12.0, 1.0 - np.exp(-dist / 5.0), np.inf)
+        assert hungarian_match(iou_cost, 0.9) == whole_matrix_match(iou_cost, 0.9), trial
+
+
 # ---------------------------------------------------------------------------
 # trackers
 
