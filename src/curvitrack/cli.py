@@ -306,7 +306,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    out_file = STAGES[args.command][2] if args.command in STAGES else ""
     try:
+        if out_file and os.path.isdir(args.out):
+            raise MalformedInput(f"--out {args.out} is a directory, not a {out_file} file")
         return args.func(args)
     except (MalformedInput, ConfigInvalid, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

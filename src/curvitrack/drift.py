@@ -92,7 +92,8 @@ def fit_instant(
         raise RejectedInstant(str(exc)) from exc
     if len(inliers) < MIN_INSTANT_INLIERS:
         raise RejectedInstant(f"only {len(inliers)} inliers")
-    world = np.array([[p.world.x, p.world.y] for p in joined if p.id in set(inliers)])
+    kept = set(inliers)
+    world = np.array([[p.world.x, p.world.y] for p in joined if p.id in kept])
     if geometry.points_collinear_within(world, COLLINEAR_BAND_FT):
         raise RejectedInstant("collinear")
     return snap.epoch, h, inliers

@@ -15,7 +15,9 @@ the matched pairs with IOU >= alpha; the two rules can give different TP
 counts.
 
 Cost follows the feasible pairs, not objects x frames: every series is
-resampled over its own time window only, and each frame's pairs with
+resampled over its own time window only, and one sweep over all frames
+(tracking.candidate_pairs) yields the same-frame pairs that overlap in x,
+the only ones that can reach an alpha (all above 0).  The pairs with
 IOU >= min(alpha) are split into connected components.  A component that
 is a single pair is a match at every alpha it clears; only components with
 a shared ground-truth row or track column are matched by Hungarian, on
@@ -32,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tracking import (_components, _rect_iou, footprint_rect, hungarian_match, iou_matrix,
-                       time_grid)
+from .tracking import (_components, _rect_iou, candidate_pairs, footprint_rect,  # noqa: F401
+                       hungarian_match, iou_matrix, time_grid)   # perfbench wraps iou_matrix
 
 DEFAULT_STEP_S = 0.1
 DEFAULT_MATCH_IOU = 0.1
@@ -63,10 +65,8 @@ class TrajectorySeries:
 
 def series_from_tracklet(tracklet) -> TrajectorySeries:
     """Tracklet -> series with per-state dims replaced by the median."""
-    boxes = np.asarray(tracklet.boxes, dtype=float).reshape(-1, 5)
-    med = tracklet.median_dims
-    boxes = boxes.copy()
-    boxes[:, 2:5] = med
+    boxes = np.array(tracklet.boxes, dtype=float).reshape(-1, 5)
+    boxes[:, 2:5] = tracklet.median_dims
     return TrajectorySeries(str(tracklet.id), np.asarray(tracklet.times), boxes)
 
 
@@ -94,37 +94,9 @@ def match_frame(gt_boxes: np.ndarray, tr_boxes: np.ndarray, alphas) -> tuple:
     into connected components, and a component is matched by Hungarian on
     1 - IOU at each threshold where it still has a shared row or column.
     """
-    return _match_iou(iou_matrix(gt_boxes, tr_boxes), alphas)
-
-
-def _match_iou(iou: np.ndarray, alphas) -> tuple:
-    """match_frame on a frame's (gt, track) IOU matrix."""
-    alphas = np.asarray(alphas, dtype=float)
-    rows, cols = np.nonzero(iou >= alphas.min())
-    vals = iou[rows, cols]
-    matched = vals >= alphas[:, None]
-    shared = ((np.bincount(rows, minlength=iou.shape[0]) > 1)[rows]
-              | (np.bincount(cols, minlength=iou.shape[1]) > 1)[cols])
-    if not shared.any():
-        return rows, cols, vals, matched
-    edges = np.flatnonzero(shared)
-    pair_of = np.full(iou.shape, -1)
-    pair_of[rows, cols] = np.arange(len(rows))
-    ascending = np.argsort(alphas, kind="stable")
-    for comp in _components(rows[edges].tolist(), cols[edges].tolist()):
-        e = edges[comp]
-        r, c = np.unique(rows[e]), np.unique(cols[e])
-        sub = iou[np.ix_(r, c)]
-        for k in ascending.tolist():
-            alpha = alphas[k]
-            feasible = sub >= alpha
-            if feasible.sum(0).max() <= 1 and feasible.sum(1).max() <= 1:
-                break   # no shared row or column here, nor at any higher alpha
-            matched[k, e] = False
-            cost = np.where(feasible, 1.0 - sub, np.inf)
-            for i, j in hungarian_match(cost, 1.0 - alpha):
-                matched[k, pair_of[r[i], c[j]]] = True
-    return rows, cols, vals, matched
+    gt, tr = (_Samples(np.zeros(len(b), dtype=int), np.zeros(len(b), dtype=int),
+                       np.asarray(b, dtype=float)) for b in (gt_boxes, tr_boxes))
+    return _match_frames(gt, tr, alphas)
 
 
 @dataclass
@@ -234,7 +206,7 @@ class _Samples:
 
 def _samples(series_list: list, grid: np.ndarray, x_clip=None) -> _Samples:
     """Each series resampled over its own grid window only."""
-    parts = []
+    parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 5)))]
     for i, s in enumerate(series_list):
         if len(s.times) == 0:
             continue
@@ -245,39 +217,44 @@ def _samples(series_list: list, grid: np.ndarray, x_clip=None) -> _Samples:
         if x_clip is not None:
             keep &= (b[:, 0] >= x_clip[0]) & (b[:, 0] <= x_clip[1])
         parts.append((np.full(int(keep.sum()), i), np.arange(lo, hi)[keep], b[keep]))
-    if not parts:
-        return _Samples(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 5)))
     return _Samples(*(np.concatenate(p) for p in zip(*parts)))
 
 
 def _match_frames(gt: _Samples, tr: _Samples, alphas) -> tuple:
-    """match_frame over every frame where both sides have samples, with the
-    footprint rectangles of each side computed once.
-
-    Returns (gt sample, track sample, iou, matched) per candidate pair,
-    ordered by frame, then gt series, then track series.
-    """
+    """match_frame over every frame at once: (gt sample, track sample, iou,
+    matched) per pair, ordered by frame, then gt series, then track series."""
+    alphas = np.asarray(alphas, dtype=float)
     g_order = np.argsort(gt.frame, kind="stable")
     t_order = np.argsort(tr.frame, kind="stable")
-    g_frame, t_frame = gt.frame[g_order], tr.frame[t_order]
-    frames = np.intersect1d(g_frame, t_frame)
-    bounds = zip(np.searchsorted(g_frame, frames, "left").tolist(),
-                 np.searchsorted(g_frame, frames, "right").tolist(),
-                 np.searchsorted(t_frame, frames, "left").tolist(),
-                 np.searchsorted(t_frame, frames, "right").tolist())
-    g_rect, t_rect = footprint_rect(gt.boxes), footprint_rect(tr.boxes)
-    eg, et, eiou = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-    matched = [np.zeros((len(alphas), 0), dtype=bool)]
-    for a, b, c, d in bounds:
-        gi, ti = g_order[a:b], t_order[c:d]
-        rows, cols, vals, m = _match_iou(
-            _rect_iou(g_rect[gi][:, None, :], t_rect[ti][None, :, :]), alphas)
-        eg.append(gi[rows])
-        et.append(ti[cols])
-        eiou.append(vals)
-        matched.append(m)
-    return (np.concatenate(eg), np.concatenate(et), np.concatenate(eiou),
-            np.concatenate(matched, axis=1))
+    g_rect, t_rect = footprint_rect(gt.boxes[g_order]), footprint_rect(tr.boxes[t_order])
+    rows, cols = candidate_pairs(gt.frame[g_order], g_rect[:, 0], g_rect[:, 2],
+                                 tr.frame[t_order], t_rect[:, 0], t_rect[:, 2])
+    vals = _rect_iou(g_rect[rows], t_rect[cols])
+    keep = vals >= alphas.min()
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    matched = vals >= alphas[:, None]
+    shared = ((np.bincount(rows, minlength=len(g_rect)) > 1)[rows]
+              | (np.bincount(cols, minlength=len(t_rect)) > 1)[cols])
+    edges = np.flatnonzero(shared)
+    ascending = np.argsort(alphas, kind="stable")
+    for comp in _components(rows[edges].tolist(), cols[edges].tolist()):
+        e = edges[comp]
+        r, ri = np.unique(rows[e], return_inverse=True)
+        c, ci = np.unique(cols[e], return_inverse=True)
+        sub = np.zeros((len(r), len(c)))    # a cell off the pair list is below every alpha
+        sub[ri, ci] = vals[e]
+        pair = np.zeros(sub.shape, dtype=int)
+        pair[ri, ci] = e
+        for k in ascending.tolist():
+            alpha = alphas[k]
+            feasible = sub >= alpha
+            if feasible.sum(0).max() <= 1 and feasible.sum(1).max() <= 1:
+                break   # no shared row or column here, nor at any higher alpha
+            matched[k, e] = False
+            cost = np.where(feasible, 1.0 - sub, np.inf)
+            for i, j in hungarian_match(cost, 1.0 - alpha):
+                matched[k, pair[i, j]] = True
+    return g_order[rows], t_order[cols], vals, matched
 
 
 def _ass_a(g: np.ndarray, t: np.ndarray, gt_count: np.ndarray, n_tr: int):

@@ -21,7 +21,6 @@ ORACLE_SMOOTH_S = 2.5   # half-window of the oracle's x/y smoothing
 
 _BIG = 1e9
 _WHOLE_CELLS = 16  # smaller matrices cost less to solve whole than to split
-_NMS_BLOCK = 256   # ranked detections per NMS block; bounds the pair arrays
 
 
 def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
@@ -43,6 +42,29 @@ def footprint_rect(boxes: np.ndarray) -> np.ndarray:
     np.maximum(x, front, out=out[:, 2])
     np.add(y, half_w, out=out[:, 3])
     return out
+
+
+def candidate_pairs(key_a, lo_a, hi_a, key_b, lo_b, hi_b) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), sorted by (i, j), with key_a[i] == key_b[j] and
+    closed intervals [lo_a[i], hi_a[i]] and [lo_b[j], hi_b[j]] that meet.
+
+    Sort and sweep (Cohen et al., I-COLLIDE, 1995) on exact (key, start) ranks:
+    of two intervals that meet, the one whose start sorts first holds the
+    other's start, so each is paired with the later starts up to its end.
+    """
+    _, key = np.unique(np.concatenate([key_a, key_b]), return_inverse=True)
+    xs, x = np.unique(np.concatenate([lo_a, lo_b]), return_inverse=True)
+    lo = key * len(xs) + x
+    hi = key * len(xs) + np.searchsorted(xs, np.concatenate([hi_a, hi_b]), "right") - 1
+    order = np.argsort(lo, kind="stable")
+    after = np.arange(1, len(lo) + 1)
+    count = np.searchsorted(lo[order], hi[order], "right") - after
+    u = np.repeat(order, count)
+    v = order[np.arange(len(u)) + np.repeat(after - np.cumsum(count) + count, count)]
+    cross = (u < len(lo_a)) != (v < len(lo_a))
+    i, j = np.minimum(u, v)[cross], np.maximum(u, v)[cross] - len(lo_a)
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
 def _rect_iou(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
@@ -223,7 +245,8 @@ def _frames(detections, params: TrackerParams):
 
     A detection's frame is round(t / dt) on the tracking grid.  Within a
     frame, detections are ranked by (-conf, input order), and one is kept
-    unless a kept, higher-ranked one overlaps it with IOU >= phi_nms.
+    unless a kept, higher-ranked one overlaps it with IOU >= phi_nms > 0,
+    which only the same-frame pairs candidate_pairs finds can reach.
     Returns the kept detections' frames, boxes, rects and confidences, in
     input order, which is frame order.
     """
@@ -234,20 +257,15 @@ def _frames(detections, params: TrackerParams):
     frame = np.rint(np.array([d.t for d in dets], dtype=float) / dt).astype(np.int64)
     rects = footprint_rect(boxes)
     order = np.lexsort((-conf, frame))
-    n = len(order)
-    frame_end = np.searchsorted(frame[order], frame[order], "right")
-    keep = [True] * n
-    for start in range(0, n, _NMS_BLOCK):
-        # every same-frame pair (a, b) with a ranked above b, sorted by (a, b)
-        first = np.arange(start, min(start + _NMS_BLOCK, n))
-        later = frame_end[first] - first - 1
-        a = np.repeat(first, later)
-        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
-        hit = _rect_iou(rects[order[a]], rects[order[b]]) >= params.phi_nms
-        # a's fate is settled before its own pairs come up: its rivals rank higher
-        for i, j in zip(a[hit].tolist(), b[hit].tolist()):
-            if keep[i]:
-                keep[j] = False
+    ranked, key = rects[order], frame[order]
+    a, b = candidate_pairs(key, ranked[:, 0], ranked[:, 2], key, ranked[:, 0], ranked[:, 2])
+    hit = (a < b) & (_rect_iou(ranked[a], ranked[b]) >= params.phi_nms)
+    keep = [True] * len(order)
+    # in (a, b) order, a's fate is settled before its own pairs come up: its
+    # rivals rank higher
+    for i, j in zip(a[hit].tolist(), b[hit].tolist()):
+        if keep[i]:
+            keep[j] = False
     kept = np.sort(order[np.array(keep, dtype=bool)])
     return frame[kept], boxes[kept], rects[kept], conf[kept]
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from curvitrack import io_formats as iof
-from curvitrack.cli import main
+from curvitrack.cli import STAGES, main
 from curvitrack.errors import ConfigInvalid, DataInvariantViolation
 from curvitrack.simulator import (ARC_MAX_TURN_RAD, MAX_CAMERAS, MAX_DETECTION_RATE_HZ,
                                   MAX_DURATION_S, MAX_SNAPSHOTS, MAX_VEHICLE_S,
@@ -193,6 +193,17 @@ def assert_rejected(args, name, where):
     assert name in proc.stderr
     assert where in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("stage", [name for name, (_, _, out_file, _) in STAGES.items()
+                                   if out_file])
+def test_out_naming_a_directory_exits_one(tmp_path, stage):
+    argv = [stage, "--out", tmp_path]
+    for flag, file, option_help in STAGES[stage][3]:
+        if option_help is None:
+            argv += [flag, tmp_path / file]
+    assert_rejected(argv + (["--algo", "kiou"] if stage == "track" else []),
+                    "--out", str(tmp_path))
 
 
 GOOD_STATE = {"id": 0, "t": 0.0, "box": [100.0, 6.0, 16.0, 6.0, 5.0]}

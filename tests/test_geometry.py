@@ -166,6 +166,26 @@ def test_refine_no_worse_than_minpack():
     assert cases == 40 + 36 * 2 + 36 * 2
 
 
+def test_refine_no_worse_than_minpack_on_gross_outliers():
+    # 30% of the image points moved by hundreds of pixels, as a RANSAC
+    # all-points refit meets them: some Gauss-Newton steps from the DLT
+    # start raise the cost there, and only a damping that grows after a
+    # rejected step gets past them.
+    def sse(h, img, world):
+        return float((g._residuals_ft(h, img, world) ** 2).sum())
+
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        pts, _ = points_from_h(random_homography(rng), grid_pixels())
+        img = np.array([[p.image.x, p.image.y] for p in pts])
+        world = np.array([[p.world.x, p.world.y] for p in pts])
+        img += (rng.random(len(img)) < 0.3)[:, None] * rng.normal(0.0, 300.0, img.shape)
+        h0 = g._dlt(img, world)
+        new = sse(g._refine_lm(h0, img, world), img, world)
+        ref = sse(minpack_refine(h0, img, world), img, world)
+        assert new <= ref * (1 + 1e-9) + 1e-18, (new, ref)
+
+
 def test_refine_converges_from_far_starts():
     rng = np.random.default_rng(9)
     h_true = random_homography(rng)

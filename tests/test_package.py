@@ -1,5 +1,7 @@
-import importlib
+import importlib.util
+import os
 
+import numpy as np
 import pytest
 
 import curvitrack
@@ -16,3 +18,27 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         curvitrack.no_such_name
     assert not hasattr(curvitrack, "no_such_name")
+
+
+def test_benchmark_tracer_installs_and_restores():
+    # perfbench/tracer.py wraps package functions by name with getattr, so a
+    # renamed or removed one fails here rather than in a benchmark run.
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {name: importlib.import_module(f"curvitrack.{name}") for name in (
+        "cli", "drift", "geometry", "gps", "io_formats", "moteval", "plots",
+        "roadway", "simulator", "tracking")}
+    before = {name: dict(vars(m)) for name, m in modules.items()}
+    tr = tracer.Tracer("test")
+    tracer.install(tr)
+    try:
+        for name in ("tracking", "moteval"):
+            for attr in ("iou_matrix", "hungarian_match"):
+                assert vars(modules[name])[attr] is not before[name][attr]
+        modules["tracking"].iou_matrix(np.zeros((2, 5)), np.zeros((3, 5)))
+        assert tr.counts["tracking.iou_cells"] == 6
+    finally:
+        tr.restore()
+    assert {name: dict(vars(m)) for name, m in modules.items()} == before

@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvitrack import simulator
 from curvitrack import tracking as tk
@@ -80,6 +82,29 @@ def test_elementwise_iou_equals_pairwise_diagonal(rng):
     assert elementwise.shape == (20,)
     assert np.array_equal(elementwise, np.diag(iou_matrix(a, b)))
     assert (elementwise > 0).any() and (elementwise < 1).all()
+
+
+# few distinct values, so intervals touch, nest and have zero width; the
+# last two differ by one ulp, which any rounding of the sort would merge
+_X = [-1.0, 0.0, 0.5, 1.0, 2.0, 1e6, float(np.nextafter(1e6, np.inf))]
+_INTERVALS = st.lists(st.tuples(st.integers(0, 2), st.sampled_from(_X),
+                                st.sampled_from(_X)), max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_INTERVALS, _INTERVALS)
+@example([], [])
+@example([], [(0, 0.0, 1.0)])
+@example([(0, 0.0, 1.0)], [])
+def test_candidate_pairs_equal_brute_force(a, b):
+    (ka, la, ha), (kb, lb, hb) = ([np.array([k for k, _, _ in side], dtype=np.int64),
+                                   np.array([min(p, q) for _, p, q in side], dtype=float),
+                                   np.array([max(p, q) for _, p, q in side], dtype=float)]
+                                  for side in (a, b))
+    i, j = tk.candidate_pairs(ka, la, ha, kb, lb, hb)
+    want = [(p, q) for p in range(len(a)) for q in range(len(b))
+            if ka[p] == kb[q] and la[p] <= hb[q] and lb[q] <= ha[p]]
+    assert list(zip(i.tolist(), j.tolist())) == want
 
 
 # ---------------------------------------------------------------------------
