@@ -113,7 +113,7 @@ class Homography:
     h: np.ndarray
     camera_id: str = ""
     direction: str = "EB"
-    _hinv: np.ndarray = field(init=False, repr=False, compare=False)
+    hinv: np.ndarray = field(init=False, repr=False, compare=False)  # not renormalized
 
     def __post_init__(self):
         m = normalize_h(_as_matrix(self.h))
@@ -122,12 +122,7 @@ class Homography:
         object.__setattr__(self, "h", m)
         hinv = np.linalg.inv(m)
         hinv.setflags(write=False)
-        object.__setattr__(self, "_hinv", hinv)
-
-    @property
-    def hinv(self) -> np.ndarray:
-        """Inverse map (state plane -> image), not renormalized."""
-        return self._hinv
+        object.__setattr__(self, "hinv", hinv)
 
 
 @dataclass(frozen=True)
@@ -405,6 +400,29 @@ def fit_homography(
 # ---------------------------------------------------------------------------
 # 3D projection
 
+def _golden_min(cost, lo: float, hi: float, tol: float, anchor: float) -> float:
+    """Golden-section search of [lo, hi] for a minimum of cost, until the
+    bracket is narrower than tol (or than a few float spacings at its ends).
+    Returns anchor unless the searched point costs strictly less."""
+    tol = max(tol, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)))
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = cost(c), cost(d)
+    while b - a >= tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = cost(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = cost(d)
+    x = (a + b) / 2.0
+    return x if cost(x) < cost(anchor) else anchor
+
+
 def intersect_lines(lines: list[tuple[ImagePoint, ImagePoint]]) -> ImagePoint:
     """Least-squares intersection of 2D lines given as point pairs."""
     if len(lines) < 2:
@@ -441,40 +459,29 @@ def fit_projection3d(
     """Extend a planar homography to a full 3x4 projection.
 
     The vertical vanishing point is the least-squares intersection of the
-    annotated vertical lines; the remaining scalar p33 is fit by 1-D
-    minimization of pixel reprojection error over off-plane height samples.
+    annotated vertical lines; the remaining scalar p33 is fit by golden-section
+    search of the squared pixel reprojection error over off-plane height
+    samples, around the median of their closed-form values.
     """
-    if len(vertical_lines) < 2:
-        raise ParallelVerticals("need >= 2 vertical lines")
+    vp = intersect_lines(vertical_lines)
     samples = [(w, i) for (w, i) in height_samples if w.z > 0.0]
     if not samples:
         raise InsufficientHeightInfo("all height samples lie on z=0")
-    vp = intersect_lines(vertical_lines)
 
     hinv = h.hinv
     world = np.array([[w.x, w.y, w.z] for w, _ in samples])
     img = np.array([[i.x, i.y] for _, i in samples])
+    column = np.array([vp.x, vp.y, 1.0])
 
     def build(p33: float) -> np.ndarray:
-        p = np.zeros((3, 4))
-        p[:, 0] = hinv[:, 0]
-        p[:, 1] = hinv[:, 1]
-        p[:, 3] = hinv[:, 2]
-        p[:, 2] = p33 * np.array([vp.x, vp.y, 1.0])
-        return p
+        return np.column_stack([hinv[:, 0], hinv[:, 1], p33 * column, hinv[:, 2]])
 
-    # Closed-form seed from each sample, then a scalar polish.
-    seeds = []
-    for (w, i) in samples:
-        q = np.array([w.x, w.y, 1.0])
-        r1, r2, r3 = hinv[0], hinv[1], hinv[2]
-        du = i.x - vp.x
-        dv = i.y - vp.y
-        if abs(du) > 1e-9:
-            seeds.append((r1 @ q - i.x * (r3 @ q)) / (w.z * du))
-        if abs(dv) > 1e-9:
-            seeds.append((r2 @ q - i.y * (r3 @ q)) / (w.z * dv))
-    seed = float(np.median(seeds)) if seeds else 1.0
+    # Closed-form seed from each sample's column and row, then a scalar polish.
+    q = np.column_stack([world[:, :2], np.ones(len(world))]) @ hinv.T
+    off = img - column[:2]
+    live = np.abs(off) > 1e-9
+    seeds = (q[:, :2] - img * q[:, 2:3])[live] / (world[:, 2:3] * off)[live]
+    seed = float(np.median(seeds)) if seeds.size else 1.0
 
     def cost(p33: float) -> float:
         try:
@@ -483,15 +490,8 @@ def fit_projection3d(
             return 1e12
         return float(((proj - img) ** 2).sum())
 
-    from scipy.optimize import minimize_scalar
-
     span = max(abs(seed), 1e-6)
-    res = minimize_scalar(
-        cost, bounds=(seed - span, seed + span), method="bounded",
-        options={"xatol": 1e-15},
-    )
-    p33 = float(res.x) if res.fun <= cost(seed) else seed
-    return Projection3D(build(p33))
+    return Projection3D(build(_golden_min(cost, seed - span, seed + span, 1e-15, seed)))
 
 
 def project_prism_to_image(p3: Projection3D, prism: Prism3D) -> list[ImagePoint]:
@@ -525,24 +525,8 @@ def lift_image_box_to_prism(
             return 1e12
         return float(np.linalg.norm(proj - hints, axis=1).mean())
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, HEIGHT_MAX_FT
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = cost(c), cost(d)
-    while b - a >= HEIGHT_TOL_FT:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = cost(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = cost(d)
-    height = (a + b) / 2.0
-    if cost(0.0) <= cost(height):
-        height = 0.0
-    return Prism3D.from_footprint(base, height)
+    return Prism3D.from_footprint(base, _golden_min(cost, 0.0, HEIGHT_MAX_FT,
+                                                    HEIGHT_TOL_FT, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -82,9 +83,12 @@ def read_json(path: str):
 
 
 def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(fmt(v) for v in row) for row in rows]
-    atomic_write(path, "\n".join(lines) + "\n")
+    """Quotes only a cell holding a comma, a double quote or a line break."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt(v) for v in row] for row in rows)
+    atomic_write(path, buf.getvalue())
 
 
 def read_csv(path: str) -> tuple[list, list]:

@@ -51,7 +51,8 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class TrajectorySeries:
-    """A trajectory sampled at increasing times with (x,y,l,w,h) boxes."""
+    """A trajectory sampled at one or more increasing times with (x,y,l,w,h)
+    boxes."""
 
     id: str
     times: np.ndarray
@@ -61,6 +62,8 @@ class TrajectorySeries:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "boxes",
                            np.asarray(self.boxes, dtype=float).reshape(-1, 5))
+        if len(self.times) == 0:
+            raise ValueError(f"trajectory series {self.id!r} has no samples")
 
 
 def series_from_tracklet(tracklet) -> TrajectorySeries:
@@ -75,8 +78,6 @@ def resample(series: TrajectorySeries, times: np.ndarray) -> np.ndarray:
     series' span are NaN (no extrapolation)."""
     times = np.asarray(times, dtype=float)
     out = np.full((len(times), 5), np.nan)
-    if len(series.times) == 0:
-        return out
     inside = (times >= series.times[0] - 1e-9) & (times <= series.times[-1] + 1e-9)
     for j in range(5):
         out[inside, j] = np.interp(times[inside], series.times, series.boxes[:, j])
@@ -208,8 +209,6 @@ def _samples(series_list: list, grid: np.ndarray, x_clip=None) -> _Samples:
     """Each series resampled over its own grid window only."""
     parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 5)))]
     for i, s in enumerate(series_list):
-        if len(s.times) == 0:
-            continue
         lo = int(np.searchsorted(grid, s.times[0] - 1e-9, "left"))
         hi = int(np.searchsorted(grid, s.times[-1] + 1e-9, "right"))
         b = resample(s, grid[lo:hi])

@@ -7,6 +7,8 @@ the CSV writers so the figure and the table never disagree.
 
 from __future__ import annotations
 
+import html
+
 import numpy as np
 
 from .io_formats import atomic_write, fmt
@@ -16,19 +18,24 @@ MARGIN = 60
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _text(attrs: str, body) -> str:
+    """A text element; its body is escaped, so any label is well-formed XML."""
+    return f'<text {attrs}>{html.escape(str(body), quote=False)}</text>'
+
+
 def _header(title: str) -> list[str]:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{W / 2}" y="22" text-anchor="middle" font-size="16">{title}</text>',
+        _text(f'x="{W / 2}" y="22" text-anchor="middle" font-size="16"', title),
     ]
 
 
 def _empty(path: str, title: str) -> None:
     parts = _header(title)
-    parts.append(f'<text x="{W / 2}" y="{H / 2}" text-anchor="middle" '
-                 f'fill="#888">no data</text></svg>')
+    parts.append(_text(f'x="{W / 2}" y="{H / 2}" text-anchor="middle" fill="#888"',
+                       "no data") + "</svg>")
     atomic_write(path, "\n".join(parts))
 
 
@@ -67,14 +74,12 @@ def line_chart(path: str, series: dict, title: str,
             (xmax, "end", W - MARGIN, H - MARGIN + 16),
             (ymin, "end", MARGIN - 6, H - MARGIN),
             (ymax, "end", MARGIN - 6, MARGIN + 4)):
-        parts.append(f'<text x="{x_px}" y="{y_px}" text-anchor="{anchor}">'
-                     f'{fmt(float(v))}</text>')
+        parts.append(_text(f'x="{x_px}" y="{y_px}" text-anchor="{anchor}"', fmt(float(v))))
     if x_label:
-        parts.append(f'<text x="{W / 2}" y="{H - 12}" text-anchor="middle">'
-                     f'{x_label}</text>')
+        parts.append(_text(f'x="{W / 2}" y="{H - 12}" text-anchor="middle"', x_label))
     if y_label:
-        parts.append(f'<text x="16" y="{H / 2}" text-anchor="middle" '
-                     f'transform="rotate(-90 16 {H / 2})">{y_label}</text>')
+        parts.append(_text(f'x="16" y="{H / 2}" text-anchor="middle" '
+                           f'transform="rotate(-90 16 {H / 2})"', y_label))
     for i, (name, (x, y)) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{float(px):.2f},{float(py):.2f}"
@@ -85,7 +90,7 @@ def line_chart(path: str, series: dict, title: str,
         parts.append(f'<line x1="{W - MARGIN - 110}" y1="{ly - 4}" '
                      f'x2="{W - MARGIN - 90}" y2="{ly - 4}" stroke="{color}" '
                      f'stroke-width="2"/>')
-        parts.append(f'<text x="{W - MARGIN - 84}" y="{ly}">{name}</text>')
+        parts.append(_text(f'x="{W - MARGIN - 84}" y="{ly}"', name))
     parts.append("</svg>")
     atomic_write(path, "\n".join(parts))
 
@@ -107,8 +112,8 @@ def bar_chart(path: str, labels, values, title: str,
     parts.append(f'<line x1="{MARGIN}" y1="{H - MARGIN}" x2="{W - MARGIN}" '
                  f'y2="{H - MARGIN}" stroke="black"/>')
     if y_label:
-        parts.append(f'<text x="16" y="{H / 2}" text-anchor="middle" '
-                     f'transform="rotate(-90 16 {H / 2})">{y_label}</text>')
+        parts.append(_text(f'x="16" y="{H / 2}" text-anchor="middle" '
+                           f'transform="rotate(-90 16 {H / 2})"', y_label))
     for i, (lab, val) in enumerate(zip(labels, values)):
         hpx = max(val, 0.0) / top * span_px
         x0 = MARGIN + slot * i + (slot - bar_w) / 2
@@ -116,10 +121,10 @@ def bar_chart(path: str, labels, values, title: str,
         color = PALETTE[i % len(PALETTE)]
         parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{bar_w:.2f}" '
                      f'height="{hpx:.2f}" fill="{color}"/>')
-        parts.append(f'<text x="{x0 + bar_w / 2:.2f}" y="{y0 - 5:.2f}" '
-                     f'text-anchor="middle">{fmt(val)}</text>')
-        parts.append(f'<text x="{x0 + bar_w / 2:.2f}" y="{H - MARGIN + 16}" '
-                     f'text-anchor="middle">{lab}</text>')
+        parts.append(_text(f'x="{x0 + bar_w / 2:.2f}" y="{y0 - 5:.2f}" '
+                           f'text-anchor="middle"', fmt(val)))
+        parts.append(_text(f'x="{x0 + bar_w / 2:.2f}" y="{H - MARGIN + 16}" '
+                           f'text-anchor="middle"', lab))
     parts.append("</svg>")
     atomic_write(path, "\n".join(parts))
 

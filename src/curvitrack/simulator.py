@@ -467,7 +467,7 @@ def _emit_snapshots(cfg: SceneConfig, result_stub, cameras, rng):
 
 def simulate(config: SceneConfig) -> SimulationResult:
     """Generate a full synthetic scene; deterministic given config.seed."""
-    from . import roadway   # scipy's spline and search; only this stage needs them
+    from . import roadway   # scipy's spline; only this stage needs it
 
     config.validate()
     rng = np.random.default_rng(config.seed)

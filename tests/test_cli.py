@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.dom.minidom
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -485,6 +486,34 @@ def test_readme_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_projection_fit_and_lift_load_no_scipy():
+    """fit_projection3d and lift_image_box_to_prism run on numpy alone."""
+    program = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from curvitrack.geometry import (Homography, Prism3D, Projection3D, StatePlanePoint,\n"
+        "    fit_projection3d, lift_image_box_to_prism, project_prism_to_image)\n"
+        "hom = Homography(np.array([[0.5, 0.01, 4000.0], [0.02, -0.4, 9000.0],"
+        " [0.0, 2e-5, 1.0]]))\n"
+        "true = Projection3D(np.column_stack([hom.hinv[:, 0], hom.hinv[:, 1],"
+        " 3e-6 * np.array([900.0, -40000.0, 1.0]), hom.hinv[:, 2]]))\n"
+        "ground = [[4000.0 + 300 * i, 8000.0 + 200 * j] for i in range(4) for j in range(2)]\n"
+        "prisms = [Prism3D.from_footprint(np.tile(g, (4, 1)), 18.0) for g in ground]\n"
+        "px = [project_prism_to_image(true, p) for p in prisms]\n"
+        "p3 = fit_projection3d(hom, [(q[0], q[2]) for q in px],\n"
+        "                      [(StatePlanePoint(*g, 18.0), q[2]) for g, q in zip(ground, px)])\n"
+        "box = project_prism_to_image(p3, Prism3D.from_footprint("
+        "[[4100, 8100], [4100, 8106], [4115, 8100], [4115, 8106]], 6.0))\n"
+        "prism = lift_image_box_to_prism(p3, [box[i] for i in (0, 1, 4, 5)],"
+        " [box[i] for i in (2, 3, 6, 7)])\n"
+        "assert abs(prism.height - 6.0) < 0.01, prism.height\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("section, field, value", [
     (None, "state_offset", [5000.0, 2000.0]),
     (None, "lanes_per_direction", 4),
@@ -562,6 +591,37 @@ def test_report_empty_inputs_yield_valid_svg(tmp_path):
         root = ET.parse(p).getroot()
         assert root.tag.endswith("svg")
         assert "no data" in ET.tostring(root, encoding="unicode")
+
+
+def test_report_svgs_escape_labels(tmp_path):
+    """A method name holding XML markup characters stays well-formed text."""
+    drift = tmp_path / "drift.csv"
+    drift.write_text("camera,epoch,fd_static,fd_a<b&c\nc0,0.0,1.0,2.0\nc0,10.0,1.5,2.5\n")
+    assert run(["report", "--drift", drift, "--out", tmp_path]) == 0
+    svgs = sorted(tmp_path.glob("*.svg"))
+    assert [p.name for p in svgs] == ["drift_means.svg", "drift_timeline.svg"]
+    for p in svgs:
+        doc = xml.dom.minidom.parse(str(p))
+        texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert "a<b&c" in texts, texts
+
+
+def test_gps_correct_quotes_vehicle_ids(tmp_path):
+    """A vehicle id holding a comma and a double quote survives gps-correct
+    run on its own output."""
+    gps = tmp_path / "gps.csv"
+    gps.write_text('vehicle_id,t,x,y\n"V,""1",0.0,1.0,0.0\n"V,""1",1.0,2.0,0.0\n'
+                   'w,0.0,5.0,0.0\n')
+    ann = tmp_path / "annotations.csv"
+    ann.write_text("vehicle_id,t,x,y,pole\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["gps-correct", "--gps", gps, "--annotations", ann, "--out", first]) == 0
+    assert run(["gps-correct", "--gps", first / "gps_corrected.csv", "--annotations", ann,
+                "--out", second]) == 0
+    traces = iof.read_gps(str(second / "gps_corrected.csv"))
+    assert [t.vehicle_id for t in traces] == ['V,"1', "w"]
+    assert traces[0].times.tolist() == [0.0, 1.0]
+    assert (second / "gps_corrected.csv").read_bytes() == (first / "gps_corrected.csv").read_bytes()
 
 
 def test_report_drift_svg_labels_match_csv(tmp_path):

@@ -260,10 +260,12 @@ def project_p(p, pts3):
     return q[:, :2] / q[:, 2:3]
 
 
+GRID_8 = np.array([[4000.0 + 300 * i, 8000.0 + 200 * j] for i in range(4) for j in range(2)])
+
+
 def test_fit_projection3d_recovers_known(rng):
     hom, p_true, _ = make_projection(rng)
-    world = np.array([[4000.0 + 300 * i, 8000.0 + 200 * j]
-                      for i in range(4) for j in range(2)])
+    world = GRID_8
     vlines, hsamples = [], []
     for x, y in world:
         b = project_p(p_true, np.array([[x, y, 0.0]]))[0]
@@ -272,6 +274,51 @@ def test_fit_projection3d_recovers_known(rng):
         hsamples.append((StatePlanePoint(x, y, 18.0), ImagePoint(*t)))
     p3 = g.fit_projection3d(hom, vlines, hsamples)
     assert np.abs(p3.p - p_true).max() / np.abs(p_true).max() < 1e-6
+
+
+def test_fit_projection3d_matches_bounded_brent():
+    """The golden-section p33 costs no more than what scipy's bounded Brent
+    finds from the same closed-form seed and bracket, on height samples with
+    pixel noise.  (Where the minimum lies on the bracket's end, golden
+    section gets closer to it than Brent, which stays clear of the bounds.)"""
+    from scipy.optimize import minimize_scalar
+
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        hom, p_true, _ = make_projection(rng)
+        world = np.column_stack([GRID_8, rng.uniform(8.0, 18.0, 8)])
+        img = project_p(p_true, world) + rng.normal(0.0, 0.3, (8, 2))
+        ends = [project_p(p_true, world * [1.0, 1.0, z]) for z in (0.0, 1.0)]
+        vlines = [(ImagePoint(*b), ImagePoint(*t)) for b, t in zip(*ends)]
+        p3 = g.fit_projection3d(hom, vlines, [(StatePlanePoint(*w), ImagePoint(*i))
+                                             for w, i in zip(world, img)])
+        vp = g.intersect_lines(vlines)
+        column = np.array([vp.x, vp.y, 1.0])
+
+        def cost(p33):
+            p = p3.p.copy()
+            p[:, 2] = p33 * column
+            return float(((project_p(p, world) - img) ** 2).sum())
+
+        hinv = hom.hinv
+        q = np.column_stack([world[:, :2], np.ones(8)])
+        seeds = [(q @ hinv[k] - img[:, k] * (q @ hinv[2])) / (world[:, 2] * (img[:, k] - c))
+                 for k, c in enumerate(column[:2])]
+        seed = float(np.median(np.concatenate(seeds)))
+        span = max(abs(seed), 1e-6)
+        res = minimize_scalar(cost, bounds=(seed - span, seed + span), method="bounded",
+                              options={"xatol": 1e-15})
+        ref = min(res.fun, cost(seed))
+        assert cost(p3.p[2, 2]) <= ref * (1 + 1e-9), (cost(p3.p[2, 2]), ref)
+
+
+def test_golden_min_ends_at_float_resolution():
+    """A tolerance finer than the float spacing at the bracket still ends the
+    search, at the minimum; a searched point no better than the anchor
+    returns the anchor."""
+    x = g._golden_min(lambda v: (v - 1234.5) ** 2, 0.0, 3000.0, 1e-15, 0.0)
+    assert x == pytest.approx(1234.5, abs=1e-9)
+    assert g._golden_min(lambda v: 0.0, 0.0, 1.0, 1e-6, 0.25) == 0.25
 
 
 def test_projection3d_columns_match_inverse_homography(rng):

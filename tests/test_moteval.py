@@ -291,6 +291,15 @@ def test_empty_tracks():
     assert rep.n_tracklets == 0
 
 
+def test_series_without_samples_is_refused():
+    """An empty ground-truth series or tracklet is refused by name, not met
+    with an IndexError inside evaluate."""
+    with pytest.raises(ValueError, match="'g-empty' has no samples"):
+        evaluate([series("g", 0.0, 9.9), TrajectorySeries("g-empty", [], [])], [])
+    with pytest.raises(ValueError, match="'7' has no samples"):
+        evaluate([series("g", 0.0, 9.9)], [Tracklet(7, [], [], [(16.0, 6.0, 5.0)])])
+
+
 # ---------------------------------------------------------------------------
 # equivalence with the per-frame, per-alpha Hungarian evaluation
 

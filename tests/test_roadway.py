@@ -5,6 +5,8 @@ from curvitrack import roadway as rw
 from curvitrack.errors import AmbiguousMedian, NonMonotonic, OutOfExtent, TooShort
 from curvitrack.geometry import Prism3D, StatePlanePoint
 from curvitrack.roadway import RoadwayBox, fit_centerline, point_prism
+from curvitrack.simulator import (ARC_MAX_TURN_RAD, ROAD_PAD_FT, RoadConfig, SceneConfig,
+                                  _road_yellow_lines)
 
 
 def straight_road(length=3000.0, gamma=24.0):
@@ -56,6 +58,48 @@ def test_arc_length_matches_circle_formula():
         p = np.array([radius * np.sin(th), radius - radius * np.cos(th)])
         s = rw._nearest_arc(sp, p)
         assert s == pytest.approx(radius * th, rel=1e-3)
+
+
+def scene_road(extent, radius):
+    """The simulator's road: straight (radius None) or a circular arc."""
+    road = RoadConfig() if radius is None else RoadConfig(kind="arc", radius_ft=radius)
+    eb, wb, _ = _road_yellow_lines(SceneConfig(extent_ft=extent, road=road))
+    return fit_centerline(eb, wb)
+
+
+@pytest.mark.parametrize("extent", [1000.0, 3000.0, 22000.0])
+@pytest.mark.parametrize("turn", [None, 1.0, 3.0], ids=["straight", "min-radius", "3x-radius"])
+def test_nearest_arc_finds_the_known_arc_position(extent, turn):
+    """A point at lateral offset y on the normal through arc position s is
+    nearest the centerline at s.  On the tightest arc the scene config takes
+    for each extent, and at three times its radius, every offset up to 70 ft
+    along the whole extent converges there in a few Newton steps; at either
+    end, and beyond it, the endpoint is refused."""
+    radius = None if turn is None else turn * (extent + 2 * ROAD_PAD_FT) / ARC_MAX_TURN_RAD
+    sp = scene_road(extent, radius)
+    lo, hi = sp.extent
+    steps, point = [], sp.point
+
+    def counted(s, der=0):
+        steps.append(der == 2)
+        return point(s, der)
+
+    sp.point = counted
+    worst, most = 0.0, 0
+    for s in np.linspace(lo + 0.01, hi - 0.01, 201):
+        base, normal = point(s), sp.normal(s)
+        for y in (-70.0, -60.0, -35.0, -5.0, 5.0, 35.0, 60.0, 70.0):
+            steps.clear()
+            worst = max(worst, abs(rw._nearest_arc(sp, base + y * normal) - s))
+            most = max(most, sum(steps))
+    assert worst <= 1e-9
+    assert most < rw.NEWTON_MAX_ITER
+    assert most <= 6    # quadratic convergence; without the curvature term it takes 15
+    for s, along in ((lo, 0.0), (lo, -25.0), (hi, 0.0), (hi, 25.0)):
+        for y in (-70.0, 5.0, 70.0):
+            p = point(s) + along * sp.tangent(s) + y * sp.normal(s)
+            with pytest.raises(OutOfExtent):
+                rw._nearest_arc(sp, p)
 
 
 def test_too_short_raises():
