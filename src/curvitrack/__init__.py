@@ -2,8 +2,8 @@
 curvilinear coordinates, tracking baselines, and trajectory evaluation.
 
 The names below are imported from their modules on first use, so
-`import curvitrack` loads no module, and no stage process loads scipy for
-a layer it does not run.
+`import curvitrack` loads no module, and a stage process loads only the
+layers it runs.  The package needs numpy alone.
 """
 
 import importlib

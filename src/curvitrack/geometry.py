@@ -459,9 +459,9 @@ def fit_projection3d(
     """Extend a planar homography to a full 3x4 projection.
 
     The vertical vanishing point is the least-squares intersection of the
-    annotated vertical lines; the remaining scalar p33 is fit by golden-section
-    search of the squared pixel reprojection error over off-plane height
-    samples, around the median of their closed-form values.
+    annotated vertical lines; p33 is fit by golden-section search of the squared
+    pixel reprojection error over off-plane height samples, in a bracket about
+    the median of their closed-form values, doubled until it holds a minimum.
     """
     vp = intersect_lines(vertical_lines)
     samples = [(w, i) for (w, i) in height_samples if w.z > 0.0]
@@ -490,7 +490,9 @@ def fit_projection3d(
             return 1e12
         return float(((proj - img) ** 2).sum())
 
-    span = max(abs(seed), 1e-6)
+    span, at_seed = max(abs(seed), 1e-6), cost(seed)
+    while min(cost(seed - span), cost(seed + span)) < at_seed:   # nan at inf ends it
+        span *= 2.0
     return Projection3D(build(_golden_min(cost, seed - span, seed + span, 1e-15, seed)))
 
 

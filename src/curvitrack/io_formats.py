@@ -116,6 +116,8 @@ def _finite_numbers(values) -> bool:
 # numbers and a nested table for a list of sub-records.
 ANY, STR, NUM = "any value", "a string", "a finite number"
 MATRIX = "a 3x3 list of finite numbers"
+BOX = "a list of 5 finite numbers x, y, l, w, h with l, w, h >= 0"
+DIMS = "a list of 3 finite numbers l, w, h >= 0"
 
 
 def _check(record, fields: dict, path: str, where: str) -> None:
@@ -132,6 +134,9 @@ def _check(record, fields: dict, path: str, where: str) -> None:
             ok = _finite_numbers((v,))
         elif type(kind) is int:
             ok = isinstance(v, list) and len(v) == kind and _finite_numbers(v)
+        elif kind is BOX or kind is DIMS:
+            ok = (isinstance(v, list) and len(v) == (5 if kind is BOX else 3)
+                  and _finite_numbers(v) and min(v[-3:]) >= 0)
         elif kind is STR:
             ok = isinstance(v, str)
         elif kind is MATRIX:
@@ -318,7 +323,7 @@ def read_detections(path: str) -> list:
 
     records = read_jsonl(path)
     for i, r in enumerate(records, start=1):
-        _check(r, {"t": NUM, "box": 5, "conf": NUM}, path, f"record {i}")
+        _check(r, {"t": NUM, "box": BOX, "conf": NUM}, path, f"record {i}")
     return [Detection(float(r["t"]), r.get("camera", ""), tuple(map(float, r["box"])),
                       r.get("class", ""), float(r["conf"]))
             for r in records]
@@ -343,12 +348,12 @@ def _sidecar(path: str) -> str:
 
 def _read_states(path: str, int_ids: bool) -> dict:
     """{id: [(t, box)] sorted by t} from {id, t, box} records, with `t` a
-    finite number unique within its id and `box` 5 finite numbers.  Ids
+    finite number unique within its id and `box` a BOX.  Ids
     must be JSON integers when `int_ids`, and are taken as strings
     otherwise."""
     by_id: dict = {}
     for i, r in enumerate(read_jsonl(path), start=1):
-        _check(r, {"id": ANY, "t": NUM, "box": 5}, path, f"record {i}")
+        _check(r, {"id": ANY, "t": NUM, "box": BOX}, path, f"record {i}")
         sid = r["id"]
         if not int_ids:
             sid = str(sid)
@@ -369,7 +374,7 @@ def read_tracklets(path: str):
     if not isinstance(dims, dict):
         raise MalformedInput(f"{dims_path}: expected a JSON object")
     for tid, d in dims.items():
-        _check({"dims": d}, {"dims": 3}, dims_path, f"id {tid}")
+        _check({"dims": d}, {"dims": DIMS}, dims_path, f"id {tid}")
     out = []
     for tid, items in sorted(_read_states(path, int_ids=True).items()):
         boxes = [b for _, b in items]

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import geometry
+from . import geometry, roadway
 from .errors import ConfigInvalid
 from .geometry import CorrespondencePoint, Homography, ImagePoint, StatePlanePoint
 from .gps import SAMPLE_PERIOD_S, GpsTrace, PoleAnnotation
 from .drift import RediscoverySnapshot
+from .roadway import MIN_SPAN_FT, line_span
 from .tracking import time_grid
 
 VEHICLE_CLASSES = {
@@ -140,8 +141,6 @@ class SceneConfig:
                 f"{self.extent_ft}: the padded arc must stay short of a half circle, "
                 f"so radius_ft >= {min_radius:.1f}")
         if self.road.kind == "arc":
-            # loads scipy, which simulate needs anyway; only simulate and pipeline validate
-            from .roadway import MIN_SPAN_FT, line_span
             span = min(map(line_span, _road_yellow_lines(self)[:2]))
             if span < MIN_SPAN_FT:
                 # no radius gives the inner line more span than a straight road has
@@ -467,8 +466,6 @@ def _emit_snapshots(cfg: SceneConfig, result_stub, cameras, rng):
 
 def simulate(config: SceneConfig) -> SimulationResult:
     """Generate a full synthetic scene; deterministic given config.seed."""
-    from . import roadway   # scipy's spline; only this stage needs it
-
     config.validate()
     rng = np.random.default_rng(config.seed)
 

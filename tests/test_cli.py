@@ -169,8 +169,10 @@ GOOD_DETECTION = {"t": 0.0, "camera": "c0", "box": [100.0, 6.0, 16.0, 6.0, 5.0],
     '5',
     '{"t": true, "box": [100.0, 6.0, 16.0, 6.0, 5.0], "conf": 0.8}',
     '{"t": 0.1, "box": [1' + '0' * 400 + ', 6.0, 16.0, 6.0, 5.0], "conf": 0.8}',
+    '{"t": 0.1, "box": [100.0, 18.0, -15.0, -6.0, 5.0], "conf": 0.8}',
+    '{"t": 0.1, "box": [100.0, 6.0, 16.0, 6.0, -0.5], "conf": 0.8}',
 ], ids=["t-string", "box-scalar", "box-string", "box-nan", "conf-inf",
-        "not-object", "t-bool", "box-huge-int"])
+        "not-object", "t-bool", "box-huge-int", "box-negative-l-w", "box-negative-h"])
 def test_invalid_detection_record_exits_one(tmp_path, bad):
     dets = tmp_path / "detections.jsonl"
     dets.write_text(json.dumps(GOOD_DETECTION) + "\n" + bad + "\n")
@@ -216,8 +218,10 @@ GOOD_STATE = {"id": 0, "t": 0.0, "box": [100.0, 6.0, 16.0, 6.0, 5.0]}
     ("tracks", '{"id": 0, "t": 0.0, "box": [101.0, 6.0, 16.0, 6.0, 5.0]}'),
     ("gt", '{"id": 0, "t": 0.1, "box": [100.0, NaN, 16.0, 6.0, 5.0]}'),
     ("gt", '{"id": 0, "t": 0.0, "box": [101.0, 6.0, 16.0, 6.0, 5.0]}'),
+    ("tracks", '{"id": 0, "t": 0.1, "box": [100.0, 6.0, 16.0, -6.0, 5.0]}'),
+    ("gt", '{"id": 0, "t": 0.1, "box": [100.0, 6.0, -16.0, 6.0, 5.0]}'),
 ], ids=["tracks-t-string", "tracks-box-short", "tracks-repeated-t",
-        "gt-box-nan", "gt-repeated-t"])
+        "gt-box-nan", "gt-repeated-t", "tracks-box-negative-w", "gt-box-negative-l"])
 def test_invalid_state_record_exits_one(tmp_path, side, bad):
     files = {"gt": tmp_path / "gt_tracks.jsonl", "tracks": tmp_path / "tracks.jsonl"}
     for name, path in files.items():
@@ -315,7 +319,9 @@ def test_invalid_restim_input_exits_one(tmp_path, name, i, bad, where):
     (dict(GOOD_STATE, t=0.1), {"0": "abc"}, "tracks.dims.json", "id 0"),
     (dict(GOOD_STATE, t=0.1), {"0": [16.0, 6.0, float("nan")]}, "tracks.dims.json", "id 0"),
     (dict(GOOD_STATE, t=0.1), [16.0, 6.0, 5.0], "tracks.dims.json", "JSON object"),
-], ids=["id-string", "id-bool", "dims-string", "dims-nan", "dims-not-object"])
+    (dict(GOOD_STATE, t=0.1), {"0": [16.0, 6.0, -5.0]}, "tracks.dims.json", "id 0"),
+], ids=["id-string", "id-bool", "dims-string", "dims-nan", "dims-not-object",
+        "dims-negative"])
 def test_invalid_track_id_or_dims_exits_one(tmp_path, second, dims, name, where):
     gt, tracks = tmp_path / "gt_tracks.jsonl", tmp_path / "tracks.jsonl"
     gt.write_text(json.dumps(GOOD_STATE) + "\n" + json.dumps(dict(GOOD_STATE, t=0.1)) + "\n")
@@ -441,12 +447,17 @@ def test_scene_work_caps_admit_the_largest_configs_in_use():
 
 
 def test_stage_processes_load_no_scipy(tmp_path):
-    """Every stage but simulate runs without importing scipy, and so does
-    `import curvitrack`.  Each is checked in a fresh process.  The scene is
-    crowded enough that track and eval reach Hungarian matching."""
-    simulate(tmp_path, extra={"vehicle_count": 20})
+    """No stage imports scipy, and neither does `import curvitrack` or the
+    pipeline.  Each is checked in a fresh process.  The scene is crowded
+    enough that track and eval reach Hungarian matching."""
     d = str(tmp_path)
+    scene = {"extent_ft": 1500.0, "vehicle_count": 20, "duration_s": 20.0,
+             "snapshot_interval_s": 5.0}
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"scene": scene, "seed": 3, "track": {"algo": "kiou"}, "out": f"{d}/pipeline"}))
     stages = [
+        ["simulate", "--config", f"{d}/scene.json", "--seed", "3", "--out", d],
         ["calibrate", "--points", f"{d}/points.jsonl", "--out", f"{d}/fitted.json"],
         ["restim", "--points", f"{d}/points.jsonl", "--reference", f"{d}/reference.json",
          "--snapshots", f"{d}/snapshots.jsonl", "--sift", f"{d}/sift_maps.json",
@@ -459,21 +470,20 @@ def test_stage_processes_load_no_scipy(tmp_path):
          "--out", f"{d}/report.json"],
         ["report", "--drift", f"{d}/drift.csv", "--eval", f"{d}/report.json", "--out", d],
     ]
+    assert [argv[0] for argv in stages] == list(STAGES)
     loaded = ("sorted({'.'.join(m.split('.')[:2]) for m in sys.modules"
               " if m.split('.')[0] == 'scipy'})")
-    programs = [
-        "import sys, curvitrack\n"
-        f"assert not {loaded}, {loaded}\n",
-        "import sys\nfrom curvitrack.cli import main\n"
-        f"for argv in {stages!r}:\n"
-        "    assert main(argv) == 0, argv\n"
-        f"    assert not {loaded}, (argv[0], {loaded})\n",
-    ]
+    runs = ("    assert main(argv) == 0, argv\n"
+            f"    assert not {loaded}, (argv[0], {loaded})\n")
+    programs = [f"import sys, curvitrack\nassert not {loaded}, {loaded}\n"] + [
+        f"import sys\nfrom curvitrack.cli import main\nfor argv in {argvs!r}:\n" + runs
+        for argvs in (stages, [["pipeline", "--manifest", f"{d}/manifest.json"]])]
     for program in programs:
         proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
                               text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "drift_summary.csv").exists()
+    assert (tmp_path / "pipeline" / "drift_summary.csv").exists()
 
 
 def test_readme_import_loads_no_scipy():

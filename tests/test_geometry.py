@@ -312,6 +312,35 @@ def test_fit_projection3d_matches_bounded_brent():
         assert cost(p3.p[2, 2]) <= ref * (1 + 1e-9), (cost(p3.p[2, 2]), ref)
 
 
+def test_fit_projection3d_finds_the_minimum_beyond_the_seed_bracket():
+    """With 1 px noise on low height samples the least-squares p33 can lie
+    outside [seed - |seed|, seed + |seed|]; the fit still reaches it: no p33
+    within 1e-4 of the fitted one, as scipy's bounded Brent finds it, costs
+    less."""
+    from scipy.optimize import minimize_scalar
+
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        hom, p_true, _ = make_projection(rng)
+        world = np.column_stack([GRID_8, rng.uniform(4.0, 14.0, 8)])
+        img = project_p(p_true, world) + rng.normal(0.0, 1.0, (8, 2))
+        ends = [project_p(p_true, world * [1.0, 1.0, z]) for z in (0.0, 1.0)]
+        vlines = [(ImagePoint(*b), ImagePoint(*t)) for b, t in zip(*ends)]
+        p3 = g.fit_projection3d(hom, vlines, [(StatePlanePoint(*w), ImagePoint(*i))
+                                             for w, i in zip(world, img)])
+        column = p3.p[:, 2] / p3.p[2, 2]
+
+        def cost(p33):
+            p = p3.p.copy()
+            p[:, 2] = p33 * column
+            return float(((project_p(p, world) - img) ** 2).sum())
+
+        fit = p3.p[2, 2]
+        res = minimize_scalar(cost, bounds=(fit - 1e-4, fit + 1e-4), method="bounded",
+                              options={"xatol": 1e-15})
+        assert cost(fit) <= res.fun * (1 + 1e-9), (cost(fit), res.fun)
+
+
 def test_golden_min_ends_at_float_resolution():
     """A tolerance finer than the float spacing at the bracket still ends the
     search, at the minimum; a searched point no better than the anchor

@@ -102,6 +102,60 @@ def test_nearest_arc_finds_the_known_arc_position(extent, turn):
                 rw._nearest_arc(sp, p)
 
 
+ROADS = pytest.mark.parametrize("extent", [1000.0, 3000.0, 22000.0])
+TURNS = pytest.mark.parametrize("turn", [None, 1.0, 3.0],
+                                ids=["straight", "min-radius", "3x-radius"])
+
+
+def yellow_lines(extent, turn):
+    """The simulator's yellow lines, on the tightest arc the scene config
+    takes for the extent (turn 1), at `turn` times its radius, or straight."""
+    road = RoadConfig() if turn is None else RoadConfig(
+        kind="arc", radius_ft=turn * (extent + 2 * ROAD_PAD_FT) / ARC_MAX_TURN_RAD)
+    return _road_yellow_lines(SceneConfig(extent_ft=extent, road=road))[:2]
+
+
+@ROADS
+@TURNS
+def test_spline_fit_and_evaluation_match_fitpack(extent, turn):
+    """The least-squares fit equals scipy's splrep(k=2, task=-1) on the same
+    knots, for the yellow lines and for 0.1 ft samples of their fit, and the
+    value and both derivatives equal splev's, beyond either end as well."""
+    from scipy import interpolate
+
+    for xy in yellow_lines(extent, turn):
+        dense = rw._resample(xy, 0.1)[2]
+        for u, values in ((rw._chord(xy), xy), (rw._chord(dense), dense)):
+            t, c = rw._fit(u, values)
+            uu = np.linspace(u[0] - 50.0, u[-1] + 50.0, 2001)
+            jet = rw._spline(t, c, uu, der=2)
+            for k in range(2):
+                ref = interpolate.splrep(u, values[:, k], k=2, task=-1, t=t[3:-3])
+                assert np.array_equal(ref[0], t)
+                assert np.abs(c[:, k] - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
+                for der in range(3):
+                    ref_jet = interpolate.splev(uu, ref, der=der)
+                    assert np.abs(jet[der][:, k] - ref_jet).max() <= 1e-9
+
+
+@ROADS
+@TURNS
+def test_nearest_sample_matches_kd_tree(extent, turn):
+    """The nearest 1 ft yellow-line sample, for each EB sample and for each
+    gamma grid point of the centerline, is the one scipy's cKDTree finds."""
+    from scipy.spatial import cKDTree
+
+    eb, wb = yellow_lines(extent, turn)
+    sides = [rw._resample(xy, 1.0) for xy in (eb, wb)]
+    sp = fit_centerline(eb, wb)
+    center = sp.point(sp.gamma_grid)
+    for line, q in ((sides[1], sides[0][2]), (sides[0], center), (sides[1], center)):
+        index, dist = rw._nearest_sample(line, q)
+        ref_dist, ref_index = cKDTree(line[2]).query(q)
+        assert np.array_equal(index, ref_index)
+        assert np.allclose(dist, ref_dist, rtol=1e-15, atol=0.0)
+
+
 def test_too_short_raises():
     xs = np.arange(0.0, 100.0, 20.0)
     eb = np.column_stack([xs, np.full_like(xs, 24.0)])
