@@ -80,14 +80,16 @@ def cmd_calibrate(args) -> int:
 def cmd_restim(args) -> int:
     points_by_cam = iof.read_points(args.points)
     references = iof.read_homographies(args.reference)
-    all_snapshots = iof.read_snapshots(args.snapshots)
+    snapshots_by_cam = {}
+    for snap in iof.read_snapshots(args.snapshots):
+        snapshots_by_cam.setdefault(snap.camera_id, []).append(snap)
     sift = iof.read_sift_maps(args.sift) if args.sift else {}
     os.makedirs(args.out, exist_ok=True)
 
     timelines = []
     rows = []
     for cam, reference in sorted(references.items()):
-        snapshots = [s for s in all_snapshots if s.camera_id == cam]
+        snapshots = snapshots_by_cam.get(cam, [])
         if not snapshots or cam not in points_by_cam:
             continue
         _, points = points_by_cam[cam]
@@ -155,12 +157,14 @@ def cmd_track(args) -> int:
 
 def cmd_gps_correct(args) -> int:
     traces = iof.read_gps(args.gps)
-    annotations = iof.read_annotations(args.annotations)
+    annotations = {}
+    for a in iof.read_annotations(args.annotations):
+        annotations.setdefault(a.vehicle_id, []).append(a)
     os.makedirs(args.out, exist_ok=True)
     corrected, summary = [], {}
     for trace in traces:
         try:
-            res = gps.refine(trace, annotations)
+            res = gps.refine(trace, annotations.get(trace.vehicle_id, []))
         except InsufficientAnnotations as exc:
             summary[trace.vehicle_id] = {"skipped": str(exc)}
             corrected.append(trace)

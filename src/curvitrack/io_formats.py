@@ -18,6 +18,8 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigInvalid, CurvitrackError, SingularFit
+from .gps import OFFSET_RANGE_S, GpsTrace, PoleAnnotation
+from .simulator import MAX_DURATION_S, Detection
 
 
 class MalformedInput(CurvitrackError):
@@ -115,6 +117,7 @@ def _finite_numbers(values) -> bool:
 # Field kinds of a _check table; an int n stands for a list of n finite
 # numbers and a nested table for a list of sub-records.
 ANY, STR, NUM = "any value", "a string", "a finite number"
+TIME = f"a finite number of seconds in [-{MAX_DURATION_S}, {MAX_DURATION_S}]"
 MATRIX = "a 3x3 list of finite numbers"
 BOX = "a list of 5 finite numbers x, y, l, w, h with l, w, h >= 0"
 DIMS = "a list of 3 finite numbers l, w, h >= 0"
@@ -132,6 +135,8 @@ def _check(record, fields: dict, path: str, where: str) -> None:
         v = record[key]
         if kind is NUM:
             ok = _finite_numbers((v,))
+        elif kind is TIME:
+            ok = _finite_numbers((v,)) and abs(v) <= MAX_DURATION_S
         elif type(kind) is int:
             ok = isinstance(v, list) and len(v) == kind and _finite_numbers(v)
         elif kind is BOX or kind is DIMS:
@@ -256,7 +261,7 @@ def read_snapshots(path: str) -> list:
     seen = set()
     for i, r in enumerate(read_jsonl(path), start=1):
         where = f"record {i}"
-        _check(r, {"epoch": NUM, "camera": STR, "direction": STR,
+        _check(r, {"epoch": TIME, "camera": STR, "direction": STR,
                    "points": {"id": STR, "im": 2}}, path, where)
         ids = [p["id"] for p in r["points"]]
         if len(set(ids)) != len(ids):
@@ -291,7 +296,7 @@ def read_sift_maps(path: str) -> dict:
     out = {}
     for i, r in enumerate(entries, start=1):
         where = f"entry {i}"
-        _check(r, {"camera": STR, "maps": {"epoch": NUM, "m": MATRIX}}, path, where)
+        _check(r, {"camera": STR, "maps": {"epoch": TIME, "m": MATRIX}}, path, where)
         if r["camera"] in out:
             raise MalformedInput(f"{path}: {where}: repeated camera {r['camera']!r}")
         maps = {}
@@ -319,11 +324,9 @@ def write_detections(path: str, detections) -> None:
 def read_detections(path: str) -> list:
     """simulator.Detection records in file order; `camera` and `class`
     default to ""."""
-    from .simulator import Detection
-
     records = read_jsonl(path)
     for i, r in enumerate(records, start=1):
-        _check(r, {"t": NUM, "box": BOX, "conf": NUM}, path, f"record {i}")
+        _check(r, {"t": TIME, "box": BOX, "conf": NUM}, path, f"record {i}")
     return [Detection(float(r["t"]), r.get("camera", ""), tuple(map(float, r["box"])),
                       r.get("class", ""), float(r["conf"]))
             for r in records]
@@ -348,12 +351,12 @@ def _sidecar(path: str) -> str:
 
 def _read_states(path: str, int_ids: bool) -> dict:
     """{id: [(t, box)] sorted by t} from {id, t, box} records, with `t` a
-    finite number unique within its id and `box` a BOX.  Ids
+    TIME unique within its id and `box` a BOX.  Ids
     must be JSON integers when `int_ids`, and are taken as strings
     otherwise."""
     by_id: dict = {}
     for i, r in enumerate(read_jsonl(path), start=1):
-        _check(r, {"id": ANY, "t": NUM, "box": BOX}, path, f"record {i}")
+        _check(r, {"id": ANY, "t": TIME, "box": BOX}, path, f"record {i}")
         sid = r["id"]
         if not int_ids:
             sid = str(sid)
@@ -413,9 +416,10 @@ def write_gps(path: str, traces) -> None:
     write_csv(path, ("vehicle_id", "t", "x", "y"), rows)
 
 
-def _vehicle_rows(path: str, header: list):
+def _vehicle_rows(path: str, header: list, max_t: float = MAX_DURATION_S):
     """(line number, row, t, x, y) per row of a CSV whose header starts with
-    `header` (vehicle_id, t, x, y, ...); t, x and y must be finite numbers."""
+    `header` (vehicle_id, t, x, y, ...); t, x and y must be finite numbers,
+    and |t| at most max_t."""
     head, rows = read_csv(path)
     if head[:len(header)] != header:
         raise MalformedInput(f"{path}: unexpected header {head}")
@@ -427,14 +431,17 @@ def _vehicle_rows(path: str, header: list):
         if not all(map(math.isfinite, (t, x, y))):
             raise MalformedInput(f"{path}: line {i}: t, x and y must be finite, "
                                  f"got {row[1:4]}")
+        if abs(t) > max_t:
+            raise MalformedInput(f"{path}: line {i}: t must be in [-{max_t}, {max_t}] s, "
+                                 f"got {row[1]}")
         yield i, row, t, x, y
 
 
 def read_gps(path: str):
-    from .gps import GpsTrace
-
     by_id: dict = {}
-    for i, row, t, x, y in _vehicle_rows(path, ["vehicle_id", "t", "x", "y"]):
+    # scene time plus a receiver clock offset of at most OFFSET_RANGE_S
+    for i, row, t, x, y in _vehicle_rows(path, ["vehicle_id", "t", "x", "y"],
+                                         MAX_DURATION_S + OFFSET_RANGE_S):
         by_id.setdefault(row[0], []).append((t, i, x, y))
     _sort_series(by_id, path, "line", "vehicle")
     traces = []
@@ -452,8 +459,6 @@ def write_annotations(path: str, annotations) -> None:
 
 
 def read_annotations(path: str):
-    from .gps import PoleAnnotation
-
     out = []
     for i, row, t, x, y in _vehicle_rows(path, ["vehicle_id", "t", "x", "y", "pole"]):
         try:

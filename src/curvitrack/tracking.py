@@ -1,7 +1,7 @@
 """Tracking-by-detection baselines on fused roadway-coordinate detections.
 
-All trackers consume a time-sorted detection stream (objects with .t, .box
-= (x, y, l, w, h), .conf) and emit Tracklets.  Boxes are axis-aligned in
+All trackers consume detection records (objects with .t, .box = (x, y, l,
+w, h), .conf) in any order and emit Tracklets.  Boxes are axis-aligned in
 roadway coordinates; the box reference point is the back-bottom-center, so
 the footprint extends along +x for eastbound (y > 0) and -x for westbound.
 """
@@ -18,6 +18,20 @@ T_MIN_S = 2.0   # min matched duration to emit
 ORACLE_PHI_MIN = 0.1    # min IOU for the oracle to claim a detection
 ORACLE_F_TRACK = 10.0   # oracle output rate (Hz)
 ORACLE_SMOOTH_S = 2.5   # half-window of the oracle's x/y smoothing
+PHI_NMS = 0.1       # NMS IOU threshold (cross-camera fusion)
+PHI_MIN = 0.1       # min IOU for a match (IOU-based trackers)
+D_MAX = 10.0        # max center distance for a match (ft; L2 trackers)
+TAU_HIGH = 0.4      # first-stage confidence (ByteTrack)
+# matched hits that confirm a track; at least 2, since a track is confirmed
+# on a match, never at spawn
+CONFIRM_HITS = 2
+PROCESS_STD = (1.0, 0.3, 0.1, 0.1, 0.1, 3.0, 0.5)   # x y l w h vx vy
+MEASURE_STD = 1.0
+
+# the constant-velocity Kalman filter's noises and initial covariance
+_Q = np.diag(np.asarray(PROCESS_STD) ** 2)
+_R = MEASURE_STD ** 2 * np.eye(5)
+_P0 = np.diag([MEASURE_STD ** 2] * 5 + [400.0, 25.0])
 
 _BIG = 1e9
 _WHOLE_CELLS = 16  # smaller matrices cost less to solve whole than to split
@@ -195,16 +209,7 @@ class TrackerParams:
     kalman: bool = True         # predict with a CV Kalman filter; else keep last box
     two_stage: bool = False     # ByteTrack: low-confidence detections rescue tracks
     sigma_high: float = 0.5     # min confidence to enter the detection set
-    phi_nms: float = 0.1        # NMS IOU threshold (cross-camera fusion)
-    phi_min: float = 0.1        # min IOU for a match (IOU-based trackers)
-    d_max: float = 10.0         # max center distance for a match (ft)
-    tau_high: float = 0.4       # first-stage confidence (ByteTrack)
     f_track: float = 10.0       # tracking step rate (Hz)
-    t_max: float = T_MAX_S
-    t_min: float = T_MIN_S
-    process_std: tuple = (1.0, 0.3, 0.1, 0.1, 0.1, 3.0, 0.5)  # x y l w h vx vy
-    measure_std: float = 1.0
-    confirm_hits: int = 2
 
 
 # The benchmarked baselines: SORT associates Kalman predictions by center
@@ -240,26 +245,35 @@ class Tracklet:
         return self.times[-1] - self.times[0] if len(self.times) > 1 else 0.0
 
 
+def _arrays(detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, boxes (N,5), conf) of detection records, stably sorted by t."""
+    t = np.array([d.t for d in detections], dtype=float)
+    order = np.argsort(t, kind="stable")
+    boxes = np.array([d.box for d in detections], dtype=float).reshape(-1, 5)
+    conf = np.array([d.conf for d in detections], dtype=float)
+    return t[order], boxes[order], conf[order]
+
+
 def _frames(detections, params: TrackerParams):
-    """Confidence gate and greedy cross-camera NMS over one time-sorted stream.
+    """Confidence gate and greedy cross-camera NMS over one detection stream.
 
     A detection's frame is round(t / dt) on the tracking grid.  Within a
-    frame, detections are ranked by (-conf, input order), and one is kept
-    unless a kept, higher-ranked one overlaps it with IOU >= phi_nms > 0,
+    frame, detections are ranked by (-conf, time order), and one is kept
+    unless a kept, higher-ranked one overlaps it with IOU >= PHI_NMS > 0,
     which only the same-frame pairs candidate_pairs finds can reach.
-    Returns the kept detections' frames, boxes, rects and confidences, in
-    input order, which is frame order.
+    Returns the kept detections' frames, boxes, rects and confidences in
+    time order (stable, so input order within a time).
     """
     dt = 1.0 / params.f_track
-    dets = [d for d in detections if not d.conf < params.sigma_high]
-    conf = np.array([d.conf for d in dets], dtype=float)
-    boxes = np.array([d.box for d in dets], dtype=float).reshape(-1, 5)
-    frame = np.rint(np.array([d.t for d in dets], dtype=float) / dt).astype(np.int64)
+    t, boxes, conf = _arrays(detections)
+    gate = ~(conf < params.sigma_high)
+    frame = np.rint(t[gate] / dt).astype(np.int64)
+    boxes, conf = boxes[gate], conf[gate]
     rects = footprint_rect(boxes)
     order = np.lexsort((-conf, frame))
     ranked, key = rects[order], frame[order]
     a, b = candidate_pairs(key, ranked[:, 0], ranked[:, 2], key, ranked[:, 0], ranked[:, 2])
-    hit = (a < b) & (_rect_iou(ranked[a], ranked[b]) >= params.phi_nms)
+    hit = (a < b) & (_rect_iou(ranked[a], ranked[b]) >= PHI_NMS)
     keep = [True] * len(order)
     # in (a, b) order, a's fate is settled before its own pairs come up: its
     # rivals rank higher
@@ -277,24 +291,20 @@ def _associate(tboxes, dboxes, drects, params: TrackerParams):
     of it, since a feasible pair costs at most 10 and an infeasible one _BIG.
     """
     if params.similarity == "l2":
-        dist = np.linalg.norm(tboxes[:, None, :2] - dboxes[None, :, :2], axis=2)
-        feasible = dist <= params.d_max
+        cost = np.linalg.norm(tboxes[:, None, :2] - dboxes[None, :, :2], axis=2)
+        feasible, max_cost = cost <= D_MAX, D_MAX
     else:
         iou = _rect_iou(footprint_rect(tboxes)[:, None, :], drects[None, :, :])
-        feasible = iou >= params.phi_min
+        cost, feasible, max_cost = 1.0 - iou, iou >= PHI_MIN, 1.0 - PHI_MIN
     rows, cols = np.nonzero(feasible)
     if len(set(rows.tolist())) == len(rows) == len(set(cols.tolist())):
         return rows, cols
-    if params.similarity == "l2":
-        pairs = hungarian_match(np.where(feasible, dist, np.inf), params.d_max)
-    else:
-        pairs = hungarian_match(np.where(feasible, 1.0 - iou, np.inf),
-                                1.0 - params.phi_min)
+    pairs = hungarian_match(np.where(feasible, cost, np.inf), max_cost)
     return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
 
 
 def _run_stream(detections, params: TrackerParams, id_start: int):
-    """Track one time-sorted detection stream.
+    """Track one detection stream.
 
     Active tracks are stacked: `state` holds (id, hits, first frame, last
     matched frame) per track and X (N,7) / P (N,7,7) the constant-velocity
@@ -308,7 +318,7 @@ def _run_stream(detections, params: TrackerParams, id_start: int):
     cut = np.searchsorted(frame, np.arange(frame[0], frame[-1] + 2))
     if params.two_stage:
         # high-confidence detections first within a frame, each part in input order
-        low = conf < params.tau_high
+        low = conf < TAU_HIGH
         order = np.lexsort((low, frame))
         boxes, rects = boxes[order], rects[order]
         n_high = np.concatenate([[0], np.cumsum(~low[order])])
@@ -318,13 +328,8 @@ def _run_stream(detections, params: TrackerParams, id_start: int):
     bounds = zip(range(int(frame[0]), int(frame[-1]) + 1),
                  cut[:-1].tolist(), mid.tolist(), cut[1:].tolist())
 
-    r = params.measure_std ** 2
     F = np.eye(7)
     F[0, 5] = F[1, 6] = dt
-    Q = np.diag(np.asarray(params.process_std, dtype=float) ** 2)
-    R = r * np.eye(5)
-    P0 = np.diag([r, r, r, r, r, 400.0, 25.0])
-    confirm = max(params.confirm_hits, 2)      # confirmed on a match, never at spawn
     state = np.zeros((0, 4), dtype=np.int64)
     X, P = np.zeros((0, 7)), np.zeros((0, 7, 7))
     next_id = id_start
@@ -337,7 +342,7 @@ def _run_stream(detections, params: TrackerParams, id_start: int):
             continue
         if n and params.kalman:
             X = X @ F.T
-            P = F @ P @ F.T + Q
+            P = F @ P @ F.T + _Q
         source = np.full(n, -1)
         fresh = np.ones(mid - lo, dtype=bool)      # stage-1 detections left unmatched
         for a, b, spawning in ((lo, mid, True), (mid, hi, False)):
@@ -349,7 +354,7 @@ def _run_stream(detections, params: TrackerParams, id_start: int):
             if params.kalman and len(ti):
                 x, p = X[ti], P[ti]
                 pt = p.transpose(0, 2, 1)
-                gain_t = np.linalg.solve(pt[:, :5, :5] + R, pt[:, :5, :])   # K^T
+                gain_t = np.linalg.solve(pt[:, :5, :5] + _R, pt[:, :5, :])   # K^T
                 innovation = boxes[di] - x[:, :5]
                 X[ti] = x + (innovation[:, None, :] @ gain_t)[:, 0, :]
                 P[ti] = p - gain_t.transpose(0, 2, 1) @ p[:, :5, :]
@@ -363,9 +368,9 @@ def _run_stream(detections, params: TrackerParams, id_start: int):
         if n:
             history.append((state[:, 0].copy(), X[:, :5].copy(), source, k))
             missed = state[source < 0]
-            expired = k * dt - missed[:, 3] * dt > params.t_max
+            expired = k * dt - missed[:, 3] * dt > T_MAX_S
             ended.append(missed[expired])
-            drop = expired | (missed[:, 1] < confirm)
+            drop = expired | (missed[:, 1] < CONFIRM_HITS)
             if drop.any():
                 keep = source >= 0
                 keep[~keep] = ~drop
@@ -378,11 +383,11 @@ def _run_stream(detections, params: TrackerParams, id_start: int):
             state = np.concatenate([state, np.column_stack(
                 [ids, np.ones(m, dtype=np.int64), np.full((m, 2), k)])])
             X = np.concatenate([X, np.column_stack([boxes[spawn], np.zeros((m, 2))])])
-            P = np.concatenate([P, np.broadcast_to(P0, (m, 7, 7))])
+            P = np.concatenate([P, np.broadcast_to(_P0, (m, 7, 7))])
             history.append((ids, boxes[spawn], spawn, k))
     ended = np.concatenate(ended + [state])
     lasted = ended[:, 3] * dt - ended[:, 2] * dt
-    emit = (ended[:, 1] >= confirm) & ~(lasted < params.t_min)
+    emit = (ended[:, 1] >= CONFIRM_HITS) & ~(lasted < T_MIN_S)
     return _cut_tracklets(history, ended[emit], boxes, dt), next_id
 
 
@@ -413,14 +418,10 @@ def run_tracker(algo: str, detections) -> list[Tracklet]:
     detections are tracked as separate streams."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown tracker {algo!r}")
-    params = ALGORITHMS[algo]
-    out = []
-    next_id = 0
-    eastbound = [d for d in detections if d.box[1] >= 0]
-    westbound = [d for d in detections if d.box[1] < 0]
-    for stream in (eastbound, westbound):
-        stream = sorted(stream, key=lambda d: d.t)
-        tracklets, next_id = _run_stream(stream, params, next_id)
+    out, next_id = [], 0
+    for stream in ([d for d in detections if d.box[1] >= 0],
+                   [d for d in detections if d.box[1] < 0]):
+        tracklets, next_id = _run_stream(stream, ALGORITHMS[algo], next_id)
         out.extend(tracklets)
     return out
 
@@ -484,16 +485,13 @@ def _smooth_irregular(t: np.ndarray, v: np.ndarray, half_window: float) -> np.nd
 def run_oracle(detections, gt_traces):
     """Upper-bound tracker: claim detections overlapping each ground-truth
     trace, average concurrent claims, smooth, and interpolate between them."""
-    dets = sorted(detections, key=lambda d: d.t)
-    if dets:
-        dt_arr = np.array([d.t for d in dets])
-        dboxes = np.array([d.box for d in dets])
+    dt_arr, dboxes, _ = _arrays(detections)
     tracklets = []
     next_id = 0
     dt = 1.0 / ORACLE_F_TRACK
     for trace in gt_traces:
         times = np.asarray(trace.times, dtype=float)
-        if not dets or len(times) < 2:
+        if not len(dt_arr) or len(times) < 2:
             continue
         lo = np.searchsorted(dt_arr, times[0] - 1e-9)
         hi = np.searchsorted(dt_arr, times[-1] + 1e-9)

@@ -13,6 +13,7 @@ import pytest
 from curvitrack import io_formats as iof
 from curvitrack.cli import STAGES, main
 from curvitrack.errors import ConfigInvalid, DataInvariantViolation
+from curvitrack.gps import OFFSET_RANGE_S
 from curvitrack.simulator import (ARC_MAX_TURN_RAD, MAX_CAMERAS, MAX_DETECTION_RATE_HZ,
                                   MAX_DURATION_S, MAX_SNAPSHOTS, MAX_VEHICLE_S,
                                   MAX_VEHICLES, ROAD_PAD_FT, DetectionConfig, SceneConfig)
@@ -171,8 +172,11 @@ GOOD_DETECTION = {"t": 0.0, "camera": "c0", "box": [100.0, 6.0, 16.0, 6.0, 5.0],
     '{"t": 0.1, "box": [1' + '0' * 400 + ', 6.0, 16.0, 6.0, 5.0], "conf": 0.8}',
     '{"t": 0.1, "box": [100.0, 18.0, -15.0, -6.0, 5.0], "conf": 0.8}',
     '{"t": 0.1, "box": [100.0, 6.0, 16.0, 6.0, -0.5], "conf": 0.8}',
+    json.dumps(dict(GOOD_DETECTION, t=MAX_DURATION_S + 0.5)),
+    json.dumps(dict(GOOD_DETECTION, t=-MAX_DURATION_S - 0.5)),
 ], ids=["t-string", "box-scalar", "box-string", "box-nan", "conf-inf",
-        "not-object", "t-bool", "box-huge-int", "box-negative-l-w", "box-negative-h"])
+        "not-object", "t-bool", "box-huge-int", "box-negative-l-w", "box-negative-h",
+        "t-past-one-day", "t-before-minus-one-day"])
 def test_invalid_detection_record_exits_one(tmp_path, bad):
     dets = tmp_path / "detections.jsonl"
     dets.write_text(json.dumps(GOOD_DETECTION) + "\n" + bad + "\n")
@@ -220,8 +224,11 @@ GOOD_STATE = {"id": 0, "t": 0.0, "box": [100.0, 6.0, 16.0, 6.0, 5.0]}
     ("gt", '{"id": 0, "t": 0.0, "box": [101.0, 6.0, 16.0, 6.0, 5.0]}'),
     ("tracks", '{"id": 0, "t": 0.1, "box": [100.0, 6.0, 16.0, -6.0, 5.0]}'),
     ("gt", '{"id": 0, "t": 0.1, "box": [100.0, 6.0, -16.0, 6.0, 5.0]}'),
+    ("tracks", json.dumps(dict(GOOD_STATE, t=MAX_DURATION_S + 0.5))),
+    ("gt", json.dumps(dict(GOOD_STATE, t=-MAX_DURATION_S - 0.5))),
 ], ids=["tracks-t-string", "tracks-box-short", "tracks-repeated-t",
-        "gt-box-nan", "gt-repeated-t", "tracks-box-negative-w", "gt-box-negative-l"])
+        "gt-box-nan", "gt-repeated-t", "tracks-box-negative-w", "gt-box-negative-l",
+        "tracks-t-past-one-day", "gt-t-before-minus-one-day"])
 def test_invalid_state_record_exits_one(tmp_path, side, bad):
     files = {"gt": tmp_path / "gt_tracks.jsonl", "tracks": tmp_path / "tracks.jsonl"}
     for name, path in files.items():
@@ -249,8 +256,11 @@ def test_invalid_point_record_exits_one(tmp_path, field, value):
                     "points.jsonl", "record 2")
 
 
-@pytest.mark.parametrize("row", ["v1,0.1,inf,0.0", "v1,nan,2.0,0.0", "v1,0.0,2.0,0.0"],
-                         ids=["x-inf", "t-nan", "repeated-t"])
+@pytest.mark.parametrize("row", ["v1,0.1,inf,0.0", "v1,nan,2.0,0.0", "v1,0.0,2.0,0.0",
+                                 f"v1,{MAX_DURATION_S + OFFSET_RANGE_S + 0.5},2.0,0.0",
+                                 f"v1,{-MAX_DURATION_S - OFFSET_RANGE_S - 0.5},2.0,0.0"],
+                         ids=["x-inf", "t-nan", "repeated-t", "t-past-one-day-and-offset",
+                              "t-before-minus-one-day-and-offset"])
 def test_invalid_gps_row_exits_one(tmp_path, row):
     gps = tmp_path / "gps.csv"
     gps.write_text("vehicle_id,t,x,y\nv1,0.0,1.0,0.0\n" + row + "\n")
@@ -259,6 +269,16 @@ def test_invalid_gps_row_exits_one(tmp_path, row):
     assert_rejected(["gps-correct", "--gps", gps, "--annotations", anns,
                      "--out", tmp_path / "out"], "gps.csv", "line 3")
     assert not (tmp_path / "out").exists()
+
+
+def test_gps_times_may_pass_one_day_by_the_clock_offset(tmp_path):
+    # a GPS time is scene time plus the receiver's clock offset, which the
+    # simulator draws within the range the refinement searches
+    gps = tmp_path / "gps.csv"
+    gps.write_text(f"vehicle_id,t,x,y\nv1,{MAX_DURATION_S},1.0,0.0\n"
+                   f"v1,{MAX_DURATION_S + OFFSET_RANGE_S},2.0,0.0\n")
+    [trace] = iof.read_gps(str(gps))
+    assert trace.times.tolist() == [MAX_DURATION_S, MAX_DURATION_S + OFFSET_RANGE_S]
 
 
 IDENTITY = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -291,9 +311,16 @@ GOOD_SNAPSHOT = {"epoch": 0.0, "camera": "c0", "direction": "EB",
     ("sift_maps.json", 0, {"camera": "c0", "maps": [
         {"epoch": 0.0, "m": IDENTITY}, {"epoch": 0.0, "m": IDENTITY}]},
      "entry 1: map 2: repeated epoch 0.0"),
+    ("snapshots.jsonl", 1, dict(GOOD_SNAPSHOT, epoch=MAX_DURATION_S + 0.5), "record 2"),
+    ("snapshots.jsonl", 0, dict(GOOD_SNAPSHOT, epoch=-MAX_DURATION_S - 0.5), "record 1"),
+    ("snapshots.jsonl", 1, dict(GOOD_SNAPSHOT, epoch=1e306), "record 2"),
+    ("sift_maps.json", 0, {"camera": "c0", "maps": [
+        {"epoch": 0.0, "m": IDENTITY}, {"epoch": MAX_DURATION_S + 0.5, "m": IDENTITY}]},
+     "entry 1"),
 ], ids=["snap-repeated-id", "snap-im-short", "snap-epoch-string", "snap-im-nan",
         "snap-repeated-epoch", "h-string", "h-nan", "sift-no-m", "sift-singular",
-        "sift-ill-conditioned", "sift-repeated-epoch"])
+        "sift-ill-conditioned", "sift-repeated-epoch", "snap-epoch-past-one-day",
+        "snap-epoch-before-minus-one-day", "snap-epoch-huge", "sift-epoch-past-one-day"])
 def test_invalid_restim_input_exits_one(tmp_path, name, i, bad, where):
     contents = {
         "points.jsonl": [GOOD_POINT],
@@ -333,8 +360,11 @@ def test_invalid_track_id_or_dims_exits_one(tmp_path, second, dims, name, where)
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("row", ["v1,nan,1.5,0.0,0", "v1,0.05,inf,0.0,0", "v1,0.05,1.5,-inf,0"],
-                         ids=["t-nan", "x-inf", "y-inf"])
+@pytest.mark.parametrize("row", ["v1,nan,1.5,0.0,0", "v1,0.05,inf,0.0,0", "v1,0.05,1.5,-inf,0",
+                                 f"v1,{MAX_DURATION_S + 0.5},1.5,0.0,0",
+                                 f"v1,{-MAX_DURATION_S - 0.5},1.5,0.0,0"],
+                         ids=["t-nan", "x-inf", "y-inf", "t-past-one-day",
+                              "t-before-minus-one-day"])
 def test_invalid_annotation_row_exits_one(tmp_path, row):
     gps = tmp_path / "gps.csv"
     gps.write_text("vehicle_id,t,x,y\nv1,0.0,1.0,0.0\nv1,0.1,2.0,0.0\n")

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -357,6 +357,12 @@ def test_algorithms_table():
     assert not any(ALGORITHMS[a].two_stage for a in ("sort", "iout", "kiou"))
 
 
+def test_table_keeps_only_settings_that_vary():
+    # a setting every tracker shares is a module constant, not a table column
+    for f in fields(tk.TrackerParams):
+        assert len({getattr(p, f.name) for p in ALGORITHMS.values()}) >= 2, f.name
+
+
 def test_determinism():
     dets = vehicle_dets() + vehicle_dets(x0=300.0, y=18.0)
     dets = sorted(dets, key=lambda d: d.t)
@@ -376,12 +382,12 @@ class _RefKalmanCV:
     def __init__(self, box, dt, params):
         self.dt = dt
         self.x = np.array(list(box) + [0.0, 0.0], dtype=float)
-        r = params.measure_std ** 2
+        r = tk.MEASURE_STD ** 2
         self.P = np.diag([r, r, r, r, r, 400.0, 25.0])
         self.F = np.eye(7)
         self.F[0, 5] = dt
         self.F[1, 6] = dt
-        self.Q = np.diag(np.asarray(params.process_std, dtype=float) ** 2)
+        self.Q = np.diag(np.asarray(tk.PROCESS_STD, dtype=float) ** 2)
         self.R = r * np.eye(5)
         self.H = np.zeros((5, 7))
         self.H[:5, :5] = np.eye(5)
@@ -439,7 +445,7 @@ def _ref_frames(detections, params):
         if d.conf < params.sigma_high:
             continue
         buckets.setdefault(int(round(d.t / dt)), []).append(d)
-    return {k: _ref_nms(g, params.phi_nms) for k, g in buckets.items()}, dt
+    return {k: _ref_nms(g, tk.PHI_NMS) for k, g in buckets.items()}, dt
 
 
 def _ref_assoc_cost(tracks, dets, params):
@@ -449,9 +455,9 @@ def _ref_assoc_cost(tracks, dets, params):
     dboxes = np.array([d.box for d in dets])
     if params.similarity == "l2":
         dist = np.linalg.norm(tboxes[:, None, :2] - dboxes[None, :, :2], axis=2)
-        return np.where(dist <= params.d_max, dist, np.inf), params.d_max
+        return np.where(dist <= tk.D_MAX, dist, np.inf), tk.D_MAX
     iou = iou_matrix(tboxes, dboxes)
-    return np.where(iou >= params.phi_min, 1.0 - iou, np.inf), 1.0 - params.phi_min
+    return np.where(iou >= tk.PHI_MIN, 1.0 - iou, np.inf), 1.0 - tk.PHI_MIN
 
 
 def _ref_run_stream(detections, params, id_start):
@@ -463,7 +469,7 @@ def _ref_run_stream(detections, params, id_start):
     active, done = [], []
 
     def finalize(tr):
-        if not tr.confirmed or tr.last_match_t - tr.first_match_t < params.t_min:
+        if not tr.confirmed or tr.last_match_t - tr.first_match_t < tk.T_MIN_S:
             return
         n = tr.last_match_idx + 1
         done.append(tk.Tracklet(tr.tid, tr.times[:n], tr.boxes[:n], tr.dims))
@@ -476,8 +482,8 @@ def _ref_run_stream(detections, params, id_start):
                 tr.kf.predict()
                 tr.box = tr.kf.box
         if params.two_stage:
-            stages = [([d for d in dets if d.conf >= params.tau_high], True),
-                      ([d for d in dets if d.conf < params.tau_high], False)]
+            stages = [([d for d in dets if d.conf >= tk.TAU_HIGH], True),
+                      ([d for d in dets if d.conf < tk.TAU_HIGH], False)]
         else:
             stages = [(dets, True)]
         matched, new_dets, pool = set(), [], active
@@ -496,7 +502,7 @@ def _ref_run_stream(detections, params, id_start):
                 tr.boxes.append(tr.box)
                 tr.dims.append(tuple(d.box[2:5]))
                 tr.hits += 1
-                if tr.hits >= params.confirm_hits:
+                if tr.hits >= tk.CONFIRM_HITS:
                     tr.confirmed = True
                 tr.last_match_t = t
                 tr.last_match_idx = len(tr.times) - 1
@@ -512,7 +518,7 @@ def _ref_run_stream(detections, params, id_start):
                 continue
             tr.times.append(t)
             tr.boxes.append(tr.box)
-            if t - tr.last_match_t > params.t_max:
+            if t - tr.last_match_t > tk.T_MAX_S:
                 finalize(tr)
             elif tr.confirmed:
                 survivors.append(tr)
