@@ -8,6 +8,7 @@ fitness metrics compare point projections in state-plane feet.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ OUTLIER_ABS_TOL = 1e-6
 GRID_SPACING_S = 10.0
 BASE_WINDOW_S = 300.0
 MIN_WINDOW_COUNT = 10
+STACK_MAX = 256            # snapshots per stacked fit; bounds its working memory
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,62 @@ class HomographyTimeline:
         self.instants.append((float(epoch), h, list(inliers)))
 
 
-def _join(reference_points: list[CorrespondencePoint], snap: RediscoverySnapshot):
-    by_id = {p.id: p for p in reference_points}
-    missing = [i for i, _ in snap.points if i not in by_id]
-    if missing:
-        raise DataInvariantViolation(
-            f"{snap.camera_id} snapshot at epoch {snap.epoch}: "
-            f"ids not in reference set: {missing[:5]}")
-    return [
-        CorrespondencePoint(i, im, by_id[i].world) for i, im in snap.points
-    ]
+def _join(reference_points: list[CorrespondencePoint], snaps):
+    """Each snapshot's points as indices into reference_points, and the
+    reference points' world coordinates (Nx2)."""
+    row_of = {p.id: i for i, p in enumerate(reference_points)}
+    rows = []
+    for snap in snaps:
+        missing = [i for i, _ in snap.points if i not in row_of]
+        if missing:
+            raise DataInvariantViolation(f"{snap.camera_id} snapshot at epoch {snap.epoch}: "
+                                         f"ids not in reference set: {missing[:5]}")
+        rows.append(np.array([row_of[i] for i, _ in snap.points], dtype=np.intp))
+    return rows, np.array([[p.world.x, p.world.y] for p in reference_points])
+
+
+def _fit_one(reference_points, rows: np.ndarray, snap: RediscoverySnapshot):
+    """One snapshot through fit_homography (RANSAC consensus): its
+    (epoch, Homography, inlier ids), or the RejectedInstant."""
+    if len(rows) < MIN_INSTANT_INLIERS:
+        return RejectedInstant(f"only {len(rows)} rediscovered points")
+    joined = [CorrespondencePoint(i, im, reference_points[r].world)
+              for (i, im), r in zip(snap.points, rows)]
+    try:
+        h, inliers = geometry.fit_homography(joined, snap.camera_id, snap.direction,
+                                             seed=int(snap.epoch * 1000) & 0x7FFFFFFF)
+    except (DegenerateConfiguration, SingularFit) as exc:
+        return RejectedInstant(str(exc))
+    if len(inliers) < MIN_INSTANT_INLIERS:
+        return RejectedInstant(f"only {len(inliers)} inliers")
+    kept = set(inliers)
+    world = np.array([[p.world.x, p.world.y] for p in joined if p.id in kept])
+    if geometry.points_collinear_within(world, COLLINEAR_BAND_FT):
+        return RejectedInstant("collinear")
+    return snap.epoch, h, inliers
+
+
+def _fit_snapshots(reference_points: list[CorrespondencePoint], snaps: list) -> list:
+    """(epoch, Homography, inlier ids), or the RejectedInstant, per snapshot.
+    geometry.fit_all_points runs on STACK_MAX snapshots at a time; those it
+    does not settle, or that fall within the collinear band, take _fit_one."""
+    rows, world_of = _join(reference_points, snaps)
+    live = [k for k, r in enumerate(rows) if len(r) >= MIN_INSTANT_INLIERS]
+    fast = {}
+    for chunk in (live[i:i + STACK_MAX] for i in range(0, len(live), STACK_MAX)):
+        counts = [len(rows[k]) for k in chunk]
+        mask = np.arange(max(counts)) < np.array(counts)[:, None]
+        img, world = np.zeros(mask.shape + (2,)), np.zeros(mask.shape + (2,))
+        img[mask] = [(p.x, p.y) for k in chunk for _, p in snaps[k].points]
+        world[mask] = world_of[np.concatenate([rows[k] for k in chunk])]
+        h, ok = geometry.fit_all_points(img, world, mask)
+        ok &= ~geometry.points_collinear_within(world, COLLINEAR_BAND_FT, mask)
+        for k, h_k in zip(np.array(chunk)[ok], h[ok]):
+            with contextlib.suppress(SingularFit):
+                fast[k] = (snaps[k].epoch, Homography(h_k, snaps[k].camera_id, snaps[k].direction),
+                           [i for i, _ in snaps[k].points])
+    return [fast[k] if k in fast else _fit_one(reference_points, rows[k], snap)
+            for k, snap in enumerate(snaps)]
 
 
 def fit_instant(
@@ -80,23 +128,10 @@ def fit_instant(
     Raises RejectedInstant when too few inliers survive or the surviving
     world points fall within a 1 ft collinear band (single-lane rediscovery).
     """
-    joined = _join(reference_points, snap)
-    if len(joined) < MIN_INSTANT_INLIERS:
-        raise RejectedInstant(f"only {len(joined)} rediscovered points")
-    try:
-        h, inliers = geometry.fit_homography(
-            joined,
-            camera_id=snap.camera_id, direction=snap.direction,
-            seed=int(snap.epoch * 1000) & 0x7FFFFFFF)
-    except (DegenerateConfiguration, SingularFit) as exc:
-        raise RejectedInstant(str(exc)) from exc
-    if len(inliers) < MIN_INSTANT_INLIERS:
-        raise RejectedInstant(f"only {len(inliers)} inliers")
-    kept = set(inliers)
-    world = np.array([[p.world.x, p.world.y] for p in joined if p.id in kept])
-    if geometry.points_collinear_within(world, COLLINEAR_BAND_FT):
-        raise RejectedInstant("collinear")
-    return snap.epoch, h, inliers
+    fit, = _fit_snapshots(reference_points, [snap])
+    if isinstance(fit, RejectedInstant):
+        raise fit
+    return fit
 
 
 def build_timeline(
@@ -107,13 +142,12 @@ def build_timeline(
     """Fit all snapshots into a timeline; returns (timeline, rejections)."""
     tl = HomographyTimeline(reference.camera_id, reference.direction, reference)
     rejected = []
-    for snap in sorted(snapshots, key=lambda s: s.epoch):
-        try:
-            epoch, h, inliers = fit_instant(reference_points, snap)
-        except RejectedInstant as exc:
-            rejected.append((snap.epoch, exc.reason))
-            continue
-        tl.add_instant(epoch, h, inliers)
+    snaps = sorted(snapshots, key=lambda s: s.epoch)
+    for snap, fit in zip(snaps, _fit_snapshots(reference_points, snaps)):
+        if isinstance(fit, RejectedInstant):
+            rejected.append((snap.epoch, fit.reason))
+        else:
+            tl.add_instant(*fit)
     return tl, rejected
 
 
@@ -154,8 +188,7 @@ def _surviving(timeline: HomographyTimeline) -> tuple[np.ndarray, np.ndarray]:
 def build_static(timeline: HomographyTimeline) -> Homography:
     """Element-wise mean homography after iterative 30% outlier removal."""
     _, mats = _surviving(timeline)
-    mean = geometry.normalize_h(mats.mean(axis=0))
-    return Homography(mean, timeline.camera_id, timeline.direction)
+    return Homography(mats.mean(axis=0), timeline.camera_id, timeline.direction)
 
 
 def build_dynamic(timeline: HomographyTimeline) -> list[tuple[float, Homography]]:
@@ -166,20 +199,19 @@ def build_dynamic(timeline: HomographyTimeline) -> list[tuple[float, Homography]
     """
     epochs, mats = _surviving(timeline)
     span = max(epochs[-1] - epochs[0], GRID_SPACING_S)
-
+    grid = epochs[0] + np.arange(0.0, epochs[-1] - epochs[0] + GRID_SPACING_S / 2.0, GRID_SPACING_S)
+    halves = BASE_WINDOW_S * 2.0 ** np.arange(64)
     out = []
-    t0, t1 = epochs[0], epochs[-1]
-    grid = t0 + np.arange(0.0, (t1 - t0) + GRID_SPACING_S / 2.0, GRID_SPACING_S)
-    for t in grid:
-        half = BASE_WINDOW_S
-        while np.count_nonzero(np.abs(epochs - t) <= half) < MIN_WINDOW_COUNT and half < span:
-            half *= 2.0
-        inside = np.abs(epochs - t) <= half
-        sigma = half / 3.0
-        w = np.exp(-0.5 * ((epochs[inside] - t) / sigma) ** 2)
-        m = geometry.normalize_h(
-            np.tensordot(w, mats[inside], axes=1) / w.sum())
-        out.append((float(t), Homography(m, timeline.camera_id, timeline.direction)))
+    for t in np.array_split(grid[:, None], 1 + len(grid) * len(epochs) // 2 ** 20):  # ~1M dists
+        dist = np.abs(epochs - t)
+        # the first doubling that holds the MIN_WINDOW_COUNT-th nearest instant or the span
+        nth = (np.partition(dist, MIN_WINDOW_COUNT - 1, axis=1)[:, MIN_WINDOW_COUNT - 1]
+               if len(epochs) >= MIN_WINDOW_COUNT else np.full(len(t), np.inf))
+        half = halves[np.searchsorted(halves, np.minimum(nth, span))][:, None]
+        w = np.exp(-0.5 * ((epochs - t) / (half / 3.0)) ** 2) * (dist <= half)
+        m = (w @ mats.reshape(-1, 9) / w.sum(axis=1, keepdims=True)).reshape(-1, 3, 3)
+        out += [(float(tk), Homography(mk, timeline.camera_id, timeline.direction))
+                for tk, mk in zip(t[:, 0], m)]
     return out
 
 
@@ -192,9 +224,8 @@ def build_baseline(timeline: HomographyTimeline) -> list[tuple[float, Homography
             inv = np.linalg.inv(np.asarray(m, dtype=float))
         except np.linalg.LinAlgError as exc:
             raise SingularFit(f"alignment map at epoch {epoch} is singular") from exc
-        comp = geometry.normalize_h(timeline.reference.h @ inv)
-        out.append((float(epoch),
-                    Homography(comp, timeline.camera_id, timeline.direction)))
+        out.append((float(epoch), Homography(timeline.reference.h @ inv,
+                                             timeline.camera_id, timeline.direction)))
     return out
 
 
@@ -231,11 +262,10 @@ def metric_fitness(
 ) -> ErrorStats:
     """Residual of a fit: rediscovered points projected through their own
     homography versus the reference world positions."""
-    joined = _join(reference_points, snap)
-    img = np.array([[p.image.x, p.image.y] for p in joined])
-    world = np.array([[p.world.x, p.world.y] for p in joined])
+    (rows,), world_of = _join(reference_points, [snap])
+    img = np.array([[p.x, p.y] for _, p in snap.points])
     proj = geometry.project_points_image_to_world(h_t, img)
-    return ErrorStats.from_distances(np.linalg.norm(proj - world, axis=1))
+    return ErrorStats.from_distances(np.linalg.norm(proj - world_of[rows], axis=1))
 
 
 def metric_full_drift(

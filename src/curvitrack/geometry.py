@@ -8,6 +8,7 @@ feet on the z=0 road plane, normalized so h33 = 1.  The 3x4 matrix P maps
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -106,23 +107,28 @@ def check_conditioned(m: np.ndarray) -> None:
         raise SingularFit(f"homography condition number {cond:.3g} exceeds limit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Homography:
     """3x3 map from image pixels to state-plane feet, normalized h33=1."""
 
     h: np.ndarray
     camera_id: str = ""
     direction: str = "EB"
-    hinv: np.ndarray = field(init=False, repr=False, compare=False)  # not renormalized
+    _hinv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = normalize_h(_as_matrix(self.h))
         check_conditioned(m)
         m.setflags(write=False)
         object.__setattr__(self, "h", m)
-        hinv = np.linalg.inv(m)
-        hinv.setflags(write=False)
-        object.__setattr__(self, "hinv", hinv)
+
+    @property
+    def hinv(self) -> np.ndarray:
+        """Inverse of h (not renormalized), read-only, computed on first use."""
+        if self._hinv is None:
+            object.__setattr__(self, "_hinv", np.linalg.inv(self.h))
+            self._hinv.setflags(write=False)
+        return self._hinv
 
 
 @dataclass(frozen=True)
@@ -201,18 +207,22 @@ class Prism3D:
 # ---------------------------------------------------------------------------
 # projection primitives
 
+def _homogeneous(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """m applied to points extended by a 1: (..., N, 3) from (..., N, 2 or 3)."""
+    ones = np.ones(pts.shape[:-1] + (1,))
+    return np.swapaxes(m @ np.swapaxes(np.concatenate([pts, ones], axis=-1), -1, -2), -1, -2)
+
+
 def _project_h(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Apply a 3x3 (or 3x4) projective map to Nx2 (or Nx3) points.
+    """Apply a 3x3 (or 3x4) projective map to Nx2 (or Nx3) points, or a
+    stack of K maps to KxNx2 points.
 
     Raises HorizonPoint where the projective denominator vanishes.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    ones = np.ones((pts.shape[0], 1))
-    q = (m @ np.hstack([pts, ones]).T).T
-    denom = q[:, 2]
-    if np.any(np.abs(denom) < 1e-12):
+    q = _homogeneous(m, np.atleast_2d(np.asarray(pts, dtype=float)))
+    if np.any(np.abs(q[..., 2]) < 1e-12):
         raise HorizonPoint("projective denominator vanished")
-    return q[:, :2] / denom[:, None]
+    return q[..., :2] / q[..., 2:]
 
 
 def project_image_to_world(h: Homography, p: ImagePoint) -> StatePlanePoint:
@@ -233,113 +243,136 @@ def project_points_image_to_world(h: Homography, pts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# homography fitting
+# homography fitting: one problem (Nx2 points, a 3x3 matrix), or a stack of K
+# padded to one N (KxNx2, Kx3x3) with a KxN mask that is False on padding rows
 
-def _dlt(img: np.ndarray, world: np.ndarray) -> np.ndarray:
-    """Direct linear transform with Hartley normalization."""
+def _mean(pts: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean over the real rows: (..., N, D) -> (..., 1, D)."""
+    return (pts * mask[..., None]).sum(axis=-2, keepdims=True) / mask.sum(axis=-1)[..., None, None]
+
+
+def _dlt(img: np.ndarray, world: np.ndarray, mask=None) -> np.ndarray:
+    """Direct linear transform with Hartley normalization; padded rows are
+    zero in the design matrix.  One problem whose h33 vanishes raises
+    SingularFit; in a stack, that problem comes back nan."""
+    mask = np.ones(img.shape[:-1], dtype=bool) if mask is None else mask
 
     def norm_transform(pts):
-        c = pts.mean(axis=0)
-        d = np.sqrt(((pts - c) ** 2).sum(axis=1)).mean()
-        s = math.sqrt(2.0) / d if d > 1e-12 else 1.0
-        t = np.array([[s, 0, -s * c[0]], [0, s, -s * c[1]], [0, 0, 1.0]])
+        c = _mean(pts, mask)
+        d = _mean(np.sqrt(((pts - c) ** 2).sum(axis=-1, keepdims=True)), mask)[..., 0, 0]
+        s = math.sqrt(2.0) / np.where(d > 1e-12, d, math.sqrt(2.0))
+        t = np.eye(3) * np.stack([s, s, np.ones_like(s)], axis=-1)[..., None]
+        t[..., :2, 2] = -s[..., None] * c[..., 0, :]
         return t
 
-    ti = norm_transform(img)
-    tw = norm_transform(world)
-    ih = _project_h(ti, img)
-    wh = _project_h(tw, world)
-
-    x, y = ih[:, 0], ih[:, 1]
-    u, v = wh[:, 0], wh[:, 1]
+    ti, tw = norm_transform(img), norm_transform(world)
+    ih, wh = _project_h(ti, img), _project_h(tw, world)
+    (x, y), (u, v) = np.moveaxis(ih, -1, 0), np.moveaxis(wh, -1, 0)
     one, zero = np.ones_like(x), np.zeros_like(x)
-    a = np.empty((2 * len(x), 9))
-    a[0::2] = np.stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u], axis=1)
-    a[1::2] = np.stack([zero, zero, zero, x, y, one, -v * x, -v * y, -v], axis=1)
-    _, _, vt = np.linalg.svd(a)
-    hn = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(tw) @ hn @ ti
-    return normalize_h(h)
+    a = np.empty(x.shape[:-1] + (2 * x.shape[-1], 9))
+    a[..., 0::2, :] = np.stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u], axis=-1)
+    a[..., 1::2, :] = np.stack([zero, zero, zero, x, y, one, -v * x, -v * y, -v], axis=-1)
+    a *= np.repeat(mask, 2, axis=-1)[..., None]
+    _, _, vt = np.linalg.svd(a, full_matrices=a.shape[-2] < 9)   # V is 9x9 either way
+    h = np.linalg.inv(tw) @ vt[..., -1, :].reshape(ti.shape) @ ti
+    return normalize_h(h) if h.ndim == 2 else h / np.where(
+        np.abs(h[:, 2:, 2:]) < 1e-15, np.nan, h[:, 2:, 2:])
 
 
-def _refine_lm(h0: np.ndarray, img: np.ndarray, world: np.ndarray) -> np.ndarray:
-    """Minimize the squared state-plane reprojection error over all 8 dof.
+def _refine_lm(h0: np.ndarray, img: np.ndarray, world: np.ndarray, mask=None) -> np.ndarray:
+    """Minimize the squared state-plane reprojection error over all 8 dof;
+    padded rows are zero in the Jacobian and the residual.
 
     Levenberg-Marquardt on the analytic Jacobian, with the normal equations
     scaled to a unit diagonal and solved by one eigendecomposition per
-    Jacobian; a projective denominator below 1e-12 is clamped there.
-    An accepted step divides the damping by 10.  A step that does not lower
-    the cost, or is not finite, is retried with 100 times the damping.
+    Jacobian, which a rejected step reuses; a projective denominator below
+    1e-12 is clamped there.  An accepted step divides the damping by 10.
+    A step that does not lower the cost, or is not finite, is retried with
+    100 times the damping.  Each problem of a stack has its own damping and
+    stops on its own; a start that is not finite stays.
     """
-    n = len(img)
-    x, y = img[:, 0], img[:, 1]
-    basis = np.stack([x, y, np.ones(n)], axis=1)
+    k, n = math.prod(img.shape[:-2]), img.shape[-2]
+    mask = np.ones((k, n), dtype=bool) if mask is None else mask.reshape(k, n)
+    (x, y), world = np.moveaxis(img.reshape(k, n, 2), -1, 0), world.reshape(k, n, 2)
+    basis = np.stack([x, y, np.ones_like(x)], axis=2) * mask[..., None]
+    target = np.concatenate([world[..., 0], world[..., 1]], axis=1) * np.tile(mask, 2)
 
-    def evaluate(p):
-        d = p[6] * x + p[7] * y + 1.0
+    def evaluate(p, sel):
+        d = p[:, 6, None] * x[sel] + p[:, 7, None] * y[sel] + 1.0
         live = np.abs(d) >= 1e-12
-        d = np.where(live, d, 1e-12)
-        a = basis / d[:, None]
-        u, v = a @ p[0:3], a @ p[3:6]
-        jac = np.zeros((2 * n, 8))
-        jac[:n, 0:3] = a
-        jac[n:, 3:6] = a
-        jac[:n, 6:] = -(u * live)[:, None] * a[:, :2]
-        jac[n:, 6:] = -(v * live)[:, None] * a[:, :2]
-        r = np.concatenate([u - world[:, 0], v - world[:, 1]])
-        return r, jac, r @ r
+        a = basis[sel] / np.where(live, d, 1e-12)[..., None]
+        u, v = np.einsum("knj,kij->ikn", a, p[:, :6].reshape(-1, 2, 3))
+        jac = np.zeros((len(sel), 2 * n, 8))
+        jac[:, :n, 0:3] = jac[:, n:, 3:6] = a
+        jac[:, :n, 6:] = -(u * live)[..., None] * a[..., :2]
+        jac[:, n:, 6:] = -(v * live)[..., None] * a[..., :2]
+        r = np.concatenate([u, v], axis=1) - target[sel]
+        return (np.einsum("ki,ki->k", r, r), jac.transpose(0, 2, 1) @ jac,
+                np.einsum("kji,kj->ki", jac, r))
 
-    p = h0.ravel()[:8] / h0[2, 2]
-    r, jac, cost = evaluate(p)
-    damping, improved = LM_DAMP_START, True
+    p = h0.reshape(k, 9)[:, :8] / h0.reshape(k, 9)[:, 8:]
+    cost, gram, grad = evaluate(p, np.arange(k))   # cost, J'J and J'r
+    damping, active = np.full(k, LM_DAMP_START), np.isfinite(p).all(axis=1)
+    col, w, vec, proj = np.ones((k, 8)), np.zeros((k, 8)), np.zeros((k, 8, 8)), np.zeros((k, 8))
+    fresh = np.flatnonzero(active)   # problems whose J'J is not decomposed yet
     for _ in range(LM_MAX_ITER):
-        if improved:
-            gram = jac.T @ jac
-            col = np.sqrt(np.diag(gram))
-            col[col == 0.0] = 1.0
-            w, vec = np.linalg.eigh(gram / np.outer(col, col))
-            proj = vec.T @ (jac.T @ r / col)
-        step = -(vec @ (proj / (np.maximum(w, 0.0) + damping))) / col
-        r_new, jac_new, cost_new = evaluate(p + step)
-        improved = cost_new < cost
-        if improved:
-            done = cost - cost_new <= LM_TOL * cost
-            p, r, jac, cost = p + step, r_new, jac_new, cost_new
-            damping /= 10.0
-        else:
-            done = False
-            damping *= 100.0
-        if done or np.linalg.norm(col * step) <= LM_TOL * np.linalg.norm(col * p):
+        act = np.flatnonzero(active)
+        if not act.size:
             break
-    return normalize_h(np.append(p, 1.0).reshape(3, 3))
+        c = np.sqrt(np.diagonal(gram[fresh], axis1=1, axis2=2))
+        col[fresh] = c = np.where(c == 0.0, 1.0, c)
+        w[fresh], vec[fresh] = np.linalg.eigh(gram[fresh] / (c[:, :, None] * c[:, None, :]))
+        proj[fresh] = np.einsum("kji,kj->ki", vec[fresh], grad[fresh] / c)
+        lam, ca = np.maximum(w[act], 0.0) + damping[act, None], col[act]
+        step = -np.einsum("kij,kj->ki", vec[act], proj[act] / lam) / ca
+        cost_new, gram_new, grad_new = evaluate(p[act] + step, act)
+        ok = cost_new < cost[act]
+        done = ok & (cost[act] - cost_new <= LM_TOL * cost[act])
+        kept = act[ok]
+        p[kept] += step[ok]
+        cost[kept], gram[kept], grad[kept] = cost_new[ok], gram_new[ok], grad_new[ok]
+        damping[act] = np.where(ok, damping[act] / 10.0, damping[act] * 100.0)
+        small = np.linalg.norm(ca * step, axis=1) <= LM_TOL * np.linalg.norm(ca * p[act], axis=1)
+        active[act[done | small]] = False
+        fresh = kept[active[kept]]
+    return np.concatenate([p, np.ones((k, 1))], axis=1).reshape(h0.shape)
 
 
-def _collinear(pts: np.ndarray) -> bool:
+def _collinear(pts: np.ndarray, mask=None):
     """True when 2D points have no spread perpendicular to their best line."""
-    if pts.shape[0] < 3:
-        return True
-    c = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(c, compute_uv=False)
-    return sv[1] <= COLLINEAR_TOL * max(1.0, sv[0])
+    mask = np.ones(pts.shape[:-1], dtype=bool) if mask is None else mask
+    sv = np.linalg.svd((pts - _mean(pts, mask)) * mask[..., None], compute_uv=False)
+    return (mask.sum(axis=-1) < 3) | (sv[..., 1] <= COLLINEAR_TOL * np.maximum(1.0, sv[..., 0]))
 
 
-def points_collinear_within(pts: np.ndarray, band_ft: float) -> bool:
+def points_collinear_within(pts: np.ndarray, band_ft: float, mask=None):
     """True when all points lie within band_ft of their best-fit line."""
-    if pts.shape[0] < 3:
-        return True
-    c = pts - pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(c)
-    perp = c @ vt[1]
-    return float(np.max(np.abs(perp))) <= band_ft
+    mask = np.ones(pts.shape[:-1], dtype=bool) if mask is None else mask
+    if pts.shape[-2] < 3:
+        return mask.sum(axis=-1) < 3
+    c = (pts - _mean(pts, mask)) * mask[..., None]
+    _, _, vt = np.linalg.svd(c, full_matrices=False)
+    perp = np.abs((c * vt[..., 1:2, :]).sum(axis=-1)).max(axis=-1)
+    return (mask.sum(axis=-1) < 3) | (perp <= band_ft)
 
 
 def _residuals_ft(h: np.ndarray, img: np.ndarray, world: np.ndarray) -> np.ndarray:
-    q = (h @ np.hstack([img, np.ones((img.shape[0], 1))]).T).T
-    denom = q[:, 2]
-    denom = np.where(np.abs(denom) < 1e-12, np.nan, denom)
-    proj = q[:, :2] / denom[:, None]
-    r = np.linalg.norm(proj - world, axis=1)
+    q = _homogeneous(h, img)
+    denom = np.where(np.abs(q[..., 2:]) < 1e-12, np.nan, q[..., 2:])
+    r = np.linalg.norm(q[..., :2] / denom - world, axis=-1)
     return np.where(np.isnan(r), np.inf, r)
+
+
+def fit_all_points(img: np.ndarray, world: np.ndarray, mask: np.ndarray):
+    """Least-squares fits over all points of K stacked problems (Kx3x3), and
+    whether each is final without consensus (K booleans): neither point set
+    is collinear and every residual is within DEFAULT_INLIER_FT."""
+    try:
+        h = _refine_lm(_dlt(img, world, mask), img, world, mask)
+    except np.linalg.LinAlgError:    # settles none of the stack
+        h = np.full(mask.shape[:1] + (3, 3), np.nan)
+    ok = ~(_collinear(img, mask) | _collinear(world, mask))
+    return h, ok & np.all((_residuals_ft(h, img, world) <= DEFAULT_INLIER_FT) | ~mask, axis=1)
 
 
 def fit_homography(
@@ -358,16 +391,12 @@ def fit_homography(
     img = np.array([[p.image.x, p.image.y] for p in points])
     world = np.array([[p.world.x, p.world.y] for p in points])
     ids = [p.id for p in points]
+    (h_all,), (final,) = fit_all_points(img[None], world[None], np.ones((1, len(ids)), dtype=bool))
+    if final:
+        with contextlib.suppress(SingularFit):
+            return Homography(h_all, camera_id, direction), ids
     if _collinear(img) or _collinear(world):
         raise DegenerateConfiguration("points are collinear")
-
-    # Fast path: a fit over everything whose residuals all pass is final.
-    try:
-        h_all = _refine_lm(_dlt(img, world), img, world)
-        if np.all(_residuals_ft(h_all, img, world) <= DEFAULT_INLIER_FT):
-            return Homography(h_all, camera_id, direction), ids
-    except (np.linalg.LinAlgError, SingularFit):
-        pass
 
     rng = np.random.default_rng(seed)
     best_mask = None

@@ -3,8 +3,9 @@ import pytest
 
 from curvitrack import drift, geometry
 from curvitrack.drift import HomographyTimeline, RediscoverySnapshot
-from curvitrack.errors import AllOutliers, RejectedInstant
-from curvitrack.geometry import Homography, ImagePoint
+from curvitrack.errors import (AllOutliers, DataInvariantViolation, DegenerateConfiguration,
+                               RejectedInstant, SingularFit)
+from curvitrack.geometry import CorrespondencePoint, Homography, ImagePoint, StatePlanePoint
 
 from conftest import points_from_h, random_homography
 
@@ -89,6 +90,92 @@ def test_fit_instant_collinear_band_rejected(scene, rng):
         drift.fit_instant(lane_pts, snap)
 
 
+def loop_timeline(reference_points, snapshots):
+    """Reference: each snapshot joined and fit on its own through
+    fit_homography, in epoch order; returns (instants, rejections)."""
+    by_id = {p.id: p for p in reference_points}
+    instants, rejected = [], []
+    for snap in sorted(snapshots, key=lambda s: s.epoch):
+        if any(i not in by_id for i, _ in snap.points):
+            raise DataInvariantViolation(f"unknown id at epoch {snap.epoch}")
+        joined = [CorrespondencePoint(i, im, by_id[i].world) for i, im in snap.points]
+        if len(joined) < drift.MIN_INSTANT_INLIERS:
+            rejected.append((snap.epoch, f"only {len(joined)} rediscovered points"))
+            continue
+        try:
+            h, inliers = geometry.fit_homography(
+                joined, snap.camera_id, snap.direction,
+                seed=int(snap.epoch * 1000) & 0x7FFFFFFF)
+        except (DegenerateConfiguration, SingularFit) as exc:
+            rejected.append((snap.epoch, str(exc)))
+            continue
+        world = np.array([[p.world.x, p.world.y] for p in joined if p.id in set(inliers)])
+        if len(inliers) < drift.MIN_INSTANT_INLIERS:
+            rejected.append((snap.epoch, f"only {len(inliers)} inliers"))
+        elif geometry.points_collinear_within(world, drift.COLLINEAR_BAND_FT):
+            rejected.append((snap.epoch, "collinear"))
+        else:
+            instants.append((snap.epoch, h, inliers))
+    return instants, rejected
+
+
+def test_timeline_matches_a_per_snapshot_loop(monkeypatch):
+    h = random_homography(np.random.default_rng(43))
+    grid = np.array([(x, y) for x in np.linspace(100.0, 1800.0, 9)
+                     for y in (150.0, 350.0, 550.0, 750.0, 950.0)])
+    pts, ref = points_from_h(h, grid, camera="c1", direction="EB")
+    g = np.random.default_rng(44)
+    # one lane's markers: within 0.2 ft of a line, so inside the collinear band
+    lane, _ = points_from_h(h, np.column_stack([np.linspace(150.0, 1750.0, 9), np.full(9, 650.0)]))
+    pts += [CorrespondencePoint(f"lane{k}", p.image, StatePlanePoint(
+        p.world.x, p.world.y + g.uniform(-0.2, 0.2), 0.0)) for k, p in enumerate(lane)]
+
+    def noisy(snap, keep, px=0.3):
+        chosen = [q for q, k in zip(snap.points, keep) if k]
+        return RediscoverySnapshot(snap.epoch, "c1", "EB", tuple(
+            (i, ImagePoint(im.x + g.normal(0.0, px), im.y + g.normal(0.0, px)))
+            for i, im in chosen))
+
+    snaps = [noisy(snapshot_for(h, pts[:45], (0.1 * k, -0.05 * k), 30.0 * k),
+                   g.random(45) > g.uniform(0.0, 0.6)) for k in range(1, 31)]
+    assert len({len(s.points) for s in snaps}) > 5
+    # injected: three gross outliers, and one point a few feet off (RANSAC
+    # decides both); five points; one lane
+    for k, shift, moved in ((4, (300.0, -200.0), (0, 3, 7)), (19, (12.0, -8.0), (5,))):
+        pts_k = list(snaps[k].points)
+        for j in moved:
+            pts_k[j] = (pts_k[j][0], ImagePoint(pts_k[j][1].x + shift[0], pts_k[j][1].y + shift[1]))
+        snaps[k] = RediscoverySnapshot(snaps[k].epoch, "c1", "EB", tuple(pts_k))
+    snaps[9] = noisy(snaps[9], [True] * 5 + [False] * (len(snaps[9].points) - 5))
+    snaps[14] = noisy(snapshot_for(h, pts, (1.0, 0.5), snaps[14].epoch),
+                      [p.id.startswith("lane") for p in pts])
+    order = g.permutation(len(snaps))
+
+    calls = []
+    fit_homography = geometry.fit_homography
+    monkeypatch.setattr(geometry, "fit_homography",
+                        lambda *a, **k: calls.append(a) or fit_homography(*a, **k))
+    tl, rejected = drift.build_timeline(ref, pts, [snaps[i] for i in order])
+    monkeypatch.undo()
+    want, want_rejected = loop_timeline(pts, snaps)
+
+    assert rejected == want_rejected
+    assert [r for e, r in rejected] == ["only 5 rediscovered points", "collinear"]
+    assert len(calls) == 3   # the outliers and the lane; the rest fit as one stack
+    assert [(e, inl) for e, _, inl in tl.instants] == [(e, inl) for e, _, inl in want]
+    inliers = {e: inl for e, _, inl in tl.instants}
+    assert len(inliers[snaps[4].epoch]) == len(snaps[4].points) - 3
+    assert len(inliers[snaps[19].epoch]) == len(snaps[19].points) - 1
+    for (_, h_t, _), (_, h_w, _) in zip(tl.instants, want):
+        assert drift.metric_full_drift(pts, h_t, h_w).max < 1e-6
+
+    unknown = RediscoverySnapshot(
+        400.0, "c1", "EB", snaps[0].points + (("nope", ImagePoint(5.0, 5.0)),))
+    for fit in (drift.build_timeline, lambda r, p, s: loop_timeline(p, s)):
+        with pytest.raises(DataInvariantViolation):
+            fit(ref, pts, snaps + [unknown])
+
+
 # ---------------------------------------------------------------------------
 # static estimate
 
@@ -168,6 +255,37 @@ def test_dynamic_window_doubles_over_sparse_instants(scene):
 
     assert np.abs(est.h - kernel_mean(1200.0)).max() < 1e-9
     assert np.abs(est.h - kernel_mean(300.0)).max() > 1e-3
+
+
+def loop_dynamic(timeline):
+    """Reference: the window doubled and the kernel mean taken one grid
+    epoch at a time."""
+    epochs, mats = drift._surviving(timeline)
+    span = max(epochs[-1] - epochs[0], drift.GRID_SPACING_S)
+    out = []
+    for t in epochs[0] + np.arange(0.0, (epochs[-1] - epochs[0]) + 5.0, drift.GRID_SPACING_S):
+        half = drift.BASE_WINDOW_S
+        while np.count_nonzero(np.abs(epochs - t) <= half) < drift.MIN_WINDOW_COUNT and half < span:
+            half *= 2.0
+        inside = np.abs(epochs - t) <= half
+        w = np.exp(-0.5 * ((epochs[inside] - t) / (half / 3.0)) ** 2)
+        out.append((t, geometry.normalize_h(np.tensordot(w, mats[inside], axes=1) / w.sum())))
+    return out
+
+
+@pytest.mark.parametrize("count", [4, 40])
+def test_dynamic_matches_a_per_epoch_loop(scene, count):
+    # irregular gaps, so the window differs between grid epochs; four
+    # instants never fill MIN_WINDOW_COUNT, and the window reaches the span
+    h, pts, ref = scene
+    g = np.random.default_rng(count)
+    epochs = np.cumsum(g.uniform(5.0, 250.0, count))
+    snaps = [snapshot_for(h, pts, (g.normal(0.0, 0.3), g.normal(0.0, 0.3)), t) for t in epochs]
+    tl, _ = drift.build_timeline(ref, pts, snaps)
+    est, want = drift.build_dynamic(tl), loop_dynamic(tl)
+    assert [t for t, _ in est] == [t for t, _ in want]
+    for (_, h_t), (_, m) in zip(est, want):
+        assert np.allclose(h_t.h, m, rtol=1e-12, atol=1e-18)
 
 
 def test_dynamic_tracks_sinusoid_better_than_static(scene, rng):

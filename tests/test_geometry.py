@@ -209,6 +209,54 @@ def test_refine_from_a_start_on_the_horizon_stays_finite():
     assert np.isfinite(h).all() and h[2, 2] == 1.0
 
 
+def test_stacked_fit_recovers_a_four_point_problem_among_larger_ones():
+    # Four points give an 8x9 design matrix, whose null vector only the full
+    # V holds; stacked with larger problems, its padded rows must count nothing.
+    rng = np.random.default_rng(15)
+    counts = (4, 30, 37, 40)
+    truth = [random_homography(rng) for _ in counts]
+    mask = np.arange(max(counts)) < np.array(counts)[:, None]
+    img, world = np.zeros(mask.shape + (2,)), np.zeros(mask.shape + (2,))
+    for k, (h, n) in enumerate(zip(truth, counts)):
+        pts, _ = points_from_h(h, rng.uniform([0.0, 0.0], [1920.0, 1080.0], (n, 2)))
+        img[k, :n] = [(p.image.x, p.image.y) for p in pts]
+        world[k, :n] = [(p.world.x, p.world.y) for p in pts]
+    for rows in (np.s_[:], np.s_[:1, :4]):   # mixed, and the 4-point problem alone
+        h0 = g._dlt(img[rows], world[rows], mask[rows])
+        h = g._refine_lm(h0, img[rows], world[rows], mask[rows])
+        for k, h_true in enumerate(truth[:len(h0)]):
+            assert np.allclose(h0[k], h_true, rtol=1e-8, atol=1e-12)
+            assert np.allclose(h[k], h_true, rtol=1e-8, atol=1e-12)
+
+
+def test_fit_all_points_settles_only_spread_exact_fits(rng):
+    # One stack: an exact spread problem, an exact one along a single image
+    # line, and a spread one with a gross outlier.  Only the first is final.
+    h_true = random_homography(rng)
+    spread = rng.uniform([0.0, 0.0], [1920.0, 1080.0], (10, 2))
+    line = np.column_stack([np.linspace(100.0, 1800.0, 10), np.linspace(200.0, 900.0, 10)])
+    img = np.stack([spread, line, spread])
+    world = np.stack([g._project_h(h_true, pts) for pts in img])
+    world[2, 0] += (40.0, -25.0)
+    h, ok = g.fit_all_points(img, world, np.ones((3, 10), dtype=bool))
+    assert ok.tolist() == [True, False, False]
+    assert np.allclose(h[0], h_true, rtol=1e-8, atol=1e-12)
+
+
+def test_homography_is_slotted_and_inverts_on_first_use(rng):
+    import copy
+
+    hom = Homography(random_homography(rng), "c", "EB")
+    assert not hasattr(hom, "__dict__")
+    twin = copy.copy(hom)   # shares h; its inverse is not computed
+    hinv = hom.hinv
+    assert np.array_equal(hinv, np.linalg.inv(hom.h)) and hom.hinv is hinv
+    assert not hinv.flags.writeable
+    with pytest.raises((AttributeError, TypeError)):   # TypeError: frozen and slotted, 3.11
+        hom.hinv = hinv
+    assert "inv" not in repr(hom) and hom == twin
+
+
 # ---------------------------------------------------------------------------
 # projection
 
