@@ -20,7 +20,7 @@ _EXPORTS = {
               "build_dynamic", "build_static", "build_timeline", "metric_fitness",
               "metric_full_drift", "metric_sub_drift"),
     "gps": ("GpsTrace", "PoleAnnotation", "refine"),
-    "moteval": ("EvalConfig", "EvalReport", "evaluate"),
+    "moteval": ("EvalReport", "evaluate"),
     "simulator": ("SceneConfig", "simulate"),
     "tracking": ("Tracklet", "hungarian_match", "run_oracle", "run_tracker"),
 }

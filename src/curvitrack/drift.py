@@ -16,7 +16,7 @@ import numpy as np
 from . import geometry
 from .errors import (AllOutliers, DataInvariantViolation, DegenerateConfiguration,
                      RejectedInstant, SingularFit)
-from .geometry import CorrespondencePoint, Homography, ImagePoint
+from .geometry import CorrespondencePoint, Homography
 
 MIN_INSTANT_INLIERS = 6
 COLLINEAR_BAND_FT = 1.0

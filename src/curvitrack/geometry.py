@@ -506,7 +506,7 @@ def fit_projection3d(
         return np.column_stack([hinv[:, 0], hinv[:, 1], p33 * column, hinv[:, 2]])
 
     # Closed-form seed from each sample's column and row, then a scalar polish.
-    q = np.column_stack([world[:, :2], np.ones(len(world))]) @ hinv.T
+    q = _homogeneous(hinv, world[:, :2])
     off = img - column[:2]
     live = np.abs(off) > 1e-9
     seeds = (q[:, :2] - img * q[:, 2:3])[live] / (world[:, 2:3] * off)[live]

@@ -29,7 +29,6 @@ class GpsTrace:
     times: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    corrected: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -166,5 +165,4 @@ def refine(trace: GpsTrace, annotations) -> RefineResult:
     residual_mean = float(np.mean(np.interp(at, trace.times, trace.x) - ax))
     trace = correct_residual_x(trace, annotations)
     trace = correct_lateral(trace, annotations)
-    return RefineResult(replace(trace, corrected=True),
-                        bias0 + residual_mean, offset, degenerate, dropped)
+    return RefineResult(trace, bias0 + residual_mean, offset, degenerate, dropped)

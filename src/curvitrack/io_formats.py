@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+from array import array
 
 import numpy as np
 
@@ -58,18 +59,21 @@ def write_jsonl(path: str, records) -> None:
     atomic_write(path, "".join(json.dumps(r) + "\n" for r in records))
 
 
-def read_jsonl(path: str) -> list:
-    out = []
+def _jsonl(path: str):
+    """The records of a JSON-lines file, one at a time."""
     with open(path) as f:
         for i, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(json.loads(line))
+                yield json.loads(line)
             except json.JSONDecodeError as e:
                 raise MalformedInput(f"{path}: line {i}: {e}") from e
-    return out
+
+
+def read_jsonl(path: str) -> list:
+    return list(_jsonl(path))
 
 
 def write_json(path: str, obj) -> None:
@@ -95,8 +99,7 @@ def write_csv(path: str, header, rows) -> None:
 
 def read_csv(path: str) -> tuple[list, list]:
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        rows = list(reader)
+        rows = list(csv.reader(f))
     if not rows:
         raise MalformedInput(f"{path}: empty CSV")
     return rows[0], rows[1:]
@@ -159,15 +162,20 @@ def _check(record, fields: dict, path: str, where: str) -> None:
             raise MalformedInput(f"{path}: {where}: {key} must be {want}, got {v!r}")
 
 
-def _sort_series(by_id: dict, path: str, unit: str, owner: str) -> None:
-    """Sort each id's (t, record number, ...) samples in place, refusing a
-    repeated t within an id."""
-    for sid, items in by_id.items():
-        items.sort()
-        for a, b in zip(items, items[1:]):
-            if a[0] == b[0]:
-                raise MalformedInput(f"{path}: {unit} {b[1]}: repeated t {a[0]!r} "
-                                     f"for {owner} {sid!r}")
+def _series(ids: list, t: np.ndarray, path: str, unit: str, owner: str, first: int):
+    """(id, sample indices in time order) per distinct id, ids sorted as
+    sorted() sorts them: ints by value, strings by code point.  Sample k is
+    `unit` first + k; a t repeated within an id is refused, naming the later
+    sample."""
+    keys, code = np.unique(np.array(ids, dtype=object), return_inverse=True)
+    order = np.lexsort((t, code))   # stable: equal t keep file order
+    c, ts = code[order], t[order]
+    repeated = np.flatnonzero((c[1:] == c[:-1]) & (ts[1:] == ts[:-1]))
+    if len(repeated):
+        a, b = order[repeated[0]], order[repeated[0] + 1]
+        raise MalformedInput(f"{path}: {unit} {first + b}: repeated t {float(t[a])!r} "
+                             f"for {owner} {keys[code[b]]!r}")
+    return zip(keys, np.split(order, np.flatnonzero(c[1:] != c[:-1]) + 1))
 
 
 # --- correspondence points --------------------------------------------------
@@ -324,24 +332,27 @@ def write_detections(path: str, detections) -> None:
 def read_detections(path: str) -> list:
     """simulator.Detection records in file order; `camera` and `class`
     default to ""."""
-    records = read_jsonl(path)
-    for i, r in enumerate(records, start=1):
+    out = []
+    for i, r in enumerate(_jsonl(path), start=1):
         _check(r, {"t": TIME, "box": BOX, "conf": NUM}, path, f"record {i}")
-    return [Detection(float(r["t"]), r.get("camera", ""), tuple(map(float, r["box"])),
-                      r.get("class", ""), float(r["conf"]))
-            for r in records]
+        out.append(Detection(float(r["t"]), r.get("camera", ""), tuple(map(float, r["box"])),
+                             r.get("class", ""), float(r["conf"])))
+    return out
+
+
+def _write_states(path: str, series) -> None:
+    """One {id, t, box} record per state of each (id, times, boxes)."""
+    write_jsonl(path, ({"id": sid, "t": t, "box": box} for sid, times, boxes in series
+                       for t, box in zip(np.asarray(times, dtype=float).tolist(),
+                                         np.asarray(boxes, dtype=float).tolist())))
 
 
 def write_tracklets(path: str, tracklets) -> None:
-    """One row per state plus a sidecar of per-tracklet median dimensions."""
-    rows = []
-    dims = {}
-    for tl in tracklets:
-        dims[str(tl.id)] = [float(v) for v in tl.median_dims]
-        for t, box in zip(tl.times, tl.boxes):
-            rows.append({"id": tl.id, "t": t, "box": [float(b) for b in box]})
-    write_jsonl(path, rows)
-    write_json(_sidecar(path), dims)
+    """One row per state of a sequence of tracklets, plus a sidecar of
+    per-tracklet median dimensions."""
+    _write_states(path, ((tl.id, tl.times, tl.boxes) for tl in tracklets))
+    write_json(_sidecar(path), {str(tl.id): [float(v) for v in tl.median_dims]
+                                for tl in tracklets})
 
 
 def _sidecar(path: str) -> str:
@@ -349,24 +360,23 @@ def _sidecar(path: str) -> str:
     return root + ".dims.json"
 
 
-def _read_states(path: str, int_ids: bool) -> dict:
-    """{id: [(t, box)] sorted by t} from {id, t, box} records, with `t` a
-    TIME unique within its id and `box` a BOX.  Ids
-    must be JSON integers when `int_ids`, and are taken as strings
-    otherwise."""
-    by_id: dict = {}
-    for i, r in enumerate(read_jsonl(path), start=1):
+def _read_states(path: str, int_ids: bool):
+    """(id, t, (N,5) boxes) per id, in id order, from {id, t, box} records,
+    with `t` a TIME unique within its id and `box` a BOX.  Ids must be JSON
+    integers when `int_ids`, and are taken as strings otherwise."""
+    ids, t, box = [], array("d"), array("d")
+    for i, r in enumerate(_jsonl(path), start=1):
         _check(r, {"id": ANY, "t": TIME, "box": BOX}, path, f"record {i}")
         sid = r["id"]
         if not int_ids:
             sid = str(sid)
         elif type(sid) is not int:
             raise MalformedInput(f"{path}: record {i}: id must be an integer, got {sid!r}")
-        by_id.setdefault(sid, []).append((float(r["t"]), i, tuple(map(float, r["box"]))))
-    _sort_series(by_id, path, "record", "id")
-    for sid, items in by_id.items():
-        by_id[sid] = [(t, box) for t, _, box in items]
-    return by_id
+        ids.append(sid)
+        t.append(r["t"])
+        box.extend(r["box"])
+    t, box = np.frombuffer(t), np.frombuffer(box).reshape(-1, 5)
+    return [(sid, t[k], box[k]) for sid, k in _series(ids, t, path, "record", "id", 1)]
 
 
 def read_tracklets(path: str):
@@ -379,78 +389,69 @@ def read_tracklets(path: str):
     for tid, d in dims.items():
         _check({"dims": d}, {"dims": DIMS}, dims_path, f"id {tid}")
     out = []
-    for tid, items in sorted(_read_states(path, int_ids=True).items()):
-        boxes = [b for _, b in items]
+    for tid, t, boxes in _read_states(path, int_ids=True):
+        boxes = list(map(tuple, boxes.tolist()))
         d = dims.get(str(tid))
-        out.append(Tracklet(tid, [t for t, _ in items], boxes,
-                            [tuple(d)] if d else [boxes[0][2:5]]))
+        out.append(Tracklet(tid, t.tolist(), boxes, [tuple(d)] if d else [boxes[0][2:5]]))
     return out
 
 
 def write_gt_tracks(path: str, tracks) -> None:
     """tracks: objects with vehicle_id, times, x, y, dims."""
-    rows = []
-    for tr in tracks:
-        l, w, h = tr.dims
-        for t, x, y in zip(tr.times, tr.x, tr.y):
-            rows.append({"id": tr.vehicle_id, "t": float(t),
-                         "box": [float(x), float(y), l, w, h]})
-    write_jsonl(path, rows)
+    _write_states(path, ((tr.vehicle_id, tr.times,
+                          np.column_stack([tr.x, tr.y, np.tile(tr.dims, (len(tr.x), 1))]))
+                         for tr in tracks))
 
 
 def read_gt_series(path: str):
     from .moteval import TrajectorySeries
 
-    return [TrajectorySeries(sid, np.array([t for t, _ in items]),
-                             np.array([b for _, b in items], dtype=float))
-            for sid, items in sorted(_read_states(path, int_ids=False).items())]
+    return [TrajectorySeries(*states) for states in _read_states(path, int_ids=False)]
 
 
 # --- GPS & annotations ---------------------------------------------------------
 
 def write_gps(path: str, traces) -> None:
-    rows = []
-    for tr in traces:
-        for t, x, y in zip(tr.times, tr.x, tr.y):
-            rows.append((tr.vehicle_id, t, x, y))
-    write_csv(path, ("vehicle_id", "t", "x", "y"), rows)
+    write_csv(path, ("vehicle_id", "t", "x", "y"),
+              ((tr.vehicle_id, *txy) for tr in traces
+               for txy in zip(tr.times.tolist(), tr.x.tolist(), tr.y.tolist())))
 
 
 def _vehicle_rows(path: str, header: list, max_t: float = MAX_DURATION_S):
     """(line number, row, t, x, y) per row of a CSV whose header starts with
-    `header` (vehicle_id, t, x, y, ...); t, x and y must be finite numbers,
-    and |t| at most max_t."""
-    head, rows = read_csv(path)
-    if head[:len(header)] != header:
-        raise MalformedInput(f"{path}: unexpected header {head}")
-    for i, row in enumerate(rows, start=2):
-        try:
-            t, x, y = float(row[1]), float(row[2]), float(row[3])
-        except (ValueError, IndexError) as e:
-            raise MalformedInput(f"{path}: line {i}: {e}") from e
-        if not all(map(math.isfinite, (t, x, y))):
-            raise MalformedInput(f"{path}: line {i}: t, x and y must be finite, "
-                                 f"got {row[1:4]}")
-        if abs(t) > max_t:
-            raise MalformedInput(f"{path}: line {i}: t must be in [-{max_t}, {max_t}] s, "
-                                 f"got {row[1]}")
-        yield i, row, t, x, y
+    `header` (vehicle_id, t, x, y, ...), read one row at a time; t, x and y
+    must be finite numbers, and |t| at most max_t."""
+    with open(path, newline="") as f:
+        rows = csv.reader(f)
+        head = next(rows, None)
+        if head is None:
+            raise MalformedInput(f"{path}: empty CSV")
+        if head[:len(header)] != header:
+            raise MalformedInput(f"{path}: unexpected header {head}")
+        for i, row in enumerate(rows, start=2):
+            try:
+                t, x, y = float(row[1]), float(row[2]), float(row[3])
+            except (ValueError, IndexError) as e:
+                raise MalformedInput(f"{path}: line {i}: {e}") from e
+            if not all(map(math.isfinite, (t, x, y))):
+                raise MalformedInput(f"{path}: line {i}: t, x and y must be finite, "
+                                     f"got {row[1:4]}")
+            if abs(t) > max_t:
+                raise MalformedInput(f"{path}: line {i}: t must be in [-{max_t}, {max_t}] s, "
+                                     f"got {row[1]}")
+            yield i, row, t, x, y
 
 
 def read_gps(path: str):
-    by_id: dict = {}
+    ids, txy = [], array("d")
     # scene time plus a receiver clock offset of at most OFFSET_RANGE_S
-    for i, row, t, x, y in _vehicle_rows(path, ["vehicle_id", "t", "x", "y"],
+    for _, row, *sample in _vehicle_rows(path, ["vehicle_id", "t", "x", "y"],
                                          MAX_DURATION_S + OFFSET_RANGE_S):
-        by_id.setdefault(row[0], []).append((t, i, x, y))
-    _sort_series(by_id, path, "line", "vehicle")
-    traces = []
-    for vid, items in sorted(by_id.items()):
-        traces.append(GpsTrace(vid,
-                               np.array([a for a, _, _, _ in items]),
-                               np.array([b for _, _, b, _ in items]),
-                               np.array([c for _, _, _, c in items])))
-    return traces
+        ids.append(row[0])
+        txy.extend(sample)
+    t, x, y = np.frombuffer(txy).reshape(-1, 3).T
+    return [GpsTrace(vid, t[k], x[k], y[k])
+            for vid, k in _series(ids, t, path, "line", "vehicle", 2)]
 
 
 def write_annotations(path: str, annotations) -> None:

@@ -1,10 +1,11 @@
 """Tracking evaluation on roadway-coordinate trajectories.
 
-Ground truth is sparse (manual pole crossings interpolated onto a grid),
-so there is no notion of a false positive outside the instants where a
-ground-truth vehicle exists: detection accuracy is the FP-free DetA* =
-TP / (TP + FN), and association accuracy is accumulated only over those
-instants.  HOTA is the alpha-averaged sqrt(DetA* * AssA).
+The `eval` stage scores `gt_tracks.jsonl`, the trajectory of every vehicle,
+sampled on a fixed STEP_S grid and counted where 0 <= x <= 23,000 ft.  The
+paper's ground truth is sparse (corrected GPS passes of a few vehicles), so
+detection accuracy is the FP-free DetA* = TP / (TP + FN), and association
+accuracy is accumulated only over ground-truth instants.  HOTA is the
+alpha-averaged sqrt(DetA* * AssA).
 
 Matching rule: DetA* and AssA at each threshold alpha come from their own
 per-frame Hungarian matching on cost 1 - IOU over the pairs with
@@ -37,16 +38,10 @@ import numpy as np
 from .tracking import (_components, _rect_iou, candidate_pairs, footprint_rect,  # noqa: F401
                        hungarian_match, iou_matrix, time_grid)   # perfbench wraps iou_matrix
 
-DEFAULT_STEP_S = 0.1
-DEFAULT_MATCH_IOU = 0.1
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    step_s: float = DEFAULT_STEP_S
-    match_iou: float = DEFAULT_MATCH_IOU
-    hota_alphas: tuple = tuple(np.round(np.arange(0.05, 0.951, 0.05), 2))
-    x_clip: tuple = (0.0, 23000.0)
+STEP_S = 0.1                # evaluation grid
+MATCH_IOU = 0.1             # working threshold of Recall, IDs, LCSS and MOTP
+HOTA_ALPHAS = tuple(np.round(np.arange(0.05, 0.951, 0.05), 2).tolist())
+X_CLIP_FT = (0.0, 23000.0)  # ground truth counts only within this x range
 
 
 @dataclass(frozen=True)
@@ -269,10 +264,7 @@ def _ass_a(g: np.ndarray, t: np.ndarray, gt_count: np.ndarray, n_tr: int):
     return np.cumsum(tpa / (tpa + fna + fpa))[-1] / len(g)
 
 
-def evaluate(gt_series: list, track_series: list,
-             config: EvalConfig | None = None) -> EvalReport:
-    cfg = config or EvalConfig()
-    step = cfg.step_s
+def evaluate(gt_series: list, track_series: list) -> EvalReport:
     tracks = [s if isinstance(s, TrajectorySeries)
               else series_from_tracklet(s) for s in track_series]
 
@@ -283,25 +275,19 @@ def evaluate(gt_series: list, track_series: list,
         return EvalReport(0, 0, 0, 0, 0, 0, 0, 0, 0, td, 0, len(tracks))
 
     grid = time_grid(min(s.times[0] for s in gt_series),
-                     max(s.times[-1] for s in gt_series), step)
+                     max(s.times[-1] for s in gt_series), STEP_S)
 
-    gt = _samples(gt_series, grid, cfg.x_clip)
+    gt = _samples(gt_series, grid, X_CLIP_FT)
     tr = _samples(tracks, grid)
     n_gt, n_tr = len(gt_series), len(tracks)
 
-    # thresholds: the HOTA alphas, then the working threshold if not among them
-    alphas = list(cfg.hota_alphas)
-    working = next((k for k, a in enumerate(alphas)
-                    if abs(a - cfg.match_iou) < 1e-9), None)
-    if working is None:
-        working = len(alphas)
-        alphas.append(cfg.match_iou)
-    eg, et, eiou, matched = _match_frames(gt, tr, alphas)
+    eg, et, eiou, matched = _match_frames(gt, tr, HOTA_ALPHAS)
+    working = HOTA_ALPHAS.index(MATCH_IOU)
 
     total_gt = len(gt.owner)
     gt_count = np.bincount(gt.owner, minlength=n_gt).astype(float)
     hotas, detas, assas = [], [], []
-    for k in range(len(cfg.hota_alphas)):
+    for k in range(len(HOTA_ALPHAS)):
         m = matched[k]
         tp = int(m.sum())
         deta = tp / total_gt if total_gt else 0.0
@@ -319,7 +305,7 @@ def evaluate(gt_series: list, track_series: list,
                           dtype=int)
     code = np.full(total_gt, -1)
     code[gs] = track_code[tr.owner[ts]]
-    lcss_t, lcss_d = _longest_runs(code, gt.owner, gt.boxes[:, 0], step, n_gt)
+    lcss_t, lcss_d = _longest_runs(code, gt.owner, gt.boxes[:, 0], STEP_S, n_gt)
     diff = gt.boxes[gs, :2] - tr.boxes[ts, :2]
     # batched x.dot(x), the same kernel np.linalg.norm applies to one vector
     dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
@@ -340,7 +326,7 @@ def evaluate(gt_series: list, track_series: list,
 
     recall = (sum(s.matched for s in scores) / total_gt) if total_gt else 0.0
     with_match = [s for s in scores if s.matched > 0]
-    report = EvalReport(
+    return EvalReport(
         hota=float(np.mean(hotas)),
         det_a=float(np.mean(detas)),
         ass_a=float(np.mean(assas)),
@@ -355,4 +341,3 @@ def evaluate(gt_series: list, track_series: list,
         n_tracklets=n_tr,
         per_trajectory=scores,
     )
-    return report

@@ -252,8 +252,7 @@ def _nearest_arc(spline: RoadwaySpline, p: np.ndarray) -> float:
     return s
 
 
-def world_to_roadway(spline: RoadwaySpline, prism: Prism3D,
-                     yellow_shift: bool = True) -> RoadwayBox:
+def world_to_roadway(spline: RoadwaySpline, prism: Prism3D) -> RoadwayBox:
     """Convert a state-plane prism to a roadway box.
 
     Dimensions are mean opposing-corner distances; x is the arc coordinate
@@ -266,15 +265,13 @@ def world_to_roadway(spline: RoadwaySpline, prism: Prism3D,
     s = _nearest_arc(spline, o_c)
     base, _, normal = spline.frame(s)
     y = float((o_c - base) @ normal)
-    if yellow_shift:
-        if abs(y) < MEDIAN_AMBIGUITY_FT:
-            raise AmbiguousMedian(f"|y|={abs(y):.3f} ft too close to the median")
-        y += _yellow_shift(spline, s, "EB" if y > 0 else "WB")
+    if abs(y) < MEDIAN_AMBIGUITY_FT:
+        raise AmbiguousMedian(f"|y|={abs(y):.3f} ft too close to the median")
+    y += _yellow_shift(spline, s, "EB" if y > 0 else "WB")
     return RoadwayBox(s, y, length, width, height)
 
 
-def roadway_to_world(spline: RoadwaySpline, box: RoadwayBox,
-                     yellow_shift: bool = True) -> Prism3D:
+def roadway_to_world(spline: RoadwaySpline, box: RoadwayBox) -> Prism3D:
     """Convert a roadway box back to a state-plane prism.
 
     The inverse yellow-line shift is applied first; corners are built from
@@ -283,12 +280,10 @@ def roadway_to_world(spline: RoadwaySpline, box: RoadwayBox,
     """
     if not (spline.extent[0] <= box.x <= spline.extent[1]):
         raise OutOfExtent(f"x={box.x:.1f} outside extent {spline.extent}")
-    y, direction = box.y, box.direction
-    if yellow_shift:
-        y -= _yellow_shift(spline, box.x, direction)
+    y = box.y - _yellow_shift(spline, box.x, box.direction)
 
     base, u_f, u_perp = spline.frame(box.x)
-    sign = 1.0 if direction == "EB" else -1.0
+    sign = 1.0 if box.direction == "EB" else -1.0
     o_c = base + y * u_perp
 
     front, half = sign * box.l * u_f, (box.w / 2.0) * (sign * u_perp)

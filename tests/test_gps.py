@@ -183,7 +183,6 @@ def test_refine_exact_trace_is_fixpoint():
     assert res.bias_ft == pytest.approx(0.0, abs=1e-9)
     assert res.time_offset_s == 0.0
     assert res.sawtooth_dropped == 0
-    assert res.trace.corrected
     assert np.allclose(res.trace.x, trace.x, atol=1e-9)
 
 

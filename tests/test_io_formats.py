@@ -77,6 +77,56 @@ def test_default_scene_config_round_trips_through_json():
 
 
 # ---------------------------------------------------------------------------
+# per-id time series: ids in sorted order, samples in time order
+
+BOX = [100.0, 6.0, 16.0, 6.0, 5.0]
+
+
+def _states(tmp_path, records):
+    path = tmp_path / "states.jsonl"
+    path.write_text("".join(json.dumps({"id": i, "t": t, "box": BOX}) + "\n"
+                            for i, t in records))
+    return str(path)
+
+
+def _gps(tmp_path, rows):
+    path = tmp_path / "gps.csv"
+    path.write_text("vehicle_id,t,x,y\n" + "".join(f"{v},{t},1.0,0.0\n" for v, t in rows))
+    return str(path)
+
+
+def test_track_ids_read_back_in_numeric_order(tmp_path):
+    path = _states(tmp_path, [(10, 0.0), (9, 0.0), (2 ** 70, 0.0)])
+    assert [tl.id for tl in iof.read_tracklets(path)] == [9, 10, 2 ** 70]
+
+
+def test_string_ids_read_back_in_string_order(tmp_path):
+    path = _states(tmp_path, [("V9", 0.0), ("V10", 0.0)])
+    assert [s.id for s in iof.read_gt_series(path)] == ["V10", "V9"]
+    path = _gps(tmp_path, [("V9", 0.0), ("V10", 0.0)])
+    assert [tr.vehicle_id for tr in iof.read_gps(path)] == ["V10", "V9"]
+
+
+def test_interleaved_samples_read_back_in_time_order(tmp_path):
+    records = [(1, 0.3), (2, 0.2), (1, 0.1), (2, 0.0), (1, 0.2)]
+    a, b = iof.read_tracklets(_states(tmp_path, records))
+    assert (a.id, a.times, b.id, b.times) == (1, [0.1, 0.2, 0.3], 2, [0.0, 0.2])
+    a, b = iof.read_gt_series(_states(tmp_path, records))
+    assert (a.times.tolist(), b.times.tolist()) == ([0.1, 0.2, 0.3], [0.0, 0.2])
+    a, b = iof.read_gps(_gps(tmp_path, records))
+    assert (a.times.tolist(), b.times.tolist()) == ([0.1, 0.2, 0.3], [0.0, 0.2])
+
+
+def test_repeated_t_under_two_ids_names_the_later_record(tmp_path):
+    # both ids repeat a t; the first id in sorted order is named
+    records = [(2, 0.5), (1, 0.0), (2, 0.5), (1, 0.1), (1, 0.1)]
+    with pytest.raises(iof.MalformedInput, match=r"record 5: repeated t 0\.1 for id 1$"):
+        iof.read_tracklets(_states(tmp_path, records))
+    with pytest.raises(iof.MalformedInput, match=r"line 6: repeated t 0\.1 for vehicle '1'$"):
+        iof.read_gps(_gps(tmp_path, records))
+
+
+# ---------------------------------------------------------------------------
 # names the benchmark's tracer wraps
 
 def test_traced_entry_points_exist():

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from curvitrack import moteval as me
-from curvitrack.moteval import (EvalConfig, TrajectorySeries, det_a_star,
+from curvitrack.moteval import (HOTA_ALPHAS, TrajectorySeries, det_a_star,
                                 evaluate, lcss, match_frame, resample,
                                 series_from_tracklet)
 from curvitrack.simulator import DetectionConfig, SceneConfig, simulate
@@ -93,7 +93,7 @@ def test_match_frame_alpha_order_only_permutes_rows():
     # Thresholds are walked in ascending order whatever order the caller
     # gives; the rows of `matched` stay in the caller's order.
     rng = np.random.default_rng(11)
-    alphas = np.asarray(EvalConfig().hota_alphas)
+    alphas = np.asarray(HOTA_ALPHAS)
     shared = 0
     for _ in range(20):
         gt = np.column_stack([rng.uniform(0.0, 60.0, 8), rng.choice([6.0, 18.0], 8),
@@ -226,10 +226,9 @@ def test_motp_e_exact_offset():
 
 
 def test_unmatched_gt_excluded_from_motp_and_lcss():
-    gt = [series("g1", 0.0, 9.9), series("far", 0.0, 9.9, x0=90000.0)]
+    gt = [series("g1", 0.0, 9.9), series("far", 0.0, 9.9, x0=9000.0)]
     tr = [series("t1", 0.0, 9.9)]
-    cfg = EvalConfig(x_clip=(0.0, 1e6))
-    rep = evaluate(gt, tr, cfg)
+    rep = evaluate(gt, tr)
     assert rep.motp_e == pytest.approx(0.0)   # only the matched gt counts
     assert rep.lcss_t == pytest.approx(9.9)   # 100 instants -> 99 steps
     assert rep.recall == pytest.approx(0.5)   # pooled over both
@@ -279,10 +278,9 @@ def test_series_from_tracklet_uses_median_dims():
 
 
 def test_alpha_grid_is_nineteen_thresholds():
-    cfg = EvalConfig()
-    assert len(cfg.hota_alphas) == 19
-    assert cfg.hota_alphas[0] == pytest.approx(0.05)
-    assert cfg.hota_alphas[-1] == pytest.approx(0.95)
+    assert len(HOTA_ALPHAS) == 19
+    assert HOTA_ALPHAS[0] == pytest.approx(0.05)
+    assert HOTA_ALPHAS[-1] == pytest.approx(0.95)
 
 
 def test_empty_tracks():
@@ -303,12 +301,11 @@ def test_series_without_samples_is_refused():
 # ---------------------------------------------------------------------------
 # equivalence with the per-frame, per-alpha Hungarian evaluation
 
-def reference_evaluate(gt_series, track_series, config=None):
+def reference_evaluate(gt_series, track_series):
     """The dense evaluation `evaluate` replaced, kept as its oracle: every
     series resampled onto the whole (G, F, 5) grid, and one Hungarian pass
     per frame and alpha on the full frame."""
-    cfg = config or EvalConfig()
-    step = cfg.step_s
+    step = me.STEP_S
     tracks = [s if isinstance(s, TrajectorySeries)
               else series_from_tracklet(s) for s in track_series]
     td = (float(np.mean([s.times[-1] - s.times[0] for s in tracks]))
@@ -324,7 +321,7 @@ def reference_evaluate(gt_series, track_series, config=None):
     gt_s = np.stack([resample(s, grid) for s in gt_series])
     tr_s = (np.stack([resample(s, grid) for s in tracks])
             if tracks else np.zeros((0, nf, 5)))
-    lo, hi = cfg.x_clip
+    lo, hi = me.X_CLIP_FT
     gt_present = (~np.isnan(gt_s[:, :, 0])) & (gt_s[:, :, 0] >= lo) & (gt_s[:, :, 0] <= hi)
     tr_present = ~np.isnan(tr_s[:, :, 0]) if tracks else np.zeros((0, nf), bool)
 
@@ -371,11 +368,11 @@ def reference_evaluate(gt_series, track_series, config=None):
     total_gt = int(gt_present.sum())
     hotas, detas, assas = [], [], []
     matches_at_working = None
-    for alpha in cfg.hota_alphas:
+    for alpha in HOTA_ALPHAS:
         matches = match_all(alpha)
         tp = len(matches)
         deta = tp / total_gt if total_gt else 0.0
-        if abs(alpha - cfg.match_iou) < 1e-9:
+        if abs(alpha - me.MATCH_IOU) < 1e-9:
             matches_at_working = matches
         if tp == 0:
             detas.append(deta)
@@ -398,7 +395,7 @@ def reference_evaluate(gt_series, track_series, config=None):
         assas.append(assa)
         hotas.append(float(np.sqrt(deta * assa)))
     if matches_at_working is None:
-        matches_at_working = match_all(cfg.match_iou)
+        matches_at_working = match_all(me.MATCH_IOU)
 
     per_frame_id = [[None] * nf for _ in range(n_gt)]
     ious_by_gt = [[] for _ in range(n_gt)]
@@ -478,9 +475,9 @@ def random_scene(seed, n_gt=10, duration=30.0, exact_duplicates=False):
     return gts, trs
 
 
-def same_report(gts, trs, config=None):
-    got = json.dumps(evaluate(gts, trs, config).to_dict())
-    want = json.dumps(reference_evaluate(gts, trs, config).to_dict())
+def same_report(gts, trs):
+    got = json.dumps(evaluate(gts, trs).to_dict())
+    want = json.dumps(reference_evaluate(gts, trs).to_dict())
     return got == want
 
 
@@ -499,8 +496,6 @@ def test_evaluate_matches_reference_on_random_scenes(hungarian_calls):
         gts, trs = random_scene(seed)
         assert same_report(gts, trs), seed
     assert hungarian_calls      # the scenes do have shared rows or columns
-    gts, trs = random_scene(3)
-    assert same_report(gts, trs, EvalConfig(match_iou=0.12, x_clip=(50.0, 900.0)))
 
 
 def test_exact_ties_change_only_which_track_is_matched():
@@ -546,10 +541,9 @@ def test_one_to_one_frames_skip_hungarian(hungarian_calls):
 def test_matching_rule_is_hungarian_per_alpha():
     # One frame.  gt A overlaps track 1 (IOU 0.905) and track 2 (0.176);
     # gt B overlaps track 1 only (0.212).  Hungarian per alpha matches A-2
-    # and B-1 at alpha 0.05 (most matches first) and A-1 at 0.5: DetA* is
-    # (2/2 + 1/2) / 2.  Luiten et al. match once per frame, maximising
-    # alignment score x IOU (A-1 here), then threshold that one matching:
-    # one TP at both alphas, DetA* 0.5.
+    # and B-1 at alpha 0.05 (most matches first) and A-1 at 0.5.  Luiten et
+    # al. match once per frame, maximising alignment score x IOU (A-1 here),
+    # then threshold that one matching: one TP at both alphas.
     box = lambda x, l=10.0: np.array([[x, 6.0, l, 6.0, 5.0]])
     gt, tr = [box(0.0), box(7.0)], [box(0.5), box(-7.0)]
     sim = iou_matrix(np.vstack(gt), np.vstack(tr))
@@ -561,8 +555,12 @@ def test_matching_rule_is_hungarian_per_alpha():
     paper_tp = [int((sim[rows, cols] >= a).sum()) for a in (0.05, 0.5)]
     assert paper_tp == [1, 1]
 
+    matched = match_frame(np.vstack(gt), np.vstack(tr), [0.05, 0.5])[3]
+    assert matched.sum(1).tolist() == [2, 1]
+
+    # Over the 19 alphas: 2 TPs up to 0.15, A-1 alone from 0.20 to 0.90 and
+    # none at 0.95.
     one = lambda sid, b: TrajectorySeries(sid, [0.0], b)
     rep = evaluate([one("A", gt[0]), one("B", gt[1])],
-                   [one("1", tr[0]), one("2", tr[1])],
-                   EvalConfig(hota_alphas=(0.05, 0.5)))
-    assert rep.det_a == (2 / 2 + 1 / 2) / 2
+                   [one("1", tr[0]), one("2", tr[1])])
+    assert rep.det_a == (3 * 2 / 2 + 15 * 1 / 2) / 19

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 
@@ -42,3 +43,30 @@ def test_benchmark_tracer_installs_and_restores():
     finally:
         tr.restore()
     assert {name: dict(vars(m)) for name, m in modules.items()} == before
+
+
+# names a module imports although its own code never reads them: the
+# benchmark's tracer wraps moteval.iou_matrix
+IMPORTED_FOR_OTHERS = {("moteval", "iou_matrix")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = os.path.dirname(curvitrack.__file__)
+    unused = []
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src, fname)) as f:
+            tree = ast.parse(f.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = fname[:-3]
+        unused += [f"{fname}:{line}: {name}" for name, line in imported.items()
+                   if name not in used and (module, name) not in IMPORTED_FOR_OTHERS]
+    assert unused == []

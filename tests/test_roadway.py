@@ -200,11 +200,13 @@ def test_shift_example_lane_offset():
 
 
 def test_centerline_point_without_shift_is_zero():
+    # the raw lateral of a centerline point is zero, which the shift refuses
     sp = straight_road()
     p = sp.point(1200.0)
-    box = rw.world_to_roadway(sp, point_prism(StatePlanePoint(p[0], p[1], 0.0)),
-                              yellow_shift=False)
-    assert abs(box.y) < 1e-4
+    base, _, normal = sp.frame(rw._nearest_arc(sp, p))
+    assert abs(float((p - base) @ normal)) < 1e-4
+    with pytest.raises(AmbiguousMedian):
+        rw.world_to_roadway(sp, point_prism(StatePlanePoint(p[0], p[1], 0.0)))
 
 
 def test_yellow_line_points_map_to_twelve():
@@ -257,14 +259,14 @@ def test_eastbound_corner_expansion_by_hand():
     # On a straight road the corners are axis-aligned and easily written out.
     sp = straight_road(gamma=24.0)
     box = RoadwayBox(1000.0, 6.0, 16.0, 6.0, 5.0)
-    prism = rw.roadway_to_world(sp, box, yellow_shift=False)
+    prism = rw.roadway_to_world(sp, box)
     x0 = sp.point(0.0)[0]
     c = prism.corners
-    # back-bottom-center at (x0 + 1000, 6); front extends +x for EB
-    assert np.allclose(c[0, :2], [x0 + 1000.0, 3.0], atol=1e-3)   # bbl
-    assert np.allclose(c[1, :2], [x0 + 1000.0, 9.0], atol=1e-3)   # bbr
-    assert np.allclose(c[4, :2], [x0 + 1016.0, 3.0], atol=1e-3)   # fbl
-    assert np.allclose(c[5, :2], [x0 + 1016.0, 9.0], atol=1e-3)   # fbr
+    # back-bottom-center at (x0 + 1000, 6 - (12 - 24) = 18); front extends +x for EB
+    assert np.allclose(c[0, :2], [x0 + 1000.0, 15.0], atol=1e-3)   # bbl
+    assert np.allclose(c[1, :2], [x0 + 1000.0, 21.0], atol=1e-3)   # bbr
+    assert np.allclose(c[4, :2], [x0 + 1016.0, 15.0], atol=1e-3)   # fbl
+    assert np.allclose(c[5, :2], [x0 + 1016.0, 21.0], atol=1e-3)   # fbr
     assert np.allclose(c[[2, 3, 6, 7], 2], 5.0)
     assert np.allclose(c[[0, 1, 4, 5], 2], 0.0)
 
