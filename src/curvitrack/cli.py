@@ -1,6 +1,9 @@
 """Command-line pipeline: one subcommand per stage of `STAGES`, plus a
 manifest-driven runner chaining them.
 
+A stage imports the layers it runs when it starts, so a stage process
+loads only those (`simulate` loads them all).
+
 Exit codes: 0 success, 1 malformed input or configuration, 2 data
 invariant violation (e.g. non-monotonic timestamps).
 """
@@ -15,14 +18,27 @@ import sys
 
 import numpy as np
 
-from . import drift, gps, io_formats as iof, moteval, plots, tracking
+from . import io_formats as iof, tracking
 from .errors import (AllOutliers, ConfigInvalid, CurvitrackError,
                      DataInvariantViolation, InsufficientAnnotations)
-from .geometry import fit_homography
 from .io_formats import MalformedInput
-from .simulator import SceneConfig, simulate
 
 log = logging.getLogger("curvitrack")
+
+
+# `cli.simulate` and `cli.fit_homography` stay reachable by name for callers
+# outside the package (the benchmark's tracer wraps both), without loading
+# their layers until called.  The stages import the layer functions themselves.
+def simulate(config):
+    """`simulator.simulate`."""
+    from .simulator import simulate
+    return simulate(config)
+
+
+def fit_homography(points, camera_id="", direction="EB", seed=0):
+    """`geometry.fit_homography`."""
+    from .geometry import fit_homography
+    return fit_homography(points, camera_id, direction, seed)
 
 
 class _GtTrace:
@@ -40,6 +56,8 @@ class _GtTrace:
 # stages
 
 def cmd_simulate(args) -> int:
+    from .simulator import SceneConfig, simulate
+
     cfg = iof.read_scene_config(args.config) if args.config else SceneConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -66,6 +84,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .geometry import fit_homography
+
     homographies, inliers = [], []
     for i, (cam, (direction, points)) in enumerate(
             sorted(iof.read_points(args.points).items())):
@@ -78,6 +98,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_restim(args) -> int:
+    from . import drift
+
     points_by_cam = iof.read_points(args.points)
     references = iof.read_homographies(args.reference)
     snapshots_by_cam = {}
@@ -156,6 +178,8 @@ def cmd_track(args) -> int:
 
 
 def cmd_gps_correct(args) -> int:
+    from . import gps
+
     traces = iof.read_gps(args.gps)
     annotations = {}
     for a in iof.read_annotations(args.annotations):
@@ -182,6 +206,8 @@ def cmd_gps_correct(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import moteval
+
     gt_series = iof.read_gt_series(args.gt)
     tracklets = iof.read_tracklets(args.tracks)
     report = moteval.evaluate(gt_series, tracklets)
@@ -194,6 +220,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import plots
+
     series = iof.read_drift(args.drift) if args.drift else None
     summary = iof.read_eval_summary(args.eval) if args.eval else None
     os.makedirs(args.out, exist_ok=True)

@@ -105,6 +105,13 @@ def correct_bias(trace: GpsTrace, annotations) -> tuple[GpsTrace, float]:
     return replace(trace, x=trace.x - bias), bias
 
 
+def _offset_grid(trace: GpsTrace, at: np.ndarray, ax: np.ndarray):
+    """(shifts, variance of the residuals at annotation epochs per shift)."""
+    n = int(round(OFFSET_RANGE_S / OFFSET_STEP_S))
+    deltas = np.arange(-n, n + 1) * OFFSET_STEP_S
+    return deltas, np.var(np.interp(at + deltas[:, None], trace.times, trace.x) - ax, axis=1)
+
+
 def correct_time_offset(trace: GpsTrace, annotations) -> tuple[GpsTrace, float, bool]:
     """Estimate the receiver clock offset by grid search.
 
@@ -115,17 +122,19 @@ def correct_time_offset(trace: GpsTrace, annotations) -> tuple[GpsTrace, float, 
     three annotations are required (two leave the variance unconstrained).
     A near-constant variance profile (constant-velocity trace) is flagged
     degenerate and left unshifted.
+
+    The whole grid is one array program: the trace is read at every
+    annotation epoch under every shift in one `np.interp` call, so memory is
+    O(shifts x annotations), never O(shifts x samples).  Reading the
+    unshifted trace at `epoch + shift` rounds differently from reading the
+    shifted trace at `epoch`, so variances may differ from a per-shift loop
+    in the last bits.
     """
     at, ax, _ = _ann_arrays(trace, annotations)
     if len(at) < 3:
         raise InsufficientAnnotations(
             f"trace {trace.vehicle_id}: need >= 3 annotations, got {len(at)}")
-    n = int(round(OFFSET_RANGE_S / OFFSET_STEP_S))
-    deltas = np.arange(-n, n + 1) * OFFSET_STEP_S
-    variances = np.empty_like(deltas)
-    for i, d in enumerate(deltas):
-        res = np.interp(at, trace.times - d, trace.x) - ax
-        variances[i] = np.var(res)
+    deltas, variances = _offset_grid(trace, at, ax)
     spread = variances.max() - variances.min()
     if spread <= DEGENERATE_REL_VAR * max(1.0, float(variances.max())):
         return trace, 0.0, True

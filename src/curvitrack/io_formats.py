@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -19,8 +20,10 @@ from array import array
 import numpy as np
 
 from .errors import ConfigInvalid, CurvitrackError, SingularFit
-from .gps import OFFSET_RANGE_S, GpsTrace, PoleAnnotation
-from .simulator import MAX_DURATION_S, Detection
+
+# One day bounds every timestamp read and a scene's duration_s; criterion 3
+# runs four hours.
+MAX_DURATION_S = 86_400
 
 
 class MalformedInput(CurvitrackError):
@@ -88,13 +91,18 @@ def read_json(path: str):
             raise MalformedInput(f"{path}: {e}") from e
 
 
-def write_csv(path: str, header, rows) -> None:
-    """Quotes only a cell holding a comma, a double quote or a line break."""
+def _write_rows(path: str, header, rows) -> None:
+    """Quotes only a cell holding a comma, a double quote or a line break;
+    other cells are written as str() writes them."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([fmt(v) for v in row] for row in rows)
+    writer.writerows(rows)
     atomic_write(path, buf.getvalue())
+
+
+def write_csv(path: str, header, rows) -> None:
+    _write_rows(path, header, ([fmt(v) for v in row] for row in rows))
 
 
 def read_csv(path: str) -> tuple[list, list]:
@@ -166,8 +174,13 @@ def _series(ids: list, t: np.ndarray, path: str, unit: str, owner: str, first: i
     """(id, sample indices in time order) per distinct id, ids sorted as
     sorted() sorts them: ints by value, strings by code point.  Sample k is
     `unit` first + k; a t repeated within an id is refused, naming the later
-    sample."""
-    keys, code = np.unique(np.array(ids, dtype=object), return_inverse=True)
+    sample.  Ids come in runs, so only each run's first id is sorted."""
+    ids = np.array(ids, dtype=object)
+    starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    if len(ids):
+        starts = np.concatenate(([0], starts))
+    keys, head_code = np.unique(ids[starts], return_inverse=True)
+    code = np.repeat(head_code, np.diff(np.append(starts, len(ids))))
     order = np.lexsort((t, code))   # stable: equal t keep file order
     c, ts = code[order], t[order]
     repeated = np.flatnonzero((c[1:] == c[:-1]) & (ts[1:] == ts[:-1]))
@@ -330,8 +343,10 @@ def write_detections(path: str, detections) -> None:
 
 
 def read_detections(path: str) -> list:
-    """simulator.Detection records in file order; `camera` and `class`
+    """tracking.Detection records in file order; `camera` and `class`
     default to ""."""
+    from .tracking import Detection
+
     out = []
     for i, r in enumerate(_jsonl(path), start=1):
         _check(r, {"t": TIME, "box": BOX, "conf": NUM}, path, f"record {i}")
@@ -412,23 +427,27 @@ def read_gt_series(path: str):
 # --- GPS & annotations ---------------------------------------------------------
 
 def write_gps(path: str, traces) -> None:
-    write_csv(path, ("vehicle_id", "t", "x", "y"),
-              ((tr.vehicle_id, *txy) for tr in traces
-               for txy in zip(tr.times.tolist(), tr.x.tolist(), tr.y.tolist())))
+    # str() of a Python float is fmt's repr, so the cells need no fmt
+    _write_rows(path, ("vehicle_id", "t", "x", "y"), itertools.chain.from_iterable(
+        zip(itertools.repeat(tr.vehicle_id), tr.times.tolist(), tr.x.tolist(), tr.y.tolist())
+        for tr in traces))
 
 
 def _vehicle_rows(path: str, header: list, max_t: float = MAX_DURATION_S):
     """(line number, row, t, x, y) per row of a CSV whose header starts with
     `header` (vehicle_id, t, x, y, ...), read one row at a time; t, x and y
-    must be finite numbers, and |t| at most max_t."""
+    must be finite numbers, and |t| at most max_t.  A row holding a line
+    break (in a quoted cell) is refused, so row k is always line k + 1."""
     with open(path, newline="") as f:
         rows = csv.reader(f)
         head = next(rows, None)
         if head is None:
             raise MalformedInput(f"{path}: empty CSV")
-        if head[:len(header)] != header:
+        if head[:len(header)] != header or rows.line_num != 1:
             raise MalformedInput(f"{path}: unexpected header {head}")
         for i, row in enumerate(rows, start=2):
+            if rows.line_num != i:
+                raise MalformedInput(f"{path}: line {i}: a cell holds a line break, got {row}")
             try:
                 t, x, y = float(row[1]), float(row[2]), float(row[3])
             except (ValueError, IndexError) as e:
@@ -443,6 +462,8 @@ def _vehicle_rows(path: str, header: list, max_t: float = MAX_DURATION_S):
 
 
 def read_gps(path: str):
+    from .gps import OFFSET_RANGE_S, GpsTrace
+
     ids, txy = [], array("d")
     # scene time plus a receiver clock offset of at most OFFSET_RANGE_S
     for _, row, *sample in _vehicle_rows(path, ["vehicle_id", "t", "x", "y"],
@@ -460,6 +481,8 @@ def write_annotations(path: str, annotations) -> None:
 
 
 def read_annotations(path: str):
+    from .gps import PoleAnnotation
+
     out = []
     for i, row, t, x, y in _vehicle_rows(path, ["vehicle_id", "t", "x", "y", "pole"]):
         try:

@@ -20,8 +20,9 @@ from .errors import ConfigInvalid
 from .geometry import CorrespondencePoint, Homography, ImagePoint, StatePlanePoint
 from .gps import SAMPLE_PERIOD_S, GpsTrace, PoleAnnotation
 from .drift import RediscoverySnapshot
+from .io_formats import MAX_DURATION_S
 from .roadway import MIN_SPAN_FT, line_span
-from .tracking import time_grid
+from .tracking import Detection, time_grid
 
 VEHICLE_CLASSES = {
     "sedan": (15.0, 6.0, 5.0),
@@ -43,7 +44,6 @@ MAX_CAMERAS = 1000      # poles x 2 x max(1, cameras_per_pole // 2); the paper h
 # Work caps: every vehicle gets a 10 Hz grid over the whole scene, every
 # camera a snapshot per interval, and detections sample at rate_hz.
 MAX_VEHICLES = 10_000           # the paper has 500+ vehicles in view at once
-MAX_DURATION_S = 86_400         # one day; criterion 3 runs four hours
 MAX_VEHICLE_S = 2_000_000       # vehicle_count x duration_s
 MAX_SNAPSHOTS = 100_000         # cameras x duration_s / snapshot_interval_s
 MAX_DETECTION_RATE_HZ = 30
@@ -194,15 +194,6 @@ class VehicleTrack:
     times: np.ndarray
     x: np.ndarray
     y: np.ndarray
-
-
-@dataclass(frozen=True)
-class Detection:
-    t: float
-    camera: str
-    box: tuple  # (x, y, l, w, h) roadway feet
-    cls: str
-    conf: float
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Tracking-by-detection baselines on fused roadway-coordinate detections.
 
-All trackers consume detection records (objects with .t, .box = (x, y, l,
-w, h), .conf) in any order and emit Tracklets.  Boxes are axis-aligned in
+All trackers consume `Detection` records (or any objects with .t, .box =
+(x, y, l, w, h), .conf) in any order and emit Tracklets.  Boxes are axis-aligned in
 roadway coordinates; the box reference point is the back-bottom-center, so
 the footprint extends along +x for eastbound (y > 0) and -x for westbound.
 """
@@ -224,6 +224,18 @@ ALGORITHMS: dict[str, TrackerParams] = {
     "byte-iou": TrackerParams(two_stage=True, sigma_high=0.01),
 }
 TRACKER_NAMES = sorted(ALGORITHMS) + ["oracle"]   # the `track --algo` choices
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One detector output: the record `simulate` emits, `track` reads and
+    the trackers consume."""
+
+    t: float
+    camera: str
+    box: tuple  # (x, y, l, w, h) roadway feet
+    cls: str
+    conf: float
 
 
 @dataclass

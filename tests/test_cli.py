@@ -258,9 +258,10 @@ def test_invalid_point_record_exits_one(tmp_path, field, value):
 
 @pytest.mark.parametrize("row", ["v1,0.1,inf,0.0", "v1,nan,2.0,0.0", "v1,0.0,2.0,0.0",
                                  f"v1,{MAX_DURATION_S + OFFSET_RANGE_S + 0.5},2.0,0.0",
-                                 f"v1,{-MAX_DURATION_S - OFFSET_RANGE_S - 0.5},2.0,0.0"],
+                                 f"v1,{-MAX_DURATION_S - OFFSET_RANGE_S - 0.5},2.0,0.0",
+                                 '"a\nb",0.1,2.0,0.0\nv1,nan,2.0,0.0'],
                          ids=["x-inf", "t-nan", "repeated-t", "t-past-one-day-and-offset",
-                              "t-before-minus-one-day-and-offset"])
+                              "t-before-minus-one-day-and-offset", "id-line-break"])
 def test_invalid_gps_row_exits_one(tmp_path, row):
     gps = tmp_path / "gps.csv"
     gps.write_text("vehicle_id,t,x,y\nv1,0.0,1.0,0.0\n" + row + "\n")
@@ -514,6 +515,48 @@ def test_stage_processes_load_no_scipy(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "drift_summary.csv").exists()
     assert (tmp_path / "pipeline" / "drift_summary.csv").exists()
+
+
+# Layers a stage process must not load.  Beyond these, no stage but
+# `simulate` loads the simulator or the roadway frame.
+NOT_LOADED = {
+    "calibrate": {"drift", "gps", "moteval", "plots"},
+    "restim": {"gps", "moteval", "plots"},
+    "track": {"geometry", "drift", "gps", "moteval", "plots"},
+    "gps-correct": {"geometry", "drift", "moteval", "plots"},
+    "eval": {"geometry", "drift", "gps", "plots"},
+    "report": {"geometry", "drift", "gps"},
+}
+
+
+def test_stage_processes_load_only_their_layers(tmp_path):
+    simulate(tmp_path)
+    d = str(tmp_path)
+    stages = [
+        ["calibrate", "--points", f"{d}/points.jsonl", "--out", f"{d}/fitted.json"],
+        ["restim", "--points", f"{d}/points.jsonl", "--reference", f"{d}/reference.json",
+         "--snapshots", f"{d}/snapshots.jsonl", "--sift", f"{d}/sift_maps.json",
+         "--out", d],
+        ["track", "--detections", f"{d}/detections.jsonl", "--algo", "kiou",
+         "--out", f"{d}/tracks.jsonl"],
+        ["gps-correct", "--gps", f"{d}/gps.csv", "--annotations", f"{d}/annotations.csv",
+         "--out", d],
+        ["eval", "--gt", f"{d}/gt_tracks.jsonl", "--tracks", f"{d}/tracks.jsonl",
+         "--out", f"{d}/report.json"],
+        ["report", "--drift", f"{d}/drift.csv", "--eval", f"{d}/report.json", "--out", d],
+    ]
+    assert [argv[0] for argv in stages] == list(NOT_LOADED)
+    for argv in stages:
+        program = ("import sys\nfrom curvitrack.cli import main\n"
+                   f"assert main({argv!r}) == 0\n"
+                   "print(' '.join(m.split('.')[1] for m in sys.modules"
+                   " if m.startswith('curvitrack.')))\n")
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "io_formats" in loaded
+        assert not loaded & (NOT_LOADED[argv[0]] | {"simulator", "roadway"}), (argv[0], loaded)
 
 
 def test_readme_import_loads_no_scipy():

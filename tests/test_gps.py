@@ -127,6 +127,52 @@ def test_offset_needs_three_annotations():
         gps.correct_time_offset(trace, anns)
 
 
+def loop_offset(trace, at, ax):
+    """The offset grid one shift at a time: the shifted trace read at the
+    annotation epochs, then the pick rule of `correct_time_offset`."""
+    n = int(round(gps.OFFSET_RANGE_S / gps.OFFSET_STEP_S))
+    deltas = np.arange(-n, n + 1) * gps.OFFSET_STEP_S
+    variances = np.empty_like(deltas)
+    for i, d in enumerate(deltas):
+        variances[i] = np.var(np.interp(at, trace.times - d, trace.x) - ax)
+    if variances.max() - variances.min() <= gps.DEGENERATE_REL_VAR * max(1.0, variances.max()):
+        return variances, 0.0, True
+    return variances, float(deltas[np.lexsort((np.abs(deltas), variances))[0]]), False
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_offset_grid_matches_per_shift_loop(seed):
+    # Accelerating noisy traces with dropped samples.  Annotations fall on
+    # exact sample times, and within 2 s of either end, where shifted queries
+    # clamp to the end samples.  Every fifth seed is an exact constant-velocity
+    # trace annotated away from its ends, a degenerate profile.
+    rng = np.random.default_rng(seed)
+    accel = 0.0 if seed % 5 == 0 else rng.choice([-1, 1]) * rng.uniform(0.3, 3.0)
+    trace, tt, xt = make_trace(duration=rng.uniform(15.0, 80.0), v0=rng.uniform(30.0, 110.0),
+                               accel=accel, offset=rng.uniform(-1.5, 1.5))
+    keep = np.sort(rng.choice(len(tt), size=int(0.8 * len(tt)), replace=False))
+    x = trace.x[keep] + (rng.normal(0.0, 0.5, len(keep)) if accel else 0.0)
+    trace = GpsTrace("v1", trace.times[keep], x, trace.y[keep])
+    t0, t1 = trace.times[0], trace.times[-1]
+    inner = trace.times[(trace.times > t0 + 2.0) & (trace.times < t1 - 2.0)]
+    epochs = rng.choice(inner, 4, replace=False)
+    if accel:
+        epochs = np.concatenate([epochs, rng.uniform(t0, t0 + 2.0, 2),
+                                 rng.uniform(t1 - 2.0, t1, 2)])
+    anns = [PoleAnnotation("v1", float(e), float(np.interp(e, trace.times, xt[keep])), 6.0, k)
+            for k, e in enumerate(epochs)]
+    at, ax, _ = gps._ann_arrays(trace, anns)
+    variances, offset, degenerate = loop_offset(trace, at, ax)
+    assert degenerate == (accel == 0.0)
+    out, got_offset, got_degenerate = gps.correct_time_offset(trace, anns)
+    assert (got_offset, got_degenerate) == (offset, degenerate)
+    assert np.array_equal(out.times, trace.times - offset)
+    _, grid = gps._offset_grid(trace, at, ax)
+    # a degenerate profile is rounding noise, so it is held to the degenerate rule's scale
+    np.testing.assert_allclose(grid, variances, rtol=1e-9,
+                               atol=gps.DEGENERATE_REL_VAR if degenerate else 0.0)
+
+
 # ---------------------------------------------------------------------------
 # residual x
 
