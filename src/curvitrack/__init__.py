@@ -10,13 +10,13 @@ import importlib
 
 _EXPORTS = {
     "errors": ("CurvitrackError",),
-    "geometry": ("CorrespondencePoint", "Homography", "ImagePoint", "Prism3D",
+    "geometry": ("CorrespondencePoint", "Homography", "ImagePoint", "PointSet", "Prism3D",
                  "Projection3D", "StatePlanePoint", "decode_anchor_detection",
                  "fit_homography", "fit_projection3d", "lift_image_box_to_prism",
                  "project_image_to_world", "project_world_to_image"),
     "roadway": ("RoadwayBox", "RoadwaySpline", "fit_centerline",
                 "roadway_to_world", "world_to_roadway"),
-    "drift": ("ErrorStats", "HomographyTimeline", "RediscoverySnapshot",
+    "drift": ("ErrorStats", "EstimateStack", "HomographyTimeline", "RediscoverySnapshot",
               "build_dynamic", "build_static", "build_timeline", "metric_fitness",
               "metric_full_drift", "metric_sub_drift"),
     "gps": ("GpsTrace", "PoleAnnotation", "refine"),

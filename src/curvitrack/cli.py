@@ -127,7 +127,7 @@ def cmd_restim(args) -> int:
         except AllOutliers as exc:
             log.warning("restim: %s skipped: %s", cam, exc)
             continue
-        baseline = drift.build_baseline(tl) if tl.sift_maps else []
+        baseline = drift.build_baseline(tl)
 
         snap_by_epoch = {s.epoch: s for s in snapshots}
         for epoch, h_t, _ in tl.instants:

@@ -4,11 +4,18 @@ Instantaneous homographies are fit to rediscovered lane-marker points,
 then aggregated into a static (outlier-filtered element-wise mean) and a
 dynamic (Gaussian-kernel-smoothed, adaptive window) estimate.  Drift and
 fitness metrics compare point projections in state-plane feet.
+
+Two records carry the arrays: a camera's reference points are a
+`geometry.PointSet`, whose image and world arrays and id rows are built
+once, where the points are made or read; the dynamic and baseline
+estimates are one `EstimateStack` each, epochs and matrices as arrays,
+conditioning checked for the whole stack at once.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +23,7 @@ import numpy as np
 from . import geometry
 from .errors import (AllOutliers, DataInvariantViolation, DegenerateConfiguration,
                      RejectedInstant, SingularFit)
-from .geometry import CorrespondencePoint, Homography
+from .geometry import CorrespondencePoint, Homography, PointSet
 
 MIN_INSTANT_INLIERS = 6
 COLLINEAR_BAND_FT = 1.0
@@ -44,6 +51,19 @@ class RediscoverySnapshot:
             raise ValueError("snapshot point ids must be unique")
         object.__setattr__(self, "points", tuple(self.points))
 
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """The image points as read-only geometry._columns, built on first use."""
+        cols = geometry._columns(np.array([(p.x, p.y) for _, p in self.points],
+                                          dtype=float).reshape(-1, 2))
+        cols.setflags(write=False)
+        return cols
+
+    @property
+    def image(self) -> np.ndarray:
+        """The image points, (N,2): a view of columns."""
+        return self.columns[:2].T
+
 
 @dataclass
 class HomographyTimeline:
@@ -61,27 +81,29 @@ class HomographyTimeline:
         self.instants.append((float(epoch), h, list(inliers)))
 
 
-def _join(reference_points: list[CorrespondencePoint], snaps):
-    """Each snapshot's points as indices into reference_points, and the
-    reference points' world coordinates (Nx2)."""
-    row_of = {p.id: i for i, p in enumerate(reference_points)}
-    rows = []
-    for snap in snaps:
-        missing = [i for i, _ in snap.points if i not in row_of]
-        if missing:
-            raise DataInvariantViolation(f"{snap.camera_id} snapshot at epoch {snap.epoch}: "
-                                         f"ids not in reference set: {missing[:5]}")
-        rows.append(np.array([row_of[i] for i, _ in snap.points], dtype=np.intp))
-    return rows, np.array([[p.world.x, p.world.y] for p in reference_points])
+def _rows(points: PointSet, snap) -> list[int]:
+    """The row in points of each of the snapshot's ids; -1 where it has none."""
+    row_of = points.row_of
+    return [row_of.get(i, -1) for i, _ in snap.points]
 
 
-def _fit_one(reference_points, rows: np.ndarray, snap: RediscoverySnapshot):
+def _join(points: PointSet, snap) -> np.ndarray:
+    """The snapshot's points as rows of points; every id must be there."""
+    rows = _rows(points, snap)
+    if -1 in rows:
+        missing = [i for (i, _), k in zip(snap.points, rows) if k < 0]
+        raise DataInvariantViolation(f"{snap.camera_id} snapshot at epoch {snap.epoch}: "
+                                     f"ids not in reference set: {missing[:5]}")
+    return np.array(rows, dtype=np.intp)
+
+
+def _fit_one(points: PointSet, rows: np.ndarray, snap: RediscoverySnapshot):
     """One snapshot through fit_homography (RANSAC consensus): its
     (epoch, Homography, inlier ids), or the RejectedInstant."""
     if len(rows) < MIN_INSTANT_INLIERS:
         return RejectedInstant(f"only {len(rows)} rediscovered points")
-    joined = [CorrespondencePoint(i, im, reference_points[r].world)
-              for (i, im), r in zip(snap.points, rows)]
+    joined = PointSet([CorrespondencePoint(i, im, points[r].world)
+                       for (i, im), r in zip(snap.points, rows)])
     try:
         h, inliers = geometry.fit_homography(joined, snap.camera_id, snap.direction,
                                              seed=int(snap.epoch * 1000) & 0x7FFFFFFF)
@@ -90,7 +112,7 @@ def _fit_one(reference_points, rows: np.ndarray, snap: RediscoverySnapshot):
     if len(inliers) < MIN_INSTANT_INLIERS:
         return RejectedInstant(f"only {len(inliers)} inliers")
     kept = set(inliers)
-    world = np.array([[p.world.x, p.world.y] for p in joined if p.id in kept])
+    world = joined.world[[p.id in kept for p in joined]]
     if geometry.points_collinear_within(world, COLLINEAR_BAND_FT):
         return RejectedInstant("collinear")
     return snap.epoch, h, inliers
@@ -100,22 +122,27 @@ def _fit_snapshots(reference_points: list[CorrespondencePoint], snaps: list) -> 
     """(epoch, Homography, inlier ids), or the RejectedInstant, per snapshot.
     geometry.fit_all_points runs on STACK_MAX snapshots at a time; those it
     does not settle, or that fall within the collinear band, take _fit_one."""
-    rows, world_of = _join(reference_points, snaps)
+    points = PointSet.of(reference_points)
+    rows = [_join(points, snap) for snap in snaps]
     live = [k for k, r in enumerate(rows) if len(r) >= MIN_INSTANT_INLIERS]
     fast = {}
     for chunk in (live[i:i + STACK_MAX] for i in range(0, len(live), STACK_MAX)):
         counts = [len(rows[k]) for k in chunk]
         mask = np.arange(max(counts)) < np.array(counts)[:, None]
         img, world = np.zeros(mask.shape + (2,)), np.zeros(mask.shape + (2,))
-        img[mask] = [(p.x, p.y) for k in chunk for _, p in snaps[k].points]
-        world[mask] = world_of[np.concatenate([rows[k] for k in chunk])]
+        img[mask] = np.concatenate([snaps[k].image for k in chunk])
+        world[mask] = points.world[np.concatenate([rows[k] for k in chunk])]
         h, ok = geometry.fit_all_points(img, world, mask)
         ok &= ~geometry.points_collinear_within(world, COLLINEAR_BAND_FT, mask)
-        for k, h_k in zip(np.array(chunk)[ok], h[ok]):
-            with contextlib.suppress(SingularFit):
-                fast[k] = (snaps[k].epoch, Homography(h_k, snaps[k].camera_id, snaps[k].direction),
-                           [i for i, _ in snaps[k].points])
-    return [fast[k] if k in fast else _fit_one(reference_points, rows[k], snap)
+        settled = h[ok]     # h33 is 1, so each is normalized; keep those Homography accepts
+        _, fine = geometry._condition(settled)
+        settled = settled[fine]
+        settled.setflags(write=False)
+        for k, h_k in zip(np.array(chunk)[ok][fine], settled):
+            snap = snaps[k]
+            fast[k] = (snap.epoch, Homography._checked(h_k, snap.camera_id, snap.direction),
+                       [i for i, _ in snap.points])
+    return [fast[k] if k in fast else _fit_one(points, rows[k], snap)
             for k, snap in enumerate(snaps)]
 
 
@@ -191,7 +218,42 @@ def build_static(timeline: HomographyTimeline) -> Homography:
     return Homography(mats.mean(axis=0), timeline.camera_id, timeline.direction)
 
 
-def build_dynamic(timeline: HomographyTimeline) -> list[tuple[float, Homography]]:
+@dataclass(frozen=True, eq=False)
+class EstimateStack:
+    """Homography estimates of one camera at K epochs: epochs (K,) and the
+    matrices h (K,3,3), normalized and checked as each Homography would be,
+    for the whole stack at once.  Both arrays are read-only.  As a sequence
+    it yields (epoch, Homography) pairs; a Homography is built only for the
+    item asked for."""
+
+    epochs: np.ndarray
+    h: np.ndarray
+    camera_id: str
+    direction: str
+
+    def __post_init__(self):
+        epochs = np.array(self.epochs, dtype=float).reshape(-1)
+        h = np.asarray(self.h, dtype=float).reshape(-1, 3, 3)
+        if len(h) != len(epochs):
+            raise ValueError("one matrix per epoch")
+        h = geometry.normalize_h(h)
+        geometry.check_conditioned(h)
+        for name, a in (("epochs", epochs), ("h", h)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return len(self.epochs)
+
+    def __getitem__(self, k: int) -> tuple[float, Homography]:
+        return float(self.epochs[k]), Homography._checked(self.h[k], self.camera_id,
+                                                          self.direction)
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+def build_dynamic(timeline: HomographyTimeline) -> EstimateStack:
     """Gaussian-kernel smoothed estimates on a GRID_SPACING_S epoch grid.
 
     The window half-width starts at BASE_WINDOW_S and doubles until at least
@@ -209,32 +271,33 @@ def build_dynamic(timeline: HomographyTimeline) -> list[tuple[float, Homography]
                if len(epochs) >= MIN_WINDOW_COUNT else np.full(len(t), np.inf))
         half = halves[np.searchsorted(halves, np.minimum(nth, span))][:, None]
         w = np.exp(-0.5 * ((epochs - t) / (half / 3.0)) ** 2) * (dist <= half)
-        m = (w @ mats.reshape(-1, 9) / w.sum(axis=1, keepdims=True)).reshape(-1, 3, 3)
-        out += [(float(tk), Homography(mk, timeline.camera_id, timeline.direction))
-                for tk, mk in zip(t[:, 0], m)]
-    return out
+        out.append(w @ mats.reshape(-1, 9) / w.sum(axis=1, keepdims=True))
+    return EstimateStack(grid, np.concatenate(out), timeline.camera_id, timeline.direction)
 
 
-def build_baseline(timeline: HomographyTimeline) -> list[tuple[float, Homography]]:
+def build_baseline(timeline: HomographyTimeline) -> EstimateStack:
     """Feature-matcher baseline: compose the reference homography with the
     inverse of each externally supplied image-to-image alignment map."""
-    out = []
-    for epoch, m in timeline.sift_maps:
-        try:
-            inv = np.linalg.inv(np.asarray(m, dtype=float))
-        except np.linalg.LinAlgError as exc:
-            raise SingularFit(f"alignment map at epoch {epoch} is singular") from exc
-        out.append((float(epoch), Homography(timeline.reference.h @ inv,
-                                             timeline.camera_id, timeline.direction)))
-    return out
+    maps = np.array([np.asarray(m, dtype=float) for _, m in timeline.sift_maps]).reshape(-1, 3, 3)
+    try:
+        inv = np.linalg.inv(maps)
+    except np.linalg.LinAlgError:
+        for epoch, m in timeline.sift_maps:   # name the first singular map
+            try:
+                np.linalg.inv(np.asarray(m, dtype=float))
+            except np.linalg.LinAlgError as exc:
+                raise SingularFit(f"alignment map at epoch {epoch} is singular") from exc
+        raise
+    return EstimateStack([e for e, _ in timeline.sift_maps], timeline.reference.h @ inv,
+                         timeline.camera_id, timeline.direction)
 
 
-def dynamic_at(estimates: list[tuple[float, Homography]], t: float) -> Homography:
-    """Estimate whose grid epoch is closest to t."""
-    if not estimates:
+def dynamic_at(estimates: EstimateStack, t: float) -> Homography:
+    """The estimate whose epoch is closest to t; of epochs equally close, the
+    first in the stack's order."""
+    if not len(estimates):
         raise ValueError("no estimates")
-    idx = int(np.argmin([abs(e - t) for e, _ in estimates]))
-    return estimates[idx][1]
+    return estimates[int(np.argmin(np.abs(estimates.epochs - t)))][1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,53 +312,62 @@ class ErrorStats:
 
     @classmethod
     def from_distances(cls, d: np.ndarray) -> "ErrorStats":
+        """Mean, max and population std of d, summed as np.mean and np.std
+        sum them, so equal to theirs bit for bit."""
         d = np.asarray(d, dtype=float)
-        if d.size == 0:
+        d = d if d.ndim == 1 else d.reshape(-1)
+        n = d.size
+        if n == 0:
             return cls(float("nan"), float("nan"), float("nan"), 0)
-        return cls(float(d.mean()), float(d.max()), float(d.std()), int(d.size))
+        mean = float(np.add.reduce(d)) / n
+        dev = d - mean
+        return cls(mean, float(np.maximum.reduce(d)),
+                   math.sqrt(float(np.add.reduce(dev * dev)) / n), n)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Lengths of the columns of a (2,N) v, as np.linalg.norm(v.T, axis=1)
+    computes them."""
+    return np.sqrt(np.add.reduce(v * v, axis=0))
 
 
 def metric_fitness(
-    reference_points: list[CorrespondencePoint],
+    reference_points: PointSet,
     snap: RediscoverySnapshot,
     h_t: Homography,
 ) -> ErrorStats:
     """Residual of a fit: rediscovered points projected through their own
     homography versus the reference world positions."""
-    (rows,), world_of = _join(reference_points, [snap])
-    img = np.array([[p.x, p.y] for _, p in snap.points])
-    proj = geometry.project_points_image_to_world(h_t, img)
-    return ErrorStats.from_distances(np.linalg.norm(proj - world_of[rows], axis=1))
+    points = PointSet.of(reference_points)
+    world = points.world.take(_join(points, snap), axis=0).T
+    return ErrorStats.from_distances(_norms(geometry._project_columns(h_t.h, snap.columns) - world))
 
 
 def metric_full_drift(
-    reference_points: list[CorrespondencePoint],
+    reference_points: PointSet,
     h_a: Homography,
     h_b: Homography,
 ) -> ErrorStats:
     """Distance between projections of the full reference image-point set
     under two homographies."""
-    img = np.array([[p.image.x, p.image.y] for p in reference_points])
-    pa = geometry.project_points_image_to_world(h_a, img)
-    pb = geometry.project_points_image_to_world(h_b, img)
-    return ErrorStats.from_distances(np.linalg.norm(pa - pb, axis=1))
+    pa, pb = geometry._project_columns(np.array([h_a.h, h_b.h]),
+                                       PointSet.of(reference_points).columns)
+    return ErrorStats.from_distances(_norms(pa - pb))
 
 
 def metric_sub_drift(
-    reference_points: list[CorrespondencePoint],
+    reference_points: PointSet,
     snap: RediscoverySnapshot,
     h: Homography,
 ) -> ErrorStats:
     """Distance between matched reference and rediscovered image points,
-    both projected through the same homography."""
-    by_id = {p.id: p for p in reference_points}
-    ref_img, red_img = [], []
-    for pid, im in snap.points:
-        if pid in by_id:
-            ref_img.append([by_id[pid].image.x, by_id[pid].image.y])
-            red_img.append([im.x, im.y])
-    if not ref_img:
+    both projected through the same homography; ids the reference set lacks
+    are skipped."""
+    points = PointSet.of(reference_points)
+    rows = np.array(_rows(points, snap), dtype=np.intp)
+    found = rows >= 0
+    if not found.any():
         return ErrorStats.from_distances(np.array([]))
-    pa = geometry.project_points_image_to_world(h, np.array(ref_img))
-    pb = geometry.project_points_image_to_world(h, np.array(red_img))
-    return ErrorStats.from_distances(np.linalg.norm(pa - pb, axis=1))
+    pa = geometry.project_points_image_to_world(h, points.image[rows[found]])
+    pb = geometry.project_points_image_to_world(h, snap.image[found])
+    return ErrorStats.from_distances(_norms((pa - pb).T))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,47 @@ class CorrespondencePoint:
             raise ValueError("correspondence points must lie on the road plane (z=0)")
 
 
+@dataclass(frozen=True, eq=False)
+class PointSet(Sequence):
+    """A camera's reference points: a sequence of CorrespondencePoint that
+    also holds their image and world coordinates as read-only (N,2) arrays,
+    the image points as _columns, and each id's row.  Two sets are equal
+    when their points are."""
+
+    points: tuple
+    image: np.ndarray = field(init=False, repr=False)
+    world: np.ndarray = field(init=False, repr=False)
+    columns: np.ndarray = field(init=False, repr=False)
+    row_of: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        points = tuple(self.points)
+        image = np.array([(p.image.x, p.image.y) for p in points], dtype=float).reshape(-1, 2)
+        world = np.array([(p.world.x, p.world.y) for p in points], dtype=float).reshape(-1, 2)
+        for name, a in (("image", image), ("world", world), ("columns", _columns(image))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "row_of", {p.id: i for i, p in enumerate(points)})
+
+    @classmethod
+    def of(cls, points) -> "PointSet":
+        """points itself if it is a PointSet, else a PointSet of it."""
+        return points if isinstance(points, cls) else cls(points)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, k):
+        return self.points[k]
+
+    def __iter__(self):
+        return iter(self.points)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PointSet) and self.points == other.points
+
+
 def _as_matrix(h) -> np.ndarray:
     m = np.asarray(h, dtype=float)
     if m.shape != (3, 3):
@@ -94,17 +136,26 @@ def _as_matrix(h) -> np.ndarray:
 
 
 def normalize_h(m: np.ndarray) -> np.ndarray:
-    """Scale a projective matrix so its (3,3) entry equals 1."""
-    if abs(m[2, 2]) < 1e-15:
+    """Scale a projective matrix, or each of a stack, so its (3,3) entry equals 1."""
+    if np.any(np.abs(m[..., 2, 2]) < 1e-15):
         raise SingularFit("cannot normalize: h33 is zero")
-    return m / m[2, 2]
+    return m / m[..., 2:, 2:]
+
+
+def _condition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Condition numbers of m, or of each matrix of a stack (at least 1-D),
+    and which of them are finite and <= COND_LIMIT."""
+    cond = np.atleast_1d(np.linalg.cond(m))
+    return cond, cond <= COND_LIMIT     # False for nan too
 
 
 def check_conditioned(m: np.ndarray) -> None:
-    """Raise SingularFit unless m's condition number is finite and <= COND_LIMIT."""
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularFit(f"homography condition number {cond:.3g} exceeds limit")
+    """Raise SingularFit unless the condition number of m, or of each matrix
+    of a stack, is finite and <= COND_LIMIT; the message gives the first
+    that is not."""
+    cond, ok = _condition(m)
+    if not ok.all():
+        raise SingularFit(f"homography condition number {cond[ok.argmin()]:.3g} exceeds limit")
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,6 +172,16 @@ class Homography:
         check_conditioned(m)
         m.setflags(write=False)
         object.__setattr__(self, "h", m)
+
+    @classmethod
+    def _checked(cls, m: np.ndarray, camera_id: str, direction: str) -> "Homography":
+        """A Homography of a read-only matrix that is already normalized and
+        checked, such as one of a checked stack; skips both."""
+        hom = object.__new__(cls)
+        for name, value in (("h", m), ("camera_id", camera_id), ("direction", direction),
+                            ("_hinv", None)):
+            object.__setattr__(hom, name, value)
+        return hom
 
     @property
     def hinv(self) -> np.ndarray:
@@ -207,10 +268,27 @@ class Prism3D:
 # ---------------------------------------------------------------------------
 # projection primitives
 
+def _columns(pts: np.ndarray) -> np.ndarray:
+    """Points (..., N, D) extended by a 1, as columns: a (..., D+1, N) view."""
+    return np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1).swapaxes(-1, -2)
+
+
 def _homogeneous(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """m applied to points extended by a 1: (..., N, 3) from (..., N, 2 or 3)."""
-    ones = np.ones(pts.shape[:-1] + (1,))
-    return np.swapaxes(m @ np.swapaxes(np.concatenate([pts, ones], axis=-1), -1, -2), -1, -2)
+    return (m @ _columns(pts)).swapaxes(-1, -2)
+
+
+def _project_columns(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Apply a projective map, or a stack of K maps, to points given as
+    _columns; the results are columns too: (..., 2, N).
+
+    Raises HorizonPoint where the projective denominator vanishes.
+    """
+    q = m @ cols
+    w = q[..., 2:, :]
+    if np.count_nonzero(np.abs(w) < 1e-12):
+        raise HorizonPoint("projective denominator vanished")
+    return q[..., :2, :] / w
 
 
 def _project_h(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -219,10 +297,8 @@ def _project_h(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
     Raises HorizonPoint where the projective denominator vanishes.
     """
-    q = _homogeneous(m, np.atleast_2d(np.asarray(pts, dtype=float)))
-    if np.any(np.abs(q[..., 2]) < 1e-12):
-        raise HorizonPoint("projective denominator vanished")
-    return q[..., :2] / q[..., 2:]
+    cols = _columns(np.atleast_2d(np.asarray(pts, dtype=float)))
+    return _project_columns(m, cols).swapaxes(-1, -2)
 
 
 def project_image_to_world(h: Homography, p: ImagePoint) -> StatePlanePoint:
@@ -388,9 +464,8 @@ def fit_homography(
     """
     if len(points) < 4:
         raise DegenerateConfiguration(f"need >= 4 points, got {len(points)}")
-    img = np.array([[p.image.x, p.image.y] for p in points])
-    world = np.array([[p.world.x, p.world.y] for p in points])
-    ids = [p.id for p in points]
+    points = PointSet.of(points)
+    img, world, ids = points.image, points.world, [p.id for p in points]
     (h_all,), (final,) = fit_all_points(img[None], world[None], np.ones((1, len(ids)), dtype=bool))
     if final:
         with contextlib.suppress(SingularFit):
@@ -531,6 +606,29 @@ def project_prism_to_image(p3: Projection3D, prism: Prism3D) -> list[ImagePoint]
     return [ImagePoint(x, y) for x, y in pts]
 
 
+def _lift_cost(p3: Projection3D, base: np.ndarray, hints: np.ndarray):
+    """The mean pixel distance between the top corners over an (4,2) ground
+    footprint, reprojected at a height, and (4,2) hints, as a function of
+    the height; 1e12 where a projective denominator falls below 1e-12.
+
+    A top corner projects to q0 + height * P[:, 2], with q0 the corner's
+    ground point through P's columns 1, 2 and 4, so q0 is taken once."""
+    q0 = _homogeneous(p3.p[:, [0, 1, 3]], base).tolist()
+    cx, cy, cw = p3.p[:, 2].tolist()
+    corners = [(x, y, w, hx, hy) for (x, y, w), (hx, hy) in zip(q0, hints.tolist())]
+
+    def cost(height: float) -> float:
+        total = 0.0
+        for x, y, w, hx, hy in corners:
+            w += height * cw
+            if abs(w) < 1e-12:
+                return 1e12
+            total += math.hypot((x + height * cx) / w - hx, (y + height * cy) / w - hy)
+        return total / len(corners)
+
+    return cost
+
+
 def lift_image_box_to_prism(
     p3: Projection3D,
     footprint: list[ImagePoint],
@@ -546,16 +644,7 @@ def lift_image_box_to_prism(
         raise ValueError("footprint and top_hint must have 4 points each")
     hom = p3.homography()
     base = _project_h(hom.h, np.array([[q.x, q.y] for q in footprint]))
-    hints = np.array([[q.x, q.y] for q in top_hint])
-
-    def cost(height: float) -> float:
-        tops3 = np.hstack([base, np.full((4, 1), height)])
-        try:
-            proj = _project_h(p3.p, tops3)
-        except HorizonPoint:
-            return 1e12
-        return float(np.linalg.norm(proj - hints, axis=1).mean())
-
+    cost = _lift_cost(p3, base, np.array([[q.x, q.y] for q in top_hint]))
     return Prism3D.from_footprint(base, _golden_min(cost, 0.0, HEIGHT_MAX_FT,
                                                     HEIGHT_TOL_FT, 0.0))
 

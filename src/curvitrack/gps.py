@@ -83,16 +83,22 @@ def _ann_arrays(trace: GpsTrace, annotations) -> tuple[np.ndarray, ...]:
 
 def sawtooth_filter(trace: GpsTrace) -> tuple[GpsTrace, int]:
     """Drop samples whose implied longitudinal speed from the previous kept
-    sample exceeds MAX_SPEED_FT_S (GPS multipath sawtooth artifacts)."""
-    keep = [0]
-    for i in range(1, len(trace.times)):
-        j = keep[-1]
-        speed = abs(trace.x[i] - trace.x[j]) / (trace.times[i] - trace.times[j])
-        if speed <= MAX_SPEED_FT_S:
-            keep.append(i)
-    dropped = len(trace.times) - len(keep)
-    if dropped == 0:
+    sample exceeds MAX_SPEED_FT_S (GPS multipath sawtooth artifacts); a nan
+    speed counts as exceeding.
+
+    Up to the first sample whose speed from its predecessor exceeds the
+    limit, every sample is kept, so the previous kept sample is the
+    previous one; the loop over kept samples starts there."""
+    over = np.flatnonzero(~(np.abs(np.diff(trace.x)) / np.diff(trace.times) <= MAX_SPEED_FT_S))
+    if not over.size:
         return trace, 0
+    x, t = trace.x.tolist(), trace.times.tolist()
+    keep = list(range(over[0] + 1))
+    for i in range(over[0] + 1, len(t)):
+        j = keep[-1]
+        if abs(x[i] - x[j]) / (t[i] - t[j]) <= MAX_SPEED_FT_S:
+            keep.append(i)
+    dropped = len(t) - len(keep)
     k = np.asarray(keep)
     return GpsTrace(trace.vehicle_id, trace.times[k],
                     trace.x[k], trace.y[k]), dropped

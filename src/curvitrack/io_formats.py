@@ -202,8 +202,8 @@ def write_points(path: str, cameras) -> None:
 
 
 def read_points(path: str) -> dict:
-    """{camera: (direction, [CorrespondencePoint])} in file order."""
-    from .geometry import CorrespondencePoint, ImagePoint, StatePlanePoint
+    """{camera: (direction, PointSet)}, points in file order."""
+    from .geometry import CorrespondencePoint, ImagePoint, PointSet, StatePlanePoint
 
     cameras: dict = {}
     seen = set()
@@ -221,7 +221,7 @@ def read_points(path: str) -> dict:
         seen.add((r["camera"], r["id"]))
         points.append(CorrespondencePoint(r["id"], ImagePoint(*map(float, r["im"])),
                                           StatePlanePoint(*map(float, r["st"]), 0.0)))
-    return cameras
+    return {cam: (direction, PointSet(points)) for cam, (direction, points) in cameras.items()}
 
 
 # --- homographies -----------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry, roadway
 from .errors import ConfigInvalid
-from .geometry import CorrespondencePoint, Homography, ImagePoint, StatePlanePoint
+from .geometry import CorrespondencePoint, Homography, ImagePoint, PointSet, StatePlanePoint
 from .gps import SAMPLE_PERIOD_S, GpsTrace, PoleAnnotation
 from .drift import RediscoverySnapshot
 from .io_formats import MAX_DURATION_S
@@ -182,7 +182,7 @@ class Camera:
     pole: int
     fov: tuple  # (x_r_min, x_r_max)
     reference: Homography
-    points: list  # of CorrespondencePoint
+    points: PointSet
 
 
 @dataclass
@@ -289,7 +289,7 @@ def _make_camera(cfg, spline, pole, idx, direction, fov, rng) -> Camera:
                 ImagePoint(im[0], im[1]),
                 StatePlanePoint(p[0], p[1], 0.0)))
             k += 1
-    return Camera(cam_id, direction, pole, fov, ref, points)
+    return Camera(cam_id, direction, pole, fov, ref, PointSet(points))
 
 
 def _build_cameras(cfg: SceneConfig, spline, pad, rng) -> list:

@@ -69,14 +69,19 @@ def candidate_pairs(key_a, lo_a, hi_a, key_b, lo_b, hi_b) -> tuple[np.ndarray, n
     _, key = np.unique(np.concatenate([key_a, key_b]), return_inverse=True)
     xs, x = np.unique(np.concatenate([lo_a, lo_b]), return_inverse=True)
     lo = key * len(xs) + x
+    del x
     hi = key * len(xs) + np.searchsorted(xs, np.concatenate([hi_a, hi_b]), "right") - 1
+    del key, xs
     order = np.argsort(lo, kind="stable")
     after = np.arange(1, len(lo) + 1)
     count = np.searchsorted(lo[order], hi[order], "right") - after
+    del lo, hi          # the pair arrays below need only the order and the counts
     u = np.repeat(order, count)
     v = order[np.arange(len(u)) + np.repeat(after - np.cumsum(count) + count, count)]
+    del order, after, count
     cross = (u < len(lo_a)) != (v < len(lo_a))
     i, j = np.minimum(u, v)[cross], np.maximum(u, v)[cross] - len(lo_a)
+    del u, v, cross
     order = np.lexsort((j, i))
     return i[order], j[order]
 

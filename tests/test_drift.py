@@ -347,8 +347,115 @@ def test_baseline_recovers_drifted_homography(scene):
     assert np.abs(h_b.h - want).max() < 1e-8
 
 
+def test_baseline_items_equal_per_map_construction(scene, rng):
+    h, pts, ref = scene
+    tl = HomographyTimeline("c1", "EB", ref)
+    tl.sift_maps = [(e, np.eye(3) + rng.normal(0.0, 1e-3, (3, 3))) for e in (50.0, 10.0, 30.0)]
+    base = drift.build_baseline(tl)
+    assert len(base) == 3
+    for (t, hom), (e, m) in zip(base, tl.sift_maps):
+        assert t == e
+        assert np.array_equal(hom.h, Homography(ref.h @ np.linalg.inv(m), "c1", "EB").h)
+
+
+def test_baseline_names_the_first_singular_map(scene):
+    h, pts, ref = scene
+    tl = HomographyTimeline("c1", "EB", ref)
+    tl.sift_maps = [(10.0, np.eye(3)), (20.0, np.zeros((3, 3))), (30.0, np.zeros((3, 3)))]
+    with pytest.raises(SingularFit, match=r"^alignment map at epoch 20.0 is singular$"):
+        drift.build_baseline(tl)
+
+
+# ---------------------------------------------------------------------------
+# stacked estimates
+
+def test_estimate_stack_items_equal_per_record_homographies(rng):
+    mats = np.stack([random_homography(rng) * rng.uniform(0.5, 2.0) for _ in range(6)])
+    epochs = 10.0 * np.arange(6)
+    stack = drift.EstimateStack(epochs, mats, "c1", "WB")
+    assert len(stack) == 6 and not stack.h.flags.writeable
+    for (t, hom), m, want_t in zip(stack, mats, epochs):
+        want = Homography(m, "c1", "WB")
+        assert type(t) is float and t == want_t
+        assert np.array_equal(hom.h, want.h) and not hom.h.flags.writeable
+        assert (hom.camera_id, hom.direction) == ("c1", "WB")
+        assert np.array_equal(hom.hinv, want.hinv)
+    assert np.array_equal(stack[-1][1].h, Homography(mats[-1]).h)
+
+
+def test_ill_conditioned_matrix_in_a_stack_raises_the_homography_message(rng):
+    good = random_homography(rng)
+    bad, worse = np.diag([1.0, 1e-12, 1.0]), np.diag([1.0, 1e-14, 1.0])
+    with pytest.raises(SingularFit) as single:
+        Homography(bad)
+    with pytest.raises(SingularFit) as stacked:
+        drift.EstimateStack([0.0, 10.0, 20.0, 30.0], [good, bad, good, worse], "c1", "EB")
+    assert str(stacked.value) == str(single.value)
+
+
+def old_dynamic_at(estimates, t):
+    """The list rule: the first estimate whose epoch is closest to t."""
+    return estimates[int(np.argmin([abs(e - t) for e, _ in estimates]))][1]
+
+
+def test_dynamic_at_matches_the_list_rule_on_ties_and_unsorted_epochs(scene, rng):
+    h, pts, ref = scene
+    tl = timeline_with_drifts(scene, [(0.1 * i, -0.05 * i) for i in range(12)])
+    tl.sift_maps = [(e, np.eye(3) + rng.normal(0.0, 1e-3, (3, 3)))
+                    for e in (50.0, 10.0, 30.0, 20.0, 40.0)]
+    for est in (drift.build_dynamic(tl), drift.build_baseline(tl)):
+        as_list = list(est)
+        # every 2.5 s: the midpoints between grid or map epochs are exact ties
+        for t in np.arange(-5.0, 400.0, 2.5):
+            assert np.array_equal(drift.dynamic_at(est, t).h, old_dynamic_at(as_list, t).h)
+    with pytest.raises(ValueError):
+        drift.dynamic_at(drift.EstimateStack([], np.empty((0, 3, 3)), "c1", "EB"), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # metrics
+
+def test_error_stats_equal_numpy_mean_max_std():
+    gen = np.random.default_rng(5)
+    for n in (1, 2, 7, 8, 9, 44, 129, 1000):
+        d = gen.exponential(3.0, n)
+        s = drift.ErrorStats.from_distances(d)
+        assert (s.mean, s.max, s.std, s.count) == (d.mean(), d.max(), d.std(), n)
+
+
+def test_metrics_equal_on_a_point_set_and_a_list(scene):
+    h, pts, ref = scene
+    ps = geometry.PointSet(pts)
+    snap = snapshot_for(h, pts, (1.0, -0.5), 60.0)
+    partial = RediscoverySnapshot(90.0, "c1", "EB",
+                                  snap.points[::2] + (("nope", ImagePoint(5.0, 5.0)),))
+    other = Homography(geometry.normalize_h(translation(0.6, 0.8) @ h), "c1", "EB")
+    assert drift.metric_fitness(ps, snap, other) == drift.metric_fitness(pts, snap, other)
+    assert drift.metric_full_drift(ps, ref, other) == drift.metric_full_drift(pts, ref, other)
+    assert drift.metric_sub_drift(ps, partial, other) == drift.metric_sub_drift(pts, partial, other)
+    assert drift.metric_sub_drift(ps, partial, other).count == len(snap.points[::2])
+    for points in (ps, pts):
+        with pytest.raises(DataInvariantViolation, match="ids not in reference set"):
+            drift.metric_fitness(points, partial, other)
+
+
+def test_metrics_equal_the_per_homography_projections(scene):
+    # the parent's formulas: one projection per homography, np.linalg.norm
+    h, pts, ref = scene
+    snap = snapshot_for(h, pts, (1.0, -0.5), 60.0)
+    other = Homography(geometry.normalize_h(translation(0.6, 0.8) @ h), "c1", "EB")
+    img = np.array([[p.image.x, p.image.y] for p in pts])
+    world = np.array([[p.world.x, p.world.y] for p in pts])
+    snap_img = np.array([[q.x, q.y] for _, q in snap.points])
+
+    def stats(d):
+        return drift.ErrorStats(float(d.mean()), float(d.max()), float(d.std()), d.size)
+
+    assert drift.metric_full_drift(pts, ref, other) == stats(np.linalg.norm(
+        geometry._project_h(ref.h, img) - geometry._project_h(other.h, img), axis=1))
+    assert drift.metric_fitness(pts, snap, other) == stats(np.linalg.norm(
+        geometry._project_h(other.h, snap_img) - world, axis=1))
+
 
 def test_fitness_zero_for_exact_fit(scene):
     h, pts, ref = scene

@@ -524,6 +524,69 @@ def test_lift_horizon_footprint_raises(rng):
         g.lift_image_box_to_prism(bad_p3, bad, bad)
 
 
+def lift_height_by_projection(p3, foot, tops):
+    """Reference lift height: every evaluation of the cost projects the
+    four top corners through P with _project_h."""
+    base = g._project_h(p3.homography().h, np.array([[q.x, q.y] for q in foot]))
+    hints = np.array([[q.x, q.y] for q in tops])
+
+    def cost(height):
+        try:
+            proj = g._project_h(p3.p, np.hstack([base, np.full((4, 1), height)]))
+        except HorizonPoint:
+            return 1e12
+        return float(np.linalg.norm(proj - hints, axis=1).mean())
+
+    return cost, g._golden_min(cost, 0.0, g.HEIGHT_MAX_FT, g.HEIGHT_TOL_FT, 0.0)
+
+
+def test_lift_cost_matches_per_evaluation_projection():
+    gen = np.random.default_rng(11)
+    for _ in range(40):
+        hom, p_true, _ = make_projection(gen)
+        p3 = g.Projection3D(p_true)
+        x, y = gen.uniform(3900.0, 4300.0), gen.uniform(7900.0, 8300.0)
+        length, width = gen.uniform(10.0, 60.0), gen.uniform(5.0, 9.0)
+        base = np.array([[x, y], [x, y + width], [x + length, y], [x + length, y + width]])
+        foot = [ImagePoint(*q) for q in g._project_h(hom.hinv, base)]
+        tops3 = np.hstack([base, np.full((4, 1), gen.uniform(0.0, 15.0))])
+        tops = [ImagePoint(*q) for q in project_p(p_true, tops3) + gen.normal(0.0, 2.0, (4, 2))]
+        cost_ref, want = lift_height_by_projection(p3, foot, tops)
+        cost = g._lift_cost(p3, g._project_h(hom.h, np.array([[q.x, q.y] for q in foot])),
+                            np.array([[q.x, q.y] for q in tops]))
+        for height in (0.0, 3.7, want, g.HEIGHT_MAX_FT):
+            assert cost(height) == pytest.approx(cost_ref(height), rel=1e-9, abs=1e-9)
+        assert abs(g.lift_image_box_to_prism(p3, foot, tops).height - want) <= g.HEIGHT_TOL_FT
+
+
+def test_lift_cost_of_a_top_corner_at_the_horizon():
+    # P maps (x, y, z) to (x, y, z - 5): at height 5 every top corner's
+    # denominator vanishes
+    p3 = g.Projection3D(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                  [0.0, 0.0, 1.0, -5.0]]))
+    base = np.array([[1.0, 2.0], [1.0, 3.0], [4.0, 2.0], [4.0, 3.0]])
+    cost = g._lift_cost(p3, base, base)
+    assert cost(5.0) == 1e12
+    assert cost(4.0) < 1e12
+
+
+# ---------------------------------------------------------------------------
+# point sets
+
+def test_point_set_holds_arrays_and_rows(rng):
+    pts, _ = points_from_h(random_homography(rng), grid_pixels())
+    ps = g.PointSet(pts)
+    assert len(ps) == len(pts) and list(ps) == pts and ps[3] == pts[3]
+    assert ps.image.tolist() == [[p.image.x, p.image.y] for p in pts]
+    assert ps.world.tolist() == [[p.world.x, p.world.y] for p in pts]
+    assert ps.columns.tolist() == [[p.image.x for p in pts], [p.image.y for p in pts],
+                                   [1.0] * len(pts)]
+    assert ps.row_of == {p.id: i for i, p in enumerate(pts)}
+    assert not ps.image.flags.writeable and not ps.world.flags.writeable
+    assert ps == g.PointSet(list(pts)) and ps != g.PointSet(pts[:-1])
+    assert g.PointSet.of(ps) is ps and g.PointSet.of(pts) == ps
+
+
 # ---------------------------------------------------------------------------
 # anchor decode
 

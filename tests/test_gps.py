@@ -65,6 +65,44 @@ def test_sawtooth_drops_multipath_spikes():
     assert np.array_equal(out.x, np.delete(x, [100, 101, 102]))
 
 
+def sawtooth_by_loop(trace):
+    """The sequential rule: indices kept, each judged against the last kept."""
+    keep = [0]
+    for i in range(1, len(trace.times)):
+        j = keep[-1]
+        speed = abs(trace.x[i] - trace.x[j]) / (trace.times[i] - trace.times[j])
+        if speed <= gps.MAX_SPEED_FT_S:
+            keep.append(i)
+    return keep
+
+
+def test_sawtooth_matches_the_sequential_rule():
+    gen = np.random.default_rng(8)
+    outcomes = set()
+    for trial in range(90):
+        n = int(gen.integers(2, 400))
+        steps = gen.choice([1, 1, 1, 2, 5], size=n - 1)         # dropped samples leave gaps
+        t = np.concatenate([[0.0], np.cumsum(steps)]) * gps.SAMPLE_PERIOD_S
+        x = 100.0 + 90.0 * t + gen.normal(0.0, 0.5, n)
+        if trial % 3:
+            spikes = gen.choice(n, size=int(gen.integers(1, 6)))
+            signs = gen.choice([-1.0, 1.0], size=len(spikes))
+            x[spikes] += signs * gen.uniform(20.0, 300.0, len(spikes))
+        if trial % 4 == 0:
+            x[gen.choice(n, size=3)] = np.nan
+        trace = GpsTrace("v", t, x, np.zeros(n))
+        out, dropped = gps.sawtooth_filter(trace)
+        keep = sawtooth_by_loop(trace)
+        assert dropped == n - len(keep)
+        if dropped:
+            assert np.array_equal(out.times, t[keep])
+            assert np.array_equal(out.x, x[keep], equal_nan=True)
+        else:
+            assert out is trace
+        outcomes.add(bool(dropped))
+    assert outcomes == {False, True}
+
+
 # ---------------------------------------------------------------------------
 # bias
 
