@@ -87,10 +87,9 @@ def cmd_calibrate(args) -> int:
     from .geometry import fit_homography
 
     homographies, inliers = [], []
-    for i, (cam, (direction, points)) in enumerate(
-            sorted(iof.read_points(args.points).items())):
-        h, ids = fit_homography(points, camera_id=cam,
-                                direction=direction, seed=i)
+    # each camera's RANSAC seed is the default, so its fit depends on its points alone
+    for cam, (direction, points) in sorted(iof.read_points(args.points).items()):
+        h, ids = fit_homography(points, camera_id=cam, direction=direction)
         homographies.append(h)
         inliers.append(len(ids))
     iof.write_homographies(args.out, homographies, inliers)
@@ -112,11 +111,14 @@ def cmd_restim(args) -> int:
     rows = []
     for cam, reference in sorted(references.items()):
         snapshots = snapshots_by_cam.get(cam, [])
-        if not snapshots or cam not in points_by_cam:
+        lacks = [name for name, absent in (("reference points", cam not in points_by_cam),
+                                           ("snapshots", not snapshots)) if absent]
+        if lacks:
+            log.warning("restim: %s has no %s, skipping", cam, " or ".join(lacks))
             continue
         _, points = points_by_cam[cam]
         tl, rejected = drift.build_timeline(reference, points, snapshots)
-        if len(tl.instants) < 3:
+        if len(tl.instants) < drift.MIN_INSTANTS:
             log.warning("restim: %s has %d usable instants, skipping",
                         cam, len(tl.instants))
             continue
@@ -194,12 +196,8 @@ def cmd_gps_correct(args) -> int:
             corrected.append(trace)
             continue
         corrected.append(res.trace)
-        summary[trace.vehicle_id] = {
-            "bias_ft": res.bias_ft,
-            "time_offset_s": res.time_offset_s,
-            "degenerate_offset": res.degenerate_offset,
-            "sawtooth_dropped": res.sawtooth_dropped,
-        }
+        summary[trace.vehicle_id] = {f.name: getattr(res, f.name)
+                                     for f in dataclasses.fields(res) if f.name != "trace"}
     iof.write_gps(os.path.join(args.out, "gps_corrected.csv"), corrected)
     iof.write_json(os.path.join(args.out, "gps_summary.json"), summary)
     return 0
@@ -248,7 +246,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    manifest = iof.read_manifest(args.manifest)
+    manifest = iof.read_manifest(args.manifest, STAGES)
     out = manifest.get("out", args.out or "pipeline_out")
     os.makedirs(out, exist_ok=True)
 

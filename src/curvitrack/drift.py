@@ -5,6 +5,10 @@ then aggregated into a static (outlier-filtered element-wise mean) and a
 dynamic (Gaussian-kernel-smoothed, adaptive window) estimate.  Drift and
 fitness metrics compare point projections in state-plane feet.
 
+A rejected snapshot is an (epoch, reason string) pair in `build_timeline`'s
+rejections.  The static and dynamic estimates need MIN_INSTANTS instants,
+before and after outlier removal; `restim` skips a camera with fewer.
+
 Two records carry the arrays: a camera's reference points are a
 `geometry.PointSet`, whose image and world arrays and id rows are built
 once, where the points are made or read; the dynamic and baseline
@@ -21,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import (AllOutliers, DataInvariantViolation, DegenerateConfiguration,
-                     RejectedInstant, SingularFit)
+from .errors import AllOutliers, DataInvariantViolation, DegenerateConfiguration, SingularFit
 from .geometry import CorrespondencePoint, Homography, PointSet
 
 MIN_INSTANT_INLIERS = 6
+MIN_INSTANTS = 3           # instants the static and dynamic estimates need
 COLLINEAR_BAND_FT = 1.0
 OUTLIER_REL = 0.30
 OUTLIER_ABS_FLOOR = 1e-9   # |mean| below this -> absolute comparison
@@ -99,27 +103,27 @@ def _join(points: PointSet, snap) -> np.ndarray:
 
 def _fit_one(points: PointSet, rows: np.ndarray, snap: RediscoverySnapshot):
     """One snapshot through fit_homography (RANSAC consensus): its
-    (epoch, Homography, inlier ids), or the RejectedInstant."""
+    (epoch, Homography, inlier ids), or the reason it is rejected."""
     if len(rows) < MIN_INSTANT_INLIERS:
-        return RejectedInstant(f"only {len(rows)} rediscovered points")
+        return f"only {len(rows)} rediscovered points"
     joined = PointSet([CorrespondencePoint(i, im, points[r].world)
                        for (i, im), r in zip(snap.points, rows)])
     try:
         h, inliers = geometry.fit_homography(joined, snap.camera_id, snap.direction,
                                              seed=int(snap.epoch * 1000) & 0x7FFFFFFF)
     except (DegenerateConfiguration, SingularFit) as exc:
-        return RejectedInstant(str(exc))
+        return str(exc)
     if len(inliers) < MIN_INSTANT_INLIERS:
-        return RejectedInstant(f"only {len(inliers)} inliers")
+        return f"only {len(inliers)} inliers"
     kept = set(inliers)
     world = joined.world[[p.id in kept for p in joined]]
     if geometry.points_collinear_within(world, COLLINEAR_BAND_FT):
-        return RejectedInstant("collinear")
+        return "collinear"
     return snap.epoch, h, inliers
 
 
 def _fit_snapshots(reference_points: list[CorrespondencePoint], snaps: list) -> list:
-    """(epoch, Homography, inlier ids), or the RejectedInstant, per snapshot.
+    """(epoch, Homography, inlier ids), or the rejection reason, per snapshot.
     geometry.fit_all_points runs on STACK_MAX snapshots at a time; those it
     does not settle, or that fall within the collinear band, take _fit_one."""
     points = PointSet.of(reference_points)
@@ -146,33 +150,22 @@ def _fit_snapshots(reference_points: list[CorrespondencePoint], snaps: list) -> 
             for k, snap in enumerate(snaps)]
 
 
-def fit_instant(
-    reference_points: list[CorrespondencePoint],
-    snap: RediscoverySnapshot,
-) -> tuple[float, Homography, list[str]]:
-    """Fit the instantaneous homography for one snapshot.
-
-    Raises RejectedInstant when too few inliers survive or the surviving
-    world points fall within a 1 ft collinear band (single-lane rediscovery).
-    """
-    fit, = _fit_snapshots(reference_points, [snap])
-    if isinstance(fit, RejectedInstant):
-        raise fit
-    return fit
-
-
 def build_timeline(
     reference: Homography,
     reference_points: list[CorrespondencePoint],
     snapshots: list[RediscoverySnapshot],
 ) -> tuple[HomographyTimeline, list[tuple[float, str]]]:
-    """Fit all snapshots into a timeline; returns (timeline, rejections)."""
+    """Fit all snapshots into a timeline; returns (timeline, rejections).
+
+    A snapshot is rejected, with its reason, when too few of its points or
+    inliers remain, or when the inliers' world points fall within a
+    COLLINEAR_BAND_FT band (single-lane rediscovery)."""
     tl = HomographyTimeline(reference.camera_id, reference.direction, reference)
     rejected = []
     snaps = sorted(snapshots, key=lambda s: s.epoch)
     for snap, fit in zip(snaps, _fit_snapshots(reference_points, snaps)):
-        if isinstance(fit, RejectedInstant):
-            rejected.append((snap.epoch, fit.reason))
+        if isinstance(fit, str):
+            rejected.append((snap.epoch, fit))
         else:
             tl.add_instant(*fit)
     return tl, rejected
@@ -192,20 +185,18 @@ def _remove_outliers(mats: np.ndarray) -> np.ndarray:
         abs_bad = dev > OUTLIER_ABS_TOL
         bad_entries = np.where(small, abs_bad, rel_bad)
         bad = bad_entries.any(axis=(1, 2)) & keep
-        if not bad.any():
-            break
         keep &= ~bad
-        if keep.sum() < 3:
+        if not bad.any() or keep.sum() < MIN_INSTANTS:
             break
-    if keep.sum() < 3:
+    if keep.sum() < MIN_INSTANTS:
         raise AllOutliers(f"only {int(keep.sum())} instants survive outlier removal")
     return keep
 
 
 def _surviving(timeline: HomographyTimeline) -> tuple[np.ndarray, np.ndarray]:
     """Epochs and matrices of the instants that survive the outlier filter."""
-    if len(timeline.instants) < 3:
-        raise AllOutliers("need >= 3 instants")
+    if len(timeline.instants) < MIN_INSTANTS:
+        raise AllOutliers(f"need >= {MIN_INSTANTS} instants")
     epochs = np.array([e for e, _, _ in timeline.instants])
     mats = np.stack([h.h for _, h, _ in timeline.instants])
     keep = _remove_outliers(mats)

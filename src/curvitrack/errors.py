@@ -41,14 +41,6 @@ class AmbiguousMedian(CurvitrackError):
     """Point too close to the centerline for the yellow-line shift."""
 
 
-class RejectedInstant(CurvitrackError):
-    """Instantaneous homography fit rejected; carries a reason string."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class AllOutliers(CurvitrackError):
     """Too few homography instants survive outlier removal."""
 

@@ -604,12 +604,11 @@ def read_scene_config(path: str):
         raise ConfigInvalid(f"{path}: {exc}") from exc
 
 
-def read_manifest(path: str) -> dict:
+def read_manifest(path: str, stages) -> dict:
     """The pipeline manifest, a JSON object whose optional fields are
-    `stages` (a list of `cli.STAGES` names), `track` (an object whose
+    `stages` (a list of names in `stages`), `track` (an object whose
     optional `algo` names a tracker), `seed` (a non-negative integer),
     `scene` (a valid scene config) and `out` (a string)."""
-    from .cli import STAGES
     from .tracking import TRACKER_NAMES
 
     m = read_json(path)
@@ -623,7 +622,7 @@ def read_manifest(path: str) -> dict:
         raise MalformedInput(f"{path}: seed must be a non-negative integer, "
                              f"got {m['seed']!r}")
     for stage in m.get("stages", ()):
-        if not isinstance(stage, str) or stage not in STAGES:
+        if not isinstance(stage, str) or stage not in stages:
             raise MalformedInput(f"{path}: unknown stage {stage!r}")
     if m.get("track", {}).get("algo", "sort") not in TRACKER_NAMES:
         raise MalformedInput(f"{path}: track algo must be one of {TRACKER_NAMES}, "

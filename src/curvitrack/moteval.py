@@ -3,7 +3,8 @@
 The `eval` stage scores `gt_tracks.jsonl`, the trajectory of every vehicle,
 sampled on a fixed STEP_S grid and counted where 0 <= x <= 23,000 ft.  The
 paper's ground truth is sparse (corrected GPS passes of a few vehicles), so
-detection accuracy is the FP-free DetA* = TP / (TP + FN), and association
+detection accuracy is the FP-free DetA* = TP / (TP + FN) of `det_a_star`,
+which also gives Recall at the working threshold, and association
 accuracy is accumulated only over ground-truth instants.  HOTA is the
 alpha-averaged sqrt(DetA* * AssA).
 
@@ -290,7 +291,7 @@ def evaluate(gt_series: list, track_series: list) -> EvalReport:
     for k in range(len(HOTA_ALPHAS)):
         m = matched[k]
         tp = int(m.sum())
-        deta = tp / total_gt if total_gt else 0.0
+        deta = det_a_star(tp, total_gt)
         assa = _ass_a(gt.owner[eg[m]], tr.owner[et[m]], gt_count, n_tr) if tp else 0.0
         detas.append(deta)
         assas.append(assa)
@@ -324,13 +325,12 @@ def evaluate(gt_series: list, track_series: list) -> EvalReport:
             float(np.mean(ious[a:b])) if b > a else None,
             float(np.mean(dist[a:b])) if b > a else None))
 
-    recall = (sum(s.matched for s in scores) / total_gt) if total_gt else 0.0
     with_match = [s for s in scores if s.matched > 0]
     return EvalReport(
         hota=float(np.mean(hotas)),
         det_a=float(np.mean(detas)),
         ass_a=float(np.mean(assas)),
-        recall=recall,
+        recall=det_a_star(sum(s.matched for s in scores), total_gt),
         ids_per_gt=float(np.mean([s.ids for s in scores])),
         lcss_t=float(np.mean([s.lcss_t for s in with_match])) if with_match else 0.0,
         lcss_d=float(np.mean([s.lcss_d for s in with_match])) if with_match else 0.0,

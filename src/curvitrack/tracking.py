@@ -4,6 +4,8 @@ All trackers consume `Detection` records (or any objects with .t, .box =
 (x, y, l, w, h), .conf) in any order and emit Tracklets.  Boxes are axis-aligned in
 roadway coordinates; the box reference point is the back-bottom-center, so
 the footprint extends along +x for eastbound (y > 0) and -x for westbound.
+The records become time-sorted arrays once per run (`_arrays`), and each
+travel direction is a mask on those arrays, tracked as its own stream.
 """
 
 from __future__ import annotations
@@ -257,10 +259,6 @@ class Tracklet:
             return (0.0, 0.0, 0.0)
         return tuple(np.median(d, axis=0))
 
-    @property
-    def duration(self) -> float:
-        return self.times[-1] - self.times[0] if len(self.times) > 1 else 0.0
-
 
 def _arrays(detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, boxes (N,5), conf) of detection records, stably sorted by t."""
@@ -271,8 +269,9 @@ def _arrays(detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t[order], boxes[order], conf[order]
 
 
-def _frames(detections, params: TrackerParams):
-    """Confidence gate and greedy cross-camera NMS over one detection stream.
+def _frames(t, boxes, conf, params: TrackerParams):
+    """Confidence gate and greedy cross-camera NMS over one detection stream,
+    given as _arrays gives it.
 
     A detection's frame is round(t / dt) on the tracking grid.  Within a
     frame, detections are ranked by (-conf, time order), and one is kept
@@ -282,7 +281,6 @@ def _frames(detections, params: TrackerParams):
     time order (stable, so input order within a time).
     """
     dt = 1.0 / params.f_track
-    t, boxes, conf = _arrays(detections)
     gate = ~(conf < params.sigma_high)
     frame = np.rint(t[gate] / dt).astype(np.int64)
     boxes, conf = boxes[gate], conf[gate]
@@ -320,28 +318,26 @@ def _associate(tboxes, dboxes, drects, params: TrackerParams):
     return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
 
 
-def _run_stream(detections, params: TrackerParams, id_start: int):
-    """Track one detection stream.
+def _run_stream(t, boxes, conf, params: TrackerParams, id_start: int):
+    """Track one detection stream, given as _arrays gives it.
 
     Active tracks are stacked: `state` holds (id, hits, first frame, last
     matched frame) per track and X (N,7) / P (N,7,7) the constant-velocity
     Kalman filter on (x, y, l, w, h, vx, vy); without Kalman, X[:, :5] is
     the last matched box.  Returns (tracklets, next_id).
     """
-    frame, boxes, rects, conf = _frames(detections, params)
+    frame, boxes, rects, conf = _frames(t, boxes, conf, params)
     if not len(frame):
         return [], id_start
     dt = 1.0 / params.f_track
     cut = np.searchsorted(frame, np.arange(frame[0], frame[-1] + 2))
-    if params.two_stage:
-        # high-confidence detections first within a frame, each part in input order
-        low = conf < TAU_HIGH
-        order = np.lexsort((low, frame))
-        boxes, rects = boxes[order], rects[order]
-        n_high = np.concatenate([[0], np.cumsum(~low[order])])
-        mid = cut[:-1] + n_high[cut[1:]] - n_high[cut[:-1]]
-    else:
-        mid = cut[1:]
+    # high-confidence detections first within a frame, each part in input
+    # order; a one-stage tracker has no low-confidence part
+    low = (conf < TAU_HIGH) & params.two_stage
+    order = np.lexsort((low, frame))
+    boxes, rects = boxes[order], rects[order]
+    n_high = np.concatenate([[0], np.cumsum(~low[order])])
+    mid = cut[:-1] + n_high[cut[1:]] - n_high[cut[:-1]]
     bounds = zip(range(int(frame[0]), int(frame[-1]) + 1),
                  cut[:-1].tolist(), mid.tolist(), cut[1:].tolist())
 
@@ -435,10 +431,11 @@ def run_tracker(algo: str, detections) -> list[Tracklet]:
     detections are tracked as separate streams."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown tracker {algo!r}")
+    t, boxes, conf = _arrays(detections)
     out, next_id = [], 0
-    for stream in ([d for d in detections if d.box[1] >= 0],
-                   [d for d in detections if d.box[1] < 0]):
-        tracklets, next_id = _run_stream(stream, ALGORITHMS[algo], next_id)
+    for side in (boxes[:, 1] >= 0, boxes[:, 1] < 0):
+        tracklets, next_id = _run_stream(t[side], boxes[side], conf[side],
+                                         ALGORITHMS[algo], next_id)
         out.extend(tracklets)
     return out
 
@@ -526,10 +523,8 @@ def run_oracle(detections, gt_traces):
         mask = iou >= ORACLE_PHI_MIN
         if not mask.any():
             continue
-        ct, cb = cand_t[mask], cand_b[mask]
+        ct, cb = cand_t[mask], cand_b[mask]     # sorted by time, as _arrays sorts
         # average concurrent claims (overlapping cameras)
-        order = np.argsort(ct, kind="stable")
-        ct, cb = ct[order], cb[order]
         new = np.concatenate([[True], np.diff(ct) > 1e-9])
         group = np.cumsum(new) - 1
         n_groups = group[-1] + 1

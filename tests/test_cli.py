@@ -814,3 +814,51 @@ def test_restim_skips_a_camera_with_fewer_than_three_instants(tmp_path, caplog):
     assert json.loads((tmp_path / "timelines.json").read_text()) == []
     _, rows = iof.read_csv(str(tmp_path / "drift.csv"))
     assert rows == []
+
+
+def test_restim_logs_each_camera_it_drops_for_a_missing_input(tmp_path, caplog):
+    simulate(tmp_path)
+    cams = [e["camera"] for e in json.loads((tmp_path / "reference.json").read_text())]
+    no_points, no_snapshots, neither = cams[:3]
+    for name, gone in (("points.jsonl", (no_points, neither)),
+                       ("snapshots.jsonl", (no_snapshots, neither))):
+        path = tmp_path / name
+        path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                                if json.loads(line)["camera"] not in gone))
+    with caplog.at_level("WARNING", logger="curvitrack"):
+        assert run(["restim", "--points", tmp_path / "points.jsonl",
+                    "--reference", tmp_path / "reference.json",
+                    "--snapshots", tmp_path / "snapshots.jsonl",
+                    "--out", tmp_path]) == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == [f"restim: {no_points} has no reference points, skipping",
+                        f"restim: {no_snapshots} has no snapshots, skipping",
+                        f"restim: {neither} has no reference points or snapshots, skipping"]
+    timelines = json.loads((tmp_path / "timelines.json").read_text())
+    assert [t["camera"] for t in timelines] == cams[3:]
+
+
+def test_a_camera_fit_depends_only_on_its_own_points(tmp_path):
+    """Two halves of camera Z's points agree with maps 50 ft apart, so RANSAC
+    keeps whichever consensus its seed finds first.  Listing camera A before
+    Z must not change Z's fitted.json entry."""
+    img = np.array([(x, y) for x in (100.0, 500.0, 900.0, 1300.0)
+                    for y in (150.0, 350.0, 550.0, 750.0)])
+    h = np.array([[0.5, 0.02, 4000.0], [0.01, -0.4, 9000.0], [5e-6, 2e-5, 1.0]])
+    q = np.column_stack([img, np.ones(len(img))]) @ h.T
+    exact = q[:, :2] / q[:, 2:]
+    shifted = exact.copy()
+    shifted[1::2, 0] += 50.0
+
+    def records(cam, world):
+        return [{"id": f"{cam}_{i}", "camera": cam, "direction": "EB",
+                 "im": im.tolist(), "st": st.tolist()} for i, (im, st) in enumerate(zip(img, world))]
+
+    fitted = []
+    for k, recs in enumerate((records("Z", shifted), records("A", exact) + records("Z", shifted))):
+        iof.write_jsonl(str(tmp_path / f"points{k}.jsonl"), recs)
+        assert run(["calibrate", "--points", tmp_path / f"points{k}.jsonl",
+                    "--out", tmp_path / f"fitted{k}.json"]) == 0
+        fitted.append(json.loads((tmp_path / f"fitted{k}.json").read_text()))
+    assert [e["camera"] for e in fitted[1]] == ["A", "Z"]
+    assert fitted[1][1] == fitted[0][0]

@@ -4,7 +4,7 @@ import pytest
 from curvitrack import drift, geometry
 from curvitrack.drift import HomographyTimeline, RediscoverySnapshot
 from curvitrack.errors import (AllOutliers, DataInvariantViolation, DegenerateConfiguration,
-                               RejectedInstant, SingularFit)
+                               SingularFit)
 from curvitrack.geometry import CorrespondencePoint, Homography, ImagePoint, StatePlanePoint
 
 from conftest import points_from_h, random_homography
@@ -50,12 +50,14 @@ def timeline_with_drifts(scene, drifts):
 
 
 # ---------------------------------------------------------------------------
-# fit_instant
+# one snapshot's instant, through build_timeline
 
 def test_fit_instant_zero_drift_recovers_reference(scene):
     h, pts, ref = scene
     snap = snapshot_for(h, pts, (0.0, 0.0), 100.0)
-    epoch, h_t, inliers = drift.fit_instant(pts, snap)
+    tl, rejected = drift.build_timeline(ref, pts, [snap])
+    assert rejected == []
+    (epoch, h_t, inliers), = tl.instants
     assert epoch == 100.0
     assert len(inliers) == len(pts)
     assert np.abs(h_t.h - h).max() < 1e-8
@@ -65,7 +67,9 @@ def test_fit_instant_known_drift(scene):
     h, pts, ref = scene
     v = (3.0, -1.5)
     snap = snapshot_for(h, pts, v, 60.0)
-    _, h_t, _ = drift.fit_instant(pts, snap)
+    tl, rejected = drift.build_timeline(ref, pts, [snap])
+    assert rejected == []
+    (_, h_t, _), = tl.instants
     # H_t should equal T_v . H
     want = geometry.normalize_h(translation(*v) @ h)
     assert np.abs(h_t.h - want).max() < 1e-8
@@ -74,8 +78,9 @@ def test_fit_instant_known_drift(scene):
 def test_fit_instant_too_few_points(scene):
     h, pts, ref = scene
     snap = snapshot_for(h, pts[:4], (0.0, 0.0), 60.0)
-    with pytest.raises(RejectedInstant):
-        drift.fit_instant(pts, snap)
+    tl, rejected = drift.build_timeline(ref, pts, [snap])
+    assert tl.instants == []
+    assert rejected == [(60.0, "only 4 rediscovered points")]
 
 
 def test_fit_instant_collinear_band_rejected(scene, rng):
@@ -86,8 +91,9 @@ def test_fit_instant_collinear_band_rejected(scene, rng):
                                 np.full(8, 400.0)])
     lane_pts, _ = points_from_h(h, lane_img, camera="c1", direction="EB")
     snap = snapshot_for(h, lane_pts, (0.0, 0.0), 60.0)
-    with pytest.raises(RejectedInstant):
-        drift.fit_instant(lane_pts, snap)
+    tl, rejected = drift.build_timeline(ref, lane_pts, [snap])
+    assert tl.instants == []
+    assert rejected == [(60.0, "points are collinear")]
 
 
 def loop_timeline(reference_points, snapshots):
@@ -215,6 +221,22 @@ def test_static_too_few_instants(scene):
     tl = timeline_with_drifts(scene, [(1.0, 0.0)] * 2)
     with pytest.raises(AllOutliers):
         drift.build_static(tl)
+
+
+def test_add_instant_refuses_a_non_increasing_epoch(scene):
+    h, pts, ref = scene
+    tl = HomographyTimeline("c1", "EB", ref)
+    tl.add_instant(30.0, ref, [p.id for p in pts])
+    for epoch in (30.0, 10.0):
+        with pytest.raises(ValueError, match="strictly increasing in epoch"):
+            tl.add_instant(epoch, ref, [p.id for p in pts])
+    assert [e for e, _, _ in tl.instants] == [30.0]
+
+
+def test_snapshot_refuses_a_repeated_point_id():
+    points = ((f"p{i}", ImagePoint(float(i), 0.0)) for i in (0, 1, 0))
+    with pytest.raises(ValueError, match="snapshot point ids must be unique"):
+        RediscoverySnapshot(0.0, "c1", "EB", tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +390,12 @@ def test_baseline_names_the_first_singular_map(scene):
 
 # ---------------------------------------------------------------------------
 # stacked estimates
+
+@pytest.mark.parametrize("n_epochs", [0, 2, 4])
+def test_estimate_stack_needs_one_matrix_per_epoch(n_epochs):
+    with pytest.raises(ValueError, match="one matrix per epoch"):
+        drift.EstimateStack(np.arange(n_epochs) * 10.0, np.stack([np.eye(3)] * 3), "c1", "EB")
+
 
 def test_estimate_stack_items_equal_per_record_homographies(rng):
     mats = np.stack([random_homography(rng) * rng.uniform(0.5, 2.0) for _ in range(6)])

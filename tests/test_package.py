@@ -45,6 +45,18 @@ def test_benchmark_tracer_installs_and_restores():
     assert {name: dict(vars(m)) for name, m in modules.items()} == before
 
 
+def test_io_formats_imports_nothing_from_cli():
+    with open(os.path.join(os.path.dirname(curvitrack.__file__), "io_formats.py")) as f:
+        tree = ast.parse(f.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert [name for name in imported if "cli" in name.split(".")] == []
+
+
 # names a module imports although its own code never reads them: the
 # benchmark's tracer wraps moteval.iou_matrix
 IMPORTED_FOR_OTHERS = {("moteval", "iou_matrix")}

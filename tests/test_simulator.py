@@ -131,8 +131,10 @@ def test_snapshots_recover_exact_drift_when_noiseless():
     cam = res.cameras[0]
     snaps = [s for s in res.snapshots if s.camera_id == cam.camera_id]
     assert snaps
-    for snap in snaps[:4]:
-        _, h_t, _ = dr.fit_instant(cam.points, snap)
+    tl, rejected = dr.build_timeline(cam.reference, cam.points, snaps[:4])
+    assert rejected == []
+    assert [e for e, _, _ in tl.instants] == [s.epoch for s in snaps[:4]]
+    for (_, h_t, _), snap in zip(tl.instants, snaps[:4]):
         truth = res.true_homography(cam.camera_id, snap.epoch)
         assert np.abs(h_t.h - truth.h).max() / np.abs(truth.h).max() < 1e-7
 

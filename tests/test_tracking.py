@@ -242,7 +242,7 @@ def test_sort_single_vehicle_single_tracklet():
     dets = vehicle_dets()
     out = run_tracker("sort", dets)
     assert len(out) == 1
-    assert out[0].duration == pytest.approx(9.9, abs=1e-9)
+    assert out[0].times[-1] - out[0].times[0] == pytest.approx(9.9, abs=1e-9)
 
 
 def test_gap_beyond_t_max_splits_track():
@@ -326,6 +326,10 @@ def test_median_dims_robust_to_one_bad_frame():
     dets[50] = Det(bad.t, bad.box[:2] + (60.0, 20.0, 15.0), bad.conf)
     out = run_tracker("sort", dets)
     assert out[0].median_dims == pytest.approx((16.0, 6.0, 5.0))
+
+
+def test_median_dims_without_reported_dims_are_zero():
+    assert tk.Tracklet(3, [0.0], [(1.0, 2.0, 16.0, 6.0, 5.0)]).median_dims == (0.0, 0.0, 0.0)
 
 
 def test_tracklet_times_on_grid():
@@ -592,7 +596,7 @@ def test_nms_chain_keeps_third_box():
     dets = [Det(0.0, (120.0, 6.0, 16.0, 6.0, 5.0), 0.7),   # C: IOU(B, C) = 0.23, IOU(A, C) = 0
             Det(0.0, (100.0, 6.0, 16.0, 6.0, 5.0), 0.9),   # A
             Det(0.0, (110.0, 6.0, 16.0, 6.0, 5.0), 0.8)]   # B: IOU(A, B) = 0.23
-    frame, boxes, _, _ = tk._frames(dets, ALGORITHMS["kiou"])
+    frame, boxes, _, _ = tk._frames(*tk._arrays(dets), ALGORITHMS["kiou"])
     assert frame.tolist() == [0, 0]
     assert boxes.tolist() == [list(dets[0].box), list(dets[1].box)]
     assert [list(d.box) for d in _ref_nms(dets, 0.1)] == boxes.tolist()
