@@ -41,17 +41,6 @@ def fit_homography(points, camera_id="", direction="EB", seed=0):
     return fit_homography(points, camera_id, direction, seed)
 
 
-class _GtTrace:
-    """Ground-truth trajectory reconstructed from a track file."""
-
-    def __init__(self, series):
-        self.vehicle_id = series.id
-        self.times = series.times
-        self.x = series.boxes[:, 0]
-        self.y = series.boxes[:, 1]
-        self.dims = tuple(np.median(series.boxes[:, 2:5], axis=0))
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -109,14 +98,15 @@ def cmd_restim(args) -> int:
 
     timelines = []
     rows = []
-    for cam, reference in sorted(references.items()):
+    for cam in sorted(references.keys() | points_by_cam.keys() | snapshots_by_cam.keys()):
         snapshots = snapshots_by_cam.get(cam, [])
-        lacks = [name for name, absent in (("reference points", cam not in points_by_cam),
+        lacks = [name for name, absent in (("reference homography", cam not in references),
+                                           ("reference points", cam not in points_by_cam),
                                            ("snapshots", not snapshots)) if absent]
         if lacks:
             log.warning("restim: %s has no %s, skipping", cam, " or ".join(lacks))
             continue
-        _, points = points_by_cam[cam]
+        reference, (_, points) = references[cam], points_by_cam[cam]
         tl, rejected = drift.build_timeline(reference, points, snapshots)
         if len(tl.instants) < drift.MIN_INSTANTS:
             log.warning("restim: %s has %d usable instants, skipping",
@@ -170,8 +160,7 @@ def cmd_track(args) -> int:
     if args.algo == "oracle":
         if not args.gt:
             raise MalformedInput("oracle tracker requires --gt")
-        traces = [_GtTrace(s) for s in iof.read_gt_series(args.gt)]
-        tracklets = tracking.run_oracle(detections, traces)
+        tracklets = tracking.run_oracle(detections, iof.read_gt_series(args.gt))
     else:
         tracklets = tracking.run_tracker(args.algo, detections)
     iof.write_tracklets(args.out, tracklets)

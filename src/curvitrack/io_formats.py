@@ -366,8 +366,7 @@ def write_tracklets(path: str, tracklets) -> None:
     """One row per state of a sequence of tracklets, plus a sidecar of
     per-tracklet median dimensions."""
     _write_states(path, ((tl.id, tl.times, tl.boxes) for tl in tracklets))
-    write_json(_sidecar(path), {str(tl.id): [float(v) for v in tl.median_dims]
-                                for tl in tracklets})
+    write_json(_sidecar(path), {str(tl.id): [float(v) for v in tl.dims] for tl in tracklets})
 
 
 def _sidecar(path: str) -> str:
@@ -395,27 +394,33 @@ def _read_states(path: str, int_ids: bool):
 
 
 def read_tracklets(path: str):
+    """Tracklets in id order.  The sidecar, when there is one, must hold the
+    dims of exactly the tracklet ids; without it, a tracklet's dims are the
+    l, w, h of its first state."""
     from .tracking import Tracklet
 
     dims_path = _sidecar(path)
-    dims = read_json(dims_path) if os.path.exists(dims_path) else {}
-    if not isinstance(dims, dict):
+    dims = read_json(dims_path) if os.path.exists(dims_path) else None
+    if dims is not None and not isinstance(dims, dict):
         raise MalformedInput(f"{dims_path}: expected a JSON object")
-    for tid, d in dims.items():
+    for tid, d in (dims or {}).items():
         _check({"dims": d}, {"dims": DIMS}, dims_path, f"id {tid}")
-    out = []
-    for tid, t, boxes in _read_states(path, int_ids=True):
-        boxes = list(map(tuple, boxes.tolist()))
-        d = dims.get(str(tid))
-        out.append(Tracklet(tid, t.tolist(), boxes, [tuple(d)] if d else [boxes[0][2:5]]))
-    return out
+    states = _read_states(path, int_ids=True)
+    if dims is None:
+        return [Tracklet(tid, t, boxes, boxes[0, 2:5]) for tid, t, boxes in states]
+    ids = [str(tid) for tid, _, _ in states]
+    bad = [k for k in ids if k not in dims] + sorted(dims.keys() - set(ids))
+    if bad:
+        raise MalformedInput(f"{dims_path}: id {bad[0]}: the ids must be exactly "
+                             f"those of the tracklets in {path}")
+    return [Tracklet(tid, t, boxes, np.array(dims[k], dtype=float))
+            for k, (tid, t, boxes) in zip(ids, states)]
 
 
 def write_gt_tracks(path: str, tracks) -> None:
-    """tracks: objects with vehicle_id, times, x, y, dims."""
-    _write_states(path, ((tr.vehicle_id, tr.times,
-                          np.column_stack([tr.x, tr.y, np.tile(tr.dims, (len(tr.x), 1))]))
-                         for tr in tracks))
+    """tracks: records with vehicle_id, times and (N,5) boxes, such as
+    simulator.VehicleTrack."""
+    _write_states(path, ((tr.vehicle_id, tr.times, tr.boxes) for tr in tracks))
 
 
 def read_gt_series(path: str):

@@ -63,10 +63,10 @@ class TrajectorySeries:
 
 
 def series_from_tracklet(tracklet) -> TrajectorySeries:
-    """Tracklet -> series with per-state dims replaced by the median."""
-    boxes = np.array(tracklet.boxes, dtype=float).reshape(-1, 5)
-    boxes[:, 2:5] = tracklet.median_dims
-    return TrajectorySeries(str(tracklet.id), np.asarray(tracklet.times), boxes)
+    """Tracklet -> series with per-state dims replaced by its median dims."""
+    boxes = tracklet.boxes.copy()
+    boxes[:, 2:5] = tracklet.dims
+    return TrajectorySeries(str(tracklet.id), tracklet.times, boxes)
 
 
 def resample(series: TrajectorySeries, times: np.ndarray) -> np.ndarray:

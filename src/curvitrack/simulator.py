@@ -195,6 +195,11 @@ class VehicleTrack:
     x: np.ndarray
     y: np.ndarray
 
+    @property
+    def boxes(self) -> np.ndarray:
+        """(N,5) boxes (x, y, l, w, h) at `times`."""
+        return np.column_stack([self.x, self.y, np.tile(self.dims, (len(self.x), 1))])
+
 
 @dataclass
 class GroundTruth:

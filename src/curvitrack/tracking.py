@@ -6,12 +6,15 @@ roadway coordinates; the box reference point is the back-bottom-center, so
 the footprint extends along +x for eastbound (y > 0) and -x for westbound.
 The records become time-sorted arrays once per run (`_arrays`), and each
 travel direction is a mask on those arrays, tracked as its own stream.
+A Tracklet holds arrays too, from the tracker through `tracks.jsonl` to
+`moteval.evaluate`: its times, its (x, y, l, w, h) states and the median
+l, w, h of the detections it matched, taken once where it is cut.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,17 +250,13 @@ class Detection:
 
 @dataclass
 class Tracklet:
-    id: int
-    times: list = field(default_factory=list)
-    boxes: list = field(default_factory=list)   # (x, y, l, w, h)
-    dims_reported: list = field(default_factory=list)
+    """One track's states on its tracking grid; `dims` is the median (l, w, h)
+    of the detections it matched, the size `evaluate` scores it at."""
 
-    @property
-    def median_dims(self) -> tuple:
-        d = np.asarray(self.dims_reported, dtype=float)
-        if d.size == 0:
-            return (0.0, 0.0, 0.0)
-        return tuple(np.median(d, axis=0))
+    id: int
+    times: np.ndarray   # (N,)
+    boxes: np.ndarray   # (N,5) states (x, y, l, w, h)
+    dims: np.ndarray    # (3,)
 
 
 def _arrays(detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -406,7 +405,7 @@ def _run_stream(t, boxes, conf, params: TrackerParams, id_start: int):
 
 def _cut_tracklets(history, ended, boxes, dt: float) -> list:
     """Tracklets of the `ended` state rows, in order, each cut after its
-    last matched frame; the reported dims are those of the matched boxes."""
+    last matched frame, with the median dims of the boxes it matched."""
     if not len(ended):
         return []
     ids, states, source, frames = zip(*history)
@@ -420,9 +419,8 @@ def _cut_tracklets(history, ended, boxes, dt: float) -> list:
     for i, a, b in zip(ended[:, 0].tolist(), start.tolist(), stop.tolist()):
         rows = order[a:b]
         matched = source[rows]
-        out.append(Tracklet(i, (frame[rows] * dt).tolist(),
-                            list(map(tuple, states[rows].tolist())),
-                            list(map(tuple, boxes[matched[matched >= 0], 2:5].tolist()))))
+        out.append(Tracklet(i, frame[rows] * dt, states[rows],
+                            np.median(boxes[matched[matched >= 0], 2:5], axis=0)))
     return out
 
 
@@ -498,26 +496,22 @@ def _smooth_irregular(t: np.ndarray, v: np.ndarray, half_window: float) -> np.nd
 
 def run_oracle(detections, gt_traces):
     """Upper-bound tracker: claim detections overlapping each ground-truth
-    trace, average concurrent claims, smooth, and interpolate between them."""
+    trace, average concurrent claims, smooth, and interpolate between them.
+    A trace is any record of increasing `times` and (N,5) `boxes`, such as a
+    VehicleTrack or a TrajectorySeries, scored at its boxes' median l, w, h."""
     dt_arr, dboxes, _ = _arrays(detections)
     tracklets = []
-    next_id = 0
-    dt = 1.0 / ORACLE_F_TRACK
     for trace in gt_traces:
-        times = np.asarray(trace.times, dtype=float)
+        times, boxes = trace.times, trace.boxes
         if not len(dt_arr) or len(times) < 2:
             continue
         lo = np.searchsorted(dt_arr, times[0] - 1e-9)
         hi = np.searchsorted(dt_arr, times[-1] + 1e-9)
         if hi <= lo:
             continue
-        cand_t = dt_arr[lo:hi]
-        cand_b = dboxes[lo:hi]
-        gx = np.interp(cand_t, times, trace.x)
-        gy = np.interp(cand_t, times, trace.y)
-        l, w, h = trace.dims
-        gt_boxes = np.stack([gx, gy, np.full_like(gx, l),
-                             np.full_like(gx, w), np.full_like(gx, h)], axis=1)
+        cand_t, cand_b = dt_arr[lo:hi], dboxes[lo:hi]
+        gt_boxes = np.column_stack([np.interp(cand_t, times, boxes[:, j]) for j in (0, 1)] + [
+            np.full_like(cand_t, d) for d in np.median(boxes[:, 2:5], axis=0)])
         # elementwise IOU of each candidate against the trace at its time
         iou = _rect_iou(footprint_rect(gt_boxes), footprint_rect(cand_b))
         mask = iou >= ORACLE_PHI_MIN
@@ -536,19 +530,12 @@ def run_oracle(detections, gt_traces):
         for j in range(2):
             cb[:, j] = _smooth_irregular(ct, cb[:, j], ORACLE_SMOOTH_S)
         # split into contiguous segments
-        breaks = np.flatnonzero(np.diff(ct) > T_MAX_S)
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.concatenate([breaks, [len(ct) - 1]])
-        for s, e in zip(starts, ends):
-            seg_t, seg_b = ct[s:e + 1], cb[s:e + 1]
+        breaks = np.flatnonzero(np.diff(ct) > T_MAX_S) + 1
+        for seg_t, seg_b in zip(np.split(ct, breaks), np.split(cb, breaks)):
             if seg_t[-1] - seg_t[0] < T_MIN_S:
                 continue
-            grid = time_grid(seg_t[0], seg_t[-1], dt)
-            cols = [np.interp(grid, seg_t, seg_b[:, j]) for j in range(5)]
-            tl = Tracklet(next_id,
-                          list(map(float, grid)),
-                          [tuple(float(c[j_i]) for c in cols) for j_i in range(len(grid))],
-                          [tuple(b[2:5]) for b in seg_b])
-            next_id += 1
-            tracklets.append(tl)
+            grid = time_grid(seg_t[0], seg_t[-1], 1.0 / ORACLE_F_TRACK)
+            grid_b = np.column_stack([np.interp(grid, seg_t, seg_b[:, j]) for j in range(5)])
+            tracklets.append(Tracklet(len(tracklets), grid, grid_b,
+                                      np.median(seg_b[:, 2:5], axis=0)))
     return tracklets

@@ -75,18 +75,35 @@ def test_malformed_jsonl_raises(tmp_path):
 
 def test_tracklet_round_trip(tmp_path):
     from curvitrack.tracking import Tracklet
-    tk = Tracklet(7)
-    for i in range(30):
-        tk.times.append(i * 0.1)
-        tk.boxes.append((100.0 + 9.0 * i, 6.0, 16.0, 6.0, 5.0))
-        tk.dims_reported.append((16.0 + 0.01 * i, 6.0, 5.0))
+    i = np.arange(30)
+    boxes = np.column_stack([100.0 + 9.0 * i, np.tile([6.0, 16.0, 6.0, 5.0], (30, 1))])
+    reported = np.column_stack([16.0 + 0.01 * i, np.tile([6.0, 5.0], (30, 1))])
+    tk = Tracklet(7, i * 0.1, boxes, np.median(reported, axis=0))
     p = str(tmp_path / "tracks.jsonl")
     iof.write_tracklets(p, [tk])
     (back,) = iof.read_tracklets(p)
     assert back.id == 7
-    assert back.times == pytest.approx(tk.times)
-    assert np.allclose(back.boxes, tk.boxes)
-    assert back.median_dims == pytest.approx(tk.median_dims)
+    assert np.array_equal(back.times, tk.times)
+    assert np.array_equal(back.boxes, tk.boxes)
+    assert np.array_equal(back.dims, tk.dims)
+
+
+def test_oracle_on_gt_tracks_file_equals_oracle_on_vehicle_tracks(tmp_path):
+    """`track --algo oracle` reads its ground truth from gt_tracks.jsonl; the
+    tracklets equal those of the simulator's VehicleTracks."""
+    from curvitrack.simulator import simulate as simulate_scene
+    from curvitrack.tracking import run_oracle
+    res = simulate_scene(SceneConfig(extent_ft=1500.0, vehicle_count=5, duration_s=20.0,
+                                     seed=3))
+    path = str(tmp_path / "gt_tracks.jsonl")
+    iof.write_gt_tracks(path, res.ground_truth.trajectories)
+    got = run_oracle(res.detections, iof.read_gt_series(path))
+    want = run_oracle(res.detections, res.ground_truth.trajectories)
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert g.id == w.id
+        assert np.array_equal(g.times, w.times) and np.array_equal(g.boxes, w.boxes)
+        assert np.array_equal(g.dims, w.dims)
 
 
 def test_gps_round_trip(tmp_path):
@@ -348,8 +365,11 @@ def test_invalid_restim_input_exits_one(tmp_path, name, i, bad, where):
     (dict(GOOD_STATE, t=0.1), {"0": [16.0, 6.0, float("nan")]}, "tracks.dims.json", "id 0"),
     (dict(GOOD_STATE, t=0.1), [16.0, 6.0, 5.0], "tracks.dims.json", "JSON object"),
     (dict(GOOD_STATE, t=0.1), {"0": [16.0, 6.0, -5.0]}, "tracks.dims.json", "id 0"),
+    (dict(GOOD_STATE, t=0.1), {"1": [16.0, 6.0, 5.0]}, "tracks.dims.json", "id 0"),
+    (dict(GOOD_STATE, t=0.1), {"0": [16.0, 6.0, 5.0], "7": [16.0, 6.0, 5.0]},
+     "tracks.dims.json", "id 7"),
 ], ids=["id-string", "id-bool", "dims-string", "dims-nan", "dims-not-object",
-        "dims-negative"])
+        "dims-negative", "dims-missing-id", "dims-unknown-id"])
 def test_invalid_track_id_or_dims_exits_one(tmp_path, second, dims, name, where):
     gt, tracks = tmp_path / "gt_tracks.jsonl", tmp_path / "tracks.jsonl"
     gt.write_text(json.dumps(GOOD_STATE) + "\n" + json.dumps(dict(GOOD_STATE, t=0.1)) + "\n")
@@ -818,13 +838,16 @@ def test_restim_skips_a_camera_with_fewer_than_three_instants(tmp_path, caplog):
 
 def test_restim_logs_each_camera_it_drops_for_a_missing_input(tmp_path, caplog):
     simulate(tmp_path)
-    cams = [e["camera"] for e in json.loads((tmp_path / "reference.json").read_text())]
-    no_points, no_snapshots, neither = cams[:3]
+    reference = json.loads((tmp_path / "reference.json").read_text())
+    cams = sorted(e["camera"] for e in reference)
+    no_points, no_snapshots, neither, no_reference = cams[:4]
     for name, gone in (("points.jsonl", (no_points, neither)),
                        ("snapshots.jsonl", (no_snapshots, neither))):
         path = tmp_path / name
         path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
                                 if json.loads(line)["camera"] not in gone))
+    iof.write_json(str(tmp_path / "reference.json"),
+                   [e for e in reference if e["camera"] != no_reference])
     with caplog.at_level("WARNING", logger="curvitrack"):
         assert run(["restim", "--points", tmp_path / "points.jsonl",
                     "--reference", tmp_path / "reference.json",
@@ -833,9 +856,10 @@ def test_restim_logs_each_camera_it_drops_for_a_missing_input(tmp_path, caplog):
     messages = [r.getMessage() for r in caplog.records]
     assert messages == [f"restim: {no_points} has no reference points, skipping",
                         f"restim: {no_snapshots} has no snapshots, skipping",
-                        f"restim: {neither} has no reference points or snapshots, skipping"]
+                        f"restim: {neither} has no reference points or snapshots, skipping",
+                        f"restim: {no_reference} has no reference homography, skipping"]
     timelines = json.loads((tmp_path / "timelines.json").read_text())
-    assert [t["camera"] for t in timelines] == cams[3:]
+    assert [t["camera"] for t in timelines] == cams[4:]
 
 
 def test_a_camera_fit_depends_only_on_its_own_points(tmp_path):

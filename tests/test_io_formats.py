@@ -110,7 +110,7 @@ def test_string_ids_read_back_in_string_order(tmp_path):
 def test_interleaved_samples_read_back_in_time_order(tmp_path):
     records = [(1, 0.3), (2, 0.2), (1, 0.1), (2, 0.0), (1, 0.2)]
     a, b = iof.read_tracklets(_states(tmp_path, records))
-    assert (a.id, a.times, b.id, b.times) == (1, [0.1, 0.2, 0.3], 2, [0.0, 0.2])
+    assert (a.id, a.times.tolist(), b.id, b.times.tolist()) == (1, [0.1, 0.2, 0.3], 2, [0.0, 0.2])
     a, b = iof.read_gt_series(_states(tmp_path, records))
     assert (a.times.tolist(), b.times.tolist()) == ([0.1, 0.2, 0.3], [0.0, 0.2])
     a, b = iof.read_gps(_gps(tmp_path, records))

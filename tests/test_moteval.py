@@ -267,14 +267,14 @@ def test_duplicated_track_hurts_association():
 
 
 def test_series_from_tracklet_uses_median_dims():
-    tk = Tracklet(3)
-    for i in range(5):
-        tk.times.append(i * 0.1)
-        tk.boxes.append((10.0 * i, 6.0, 16.0 + i, 6.0, 5.0))
-        tk.dims_reported.append((16.0 + i, 6.0, 5.0))
+    boxes = np.array([(10.0 * i, 6.0, 16.0 + i, 6.0, 5.0) for i in range(5)])
+    tk = Tracklet(3, np.arange(5) * 0.1, boxes, np.array([18.0, 6.0, 5.0]))
     s = series_from_tracklet(tk)
     assert s.id == "3"
-    assert np.allclose(s.boxes[:, 2], 18.0)  # median of 16..20
+    assert np.array_equal(s.times, tk.times)
+    assert np.array_equal(s.boxes[:, :2], boxes[:, :2])
+    assert (s.boxes[:, 2:5] == [18.0, 6.0, 5.0]).all()
+    assert tk.boxes[:, 2].tolist() == [16.0, 17.0, 18.0, 19.0, 20.0]   # a copy is scored
 
 
 def test_alpha_grid_is_nineteen_thresholds():
@@ -295,7 +295,8 @@ def test_series_without_samples_is_refused():
     with pytest.raises(ValueError, match="'g-empty' has no samples"):
         evaluate([series("g", 0.0, 9.9), TrajectorySeries("g-empty", [], [])], [])
     with pytest.raises(ValueError, match="'7' has no samples"):
-        evaluate([series("g", 0.0, 9.9)], [Tracklet(7, [], [], [(16.0, 6.0, 5.0)])])
+        evaluate([series("g", 0.0, 9.9)],
+                 [Tracklet(7, np.zeros(0), np.zeros((0, 5)), np.array([16.0, 6.0, 5.0]))])
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,6 @@ class Det:
     cls: str = "sedan"
 
 
-@dataclass(frozen=True)
-class Trace:
-    times: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    dims: tuple
-
-
 def vehicle_dets(x0=100.0, v=90.0, y=6.0, dims=(16.0, 6.0, 5.0),
                  t0=0.0, t1=10.0, rate=10.0, conf=0.8, drop=None):
     out = []
@@ -325,11 +317,7 @@ def test_median_dims_robust_to_one_bad_frame():
     bad = dets[50]
     dets[50] = Det(bad.t, bad.box[:2] + (60.0, 20.0, 15.0), bad.conf)
     out = run_tracker("sort", dets)
-    assert out[0].median_dims == pytest.approx((16.0, 6.0, 5.0))
-
-
-def test_median_dims_without_reported_dims_are_zero():
-    assert tk.Tracklet(3, [0.0], [(1.0, 2.0, 16.0, 6.0, 5.0)]).median_dims == (0.0, 0.0, 0.0)
+    assert out[0].dims.tolist() == [16.0, 6.0, 5.0]
 
 
 def test_tracklet_times_on_grid():
@@ -374,7 +362,8 @@ def test_determinism():
     b = run_tracker("kiou", dets)
     assert len(a) == len(b)
     for ta, tb in zip(a, b):
-        assert ta.times == tb.times and ta.boxes == tb.boxes
+        assert np.array_equal(ta.times, tb.times) and np.array_equal(ta.boxes, tb.boxes)
+        assert np.array_equal(ta.dims, tb.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +465,8 @@ def _ref_run_stream(detections, params, id_start):
         if not tr.confirmed or tr.last_match_t - tr.first_match_t < tk.T_MIN_S:
             return
         n = tr.last_match_idx + 1
-        done.append(tk.Tracklet(tr.tid, tr.times[:n], tr.boxes[:n], tr.dims))
+        done.append(tk.Tracklet(tr.tid, np.array(tr.times[:n]), np.array(tr.boxes[:n]),
+                                np.median(tr.dims, axis=0)))
 
     for k in range(min(frames), max(frames) + 1):
         t = k * dt
@@ -551,9 +541,9 @@ def reference_run_tracker(algo, detections):
 def assert_same_tracklets(got, want):
     assert [tl.id for tl in got] == [tl.id for tl in want]
     for g, w in zip(got, want):
-        assert g.times == w.times
-        assert g.dims_reported == w.dims_reported
-        assert np.abs(np.asarray(g.boxes) - np.asarray(w.boxes)).max() <= 1e-9
+        assert np.array_equal(g.times, w.times)
+        assert np.array_equal(g.dims, w.dims)
+        assert np.abs(g.boxes - w.boxes).max() <= 1e-9
 
 
 def scene_detections(vehicles, duration_s, seed, **detection):
@@ -620,7 +610,7 @@ def oracle_scene():
     times = np.arange(0.0, 10.0, 0.1)
     x = 100.0 + 90.0 * times
     y = np.full_like(times, 6.0)
-    trace = Trace(times, x, y, (16.0, 6.0, 5.0))
+    trace = simulator.VehicleTrack("V0000", "EB", "sedan", (16.0, 6.0, 5.0), times, x, y)
     dets = [Det(float(t), (float(xi), 6.0, 16.0, 6.0, 5.0))
             for t, xi in zip(times, x)]
     return trace, dets
