@@ -201,6 +201,7 @@ class Projection3D:
     """
 
     p: np.ndarray
+    _hom: Homography | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.p, dtype=float)
@@ -211,9 +212,10 @@ class Projection3D:
         object.__setattr__(self, "p", m)
 
     def homography(self) -> Homography:
-        """Recover the planar (z=0) homography implied by columns 1, 2, 4."""
-        hinv = self.p[:, [0, 1, 3]]
-        return Homography(np.linalg.inv(hinv))
+        """The planar (z=0) homography of columns 1, 2, 4, computed on first use."""
+        if self._hom is None:
+            object.__setattr__(self, "_hom", Homography(np.linalg.inv(self.p[:, [0, 1, 3]])))
+        return self._hom
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,9 @@ def _project_h(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Apply a 3x3 (or 3x4) projective map to Nx2 (or Nx3) points, or a
     stack of K maps to KxNx2 points.
 
-    Raises HorizonPoint where the projective denominator vanishes.
+    An (N,2) product may round differently from N one-point calls; a stack
+    of one-point products, `_project_h(m, pts[:, None])[:, 0]`, gives their
+    bits.  Raises HorizonPoint where the projective denominator vanishes.
     """
     cols = _columns(np.atleast_2d(np.asarray(pts, dtype=float)))
     return _project_columns(m, cols).swapaxes(-1, -2)

@@ -19,7 +19,7 @@ from array import array
 
 import numpy as np
 
-from .errors import ConfigInvalid, CurvitrackError, SingularFit
+from .errors import ConfigInvalid, CurvitrackError, DataInvariantViolation, SingularFit
 
 # One day bounds every timestamp read and a scene's duration_s; criterion 3
 # runs four hours.
@@ -336,10 +336,28 @@ def read_sift_maps(path: str) -> dict:
 
 # --- detections / tracklets / trajectories ------------------------------------
 
+# Detection and state rows are f-strings: !r prints a float as json.dumps does,
+# other values go in as their json.dumps text.  A non-finite float would print
+# as nan or inf, which no JSON reader takes, so the writers refuse it.
+
+def _detection_row(d, js: dict) -> str:
+    """d's record, with js the json.dumps text of its camera and class."""
+    x, y, l, w, h = map(float, d.box)
+    return (f'{{"t": {float(d.t)!r}, "camera": {js[d.camera]}, "box": [{x!r}, {y!r}, '
+            f'{l!r}, {w!r}, {h!r}], "class": {js[d.cls]}, "conf": {float(d.conf)!r}}}\n')
+
+
 def write_detections(path: str, detections) -> None:
-    write_jsonl(path, ({"t": d.t, "camera": d.camera,
-                        "box": [float(b) for b in d.box],
-                        "class": d.cls, "conf": d.conf} for d in detections))
+    """One record per detection of a sequence; a non-finite t, box entry or
+    conf is refused, naming its record."""
+    js = {s: json.dumps(s) for d in detections for s in (d.camera, d.cls)}
+    text = "".join([_detection_row(d, js) for d in detections])
+    if "nan" in text or "inf" in text:      # a non-finite number prints one of them
+        for i, d in enumerate(detections, start=1):
+            if not all(map(math.isfinite, (d.t, *d.box, d.conf))):
+                raise DataInvariantViolation(
+                    f"{path}: record {i}: t, box and conf must be finite, got {d}")
+    atomic_write(path, text)
 
 
 def read_detections(path: str) -> list:
@@ -356,10 +374,24 @@ def read_detections(path: str) -> list:
 
 
 def _write_states(path: str, series) -> None:
-    """One {id, t, box} record per state of each (id, times, boxes)."""
-    write_jsonl(path, ({"id": sid, "t": t, "box": box} for sid, times, boxes in series
-                       for t, box in zip(np.asarray(times, dtype=float).tolist(),
-                                         np.asarray(boxes, dtype=float).tolist())))
+    """One {id, t, box} record per state of each (id, times, boxes); a
+    non-finite t or box entry is refused, naming its record."""
+    def rows():     # one string per id, all freed once joined
+        n = 0
+        for sid, times, boxes in series:
+            times, boxes = np.asarray(times, dtype=float), np.asarray(boxes, dtype=float)
+            bad = np.flatnonzero(~np.isfinite(np.column_stack([times, boxes])).all(axis=1))
+            if len(bad):
+                raise DataInvariantViolation(
+                    f"{path}: record {n + bad[0] + 1}: id {sid!r}: t and box must be finite, "
+                    f"got t {times[bad[0]].item()!r}, box {boxes[bad[0]].tolist()}")
+            q = json.dumps(sid)
+            yield "".join([
+                f'{{"id": {q}, "t": {t!r}, "box": [{x!r}, {y!r}, {l!r}, {w!r}, {h!r}]}}\n'
+                for t, x, y, l, w, h in zip(times.tolist(), *boxes.T.tolist())])
+            n += len(times)
+
+    atomic_write(path, "".join(rows()))
 
 
 def write_tracklets(path: str, tracklets) -> None:
@@ -424,9 +456,13 @@ def write_gt_tracks(path: str, tracks) -> None:
 
 
 def read_gt_series(path: str):
+    """TrajectorySeries in id order; a file without a record is refused."""
     from .moteval import TrajectorySeries
 
-    return [TrajectorySeries(*states) for states in _read_states(path, int_ids=False)]
+    series = [TrajectorySeries(*states) for states in _read_states(path, int_ids=False)]
+    if not series:
+        raise MalformedInput(f"{path}: no ground-truth records")
+    return series
 
 
 # --- GPS & annotations ---------------------------------------------------------

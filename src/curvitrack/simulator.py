@@ -5,7 +5,9 @@ reference homographies and correspondence points, drifting true
 homographies (pole tilt modeled as a slow state-plane translation),
 vehicles with noisy detections, biased GPS traces, per-pole annotations,
 and rediscovery snapshots.  Everything is a pure function of the config
-and seed.
+and seed.  All draws come from one generator, so their order is part of
+the output: a change that draws the same values in another order, or in
+bulk, changes every scene.
 """
 
 from __future__ import annotations
@@ -267,33 +269,24 @@ def _road_yellow_lines(cfg: SceneConfig):
 def _make_camera(cfg, spline, pole, idx, direction, fov, rng) -> Camera:
     cam_id = f"P{pole + 1:02d}C{idx + 1:02d}"
     a, b = fov
-    y_near, y_far = (5.0, 60.0) if direction == "EB" else (-5.0, -60.0)
+    sign = 1.0 if direction == "EB" else -1.0
+    # ground[i, j] = P(x_r[i]) + y_r[j] N(x_r[i]): columns 0 and 1 hold the
+    # image corners' arc positions and offsets, the rest the lane-line points
+    x_r = np.concatenate(([a, b], np.arange(a + 5.0, b - 4.0, 20.0)))
+    y_r = sign * np.array([5.0, 60.0, 12.0, 24.0, 36.0, 48.0])
+    ground = spline.point(x_r)[:, None] + y_r[:, None] * spline.normal(x_r)[:, None]
 
-    def ground(x_r, y_r):
-        p = spline.point(x_r) + y_r * spline.normal(x_r)
-        return p
-
-    world = np.array([ground(a, y_near), ground(b, y_near),
-                      ground(b, y_far), ground(a, y_far)])
+    world = ground[[0, 1, 1, 0], [0, 0, 1, 1]]
     jit = rng.uniform(-40.0, 40.0, size=(4, 2))
     img = np.array([[120.0, 980.0], [1800.0, 980.0],
                     [1500.0, 220.0], [420.0, 220.0]]) + jit
-    h = geometry._dlt(img, world)
-    ref = Homography(h, cam_id, direction)
+    ref = Homography(geometry._dlt(img, world), cam_id, direction)
 
-    points = []
-    lane_lines = [12.0, 24.0, 36.0, 48.0]
-    sign = 1.0 if direction == "EB" else -1.0
-    k = 0
-    for x_r in np.arange(a + 5.0, b - 4.0, 20.0):
-        for y_line in lane_lines:
-            p = ground(x_r, sign * y_line)
-            im = geometry._project_h(ref.hinv, p[None, :])[0]
-            points.append(CorrespondencePoint(
-                f"{cam_id}_{direction}_{k:03d}",
-                ImagePoint(im[0], im[1]),
-                StatePlanePoint(p[0], p[1], 0.0)))
-            k += 1
+    pts = ground[2:, 2:].reshape(-1, 2)
+    im = geometry._project_h(ref.hinv, pts[:, None])[:, 0]
+    points = [CorrespondencePoint(f"{cam_id}_{direction}_{k:03d}", ImagePoint(*q),
+                                  StatePlanePoint(*p, 0.0))
+              for k, (q, p) in enumerate(zip(im.tolist(), pts.tolist()))]
     return Camera(cam_id, direction, pole, fov, ref, PointSet(points))
 
 
@@ -361,33 +354,38 @@ def _build_vehicles(cfg: SceneConfig, pad, rng) -> list:
 
 
 def _emit_detections(cfg: SceneConfig, vehicles, cameras, rng) -> list:
+    """Each vehicle's (sample, camera) candidates, in row-major order from a
+    mask over its direction's fields of view, each with its scalar draws."""
     det_cfg = cfg.detection
+    miss, noise, dims_noise = det_cfg.miss_rate, det_cfg.noise_ft, det_cfg.dims_noise_ft
+    random, normal = rng.random, rng.normal
     dt = 1.0 / det_cfg.rate_hz
-    by_dir = {"EB": [], "WB": []}
-    for cam in cameras:
-        by_dir[cam.direction].append(cam)
+    fovs = {}
+    for direction in ("EB", "WB"):
+        cams = [c for c in cameras if c.direction == direction]
+        lo, hi = np.array([c.fov for c in cams], dtype=float).reshape(-1, 2).T
+        fovs[direction] = (lo, hi, [c.fov for c in cams], [c.camera_id for c in cams])
     dets = []
     for v in vehicles:
+        lo, hi, fov, cam_ids = fovs[v.direction]
         ts = time_grid(v.times[0], v.times[-1], dt)
         xs = np.interp(ts, v.times, v.x)
         ys = np.interp(ts, v.times, v.y)
-        for t, x, y in zip(ts, xs, ys):
-            for cam in by_dir[v.direction]:
-                if not (cam.fov[0] <= x <= cam.fov[1]):
-                    continue
-                if rng.random() < det_cfg.miss_rate:
-                    continue
-                nx = x + rng.normal(0.0, det_cfg.noise_ft)
-                ny = y + rng.normal(0.0, det_cfg.noise_ft * 0.5)
-                if not (cam.fov[0] <= nx <= cam.fov[1]):
-                    continue
-                dims = tuple(
-                    max(0.5, d + rng.normal(0.0, det_cfg.dims_noise_ft))
-                    for d in v.dims)
-                conf = float(np.clip(
-                    rng.normal(det_cfg.conf_mean, det_cfg.conf_std), 0.05, 1.0))
-                dets.append(Detection(float(t), cam.camera_id,
-                                      (float(nx), float(ny)) + dims, v.cls, conf))
+        rows, cols = np.nonzero((lo <= xs[:, None]) & (xs[:, None] <= hi))
+        ts, xs, ys = ts.tolist(), xs.tolist(), ys.tolist()
+        l, w, h = v.dims
+        for i, c in zip(rows.tolist(), cols.tolist()):
+            if random() < miss:
+                continue
+            nx = xs[i] + normal(0.0, noise)
+            ny = ys[i] + normal(0.0, noise * 0.5)
+            a, b = fov[c]
+            if not (a <= nx <= b):
+                continue
+            box = (nx, ny, max(0.5, l + normal(0.0, dims_noise)),
+                   max(0.5, w + normal(0.0, dims_noise)), max(0.5, h + normal(0.0, dims_noise)))
+            conf = min(max(normal(det_cfg.conf_mean, det_cfg.conf_std), 0.05), 1.0)
+            dets.append(Detection(ts[i], cam_ids[c], box, v.cls, conf))
     dets.sort(key=lambda d: (d.t, d.camera))
     return dets
 
@@ -431,30 +429,31 @@ def _emit_annotations(cfg: SceneConfig, vehicles, pad) -> list:
 
 def _emit_snapshots(cfg: SceneConfig, result_stub, cameras, rng):
     d = cfg.drift
+    random, normal, dropout = rng.random, rng.normal, cfg.snapshot_dropout
     snapshots = []
     sift_maps = {c.camera_id: [] for c in cameras}
-    epochs = np.arange(0.0, cfg.duration_s + 1e-9, cfg.snapshot_interval_s)
+    epochs = np.arange(0.0, cfg.duration_s + 1e-9, cfg.snapshot_interval_s).tolist()
     for cam in cameras:
-        hinv = cam.reference.hinv
+        hinv, world, ids = cam.reference.hinv, cam.points.world, [p.id for p in cam.points]
         for t in epochs:
-            v = result_stub.drift_vector(cam.pole, float(t))
-            pts = []
-            for cp in cam.points:
-                if rng.random() < cfg.snapshot_dropout:
+            v = result_stub.drift_vector(cam.pole, t)
+            kept, noise = [], []
+            for k in range(len(ids)):
+                if random() < dropout:
                     continue
-                w = np.array([cp.world.x, cp.world.y])
-                noisy = w - v + rng.normal(0.0, d.noise_ft, 2)
-                im = geometry._project_h(hinv, noisy[None, :])[0]
-                pts.append((cp.id, ImagePoint(im[0], im[1])))
-            if len(pts) >= 4:
-                snapshots.append(RediscoverySnapshot(
-                    float(t), cam.camera_id, cam.direction, tuple(pts)))
+                kept.append(k)
+                noise.append(normal(0.0, d.noise_ft, 2))
+            if len(kept) >= 4:
+                # a stack of one-point projections: the bits of one call per point
+                im = geometry._project_h(hinv, (world[kept] - v + noise)[:, None])[:, 0]
+                snapshots.append(RediscoverySnapshot(t, cam.camera_id, cam.direction, tuple(
+                    (ids[k], ImagePoint(*q)) for k, q in zip(kept, im.tolist()))))
             # feature-matcher map: captures the drift plus an off-plane bias
             b = SIFT_BIAS_FT * result_stub.ground_truth.drift_dir[cam.pole]
-            vs = v + b + rng.normal(0.0, SIFT_NOISE_FT, 2)
+            vs = v + b + normal(0.0, SIFT_NOISE_FT, 2)
             trans = np.array([[1.0, 0.0, -vs[0]], [0.0, 1.0, -vs[1]], [0, 0, 1.0]])
             m = geometry.normalize_h(hinv @ trans @ cam.reference.h)
-            sift_maps[cam.camera_id].append((float(t), m))
+            sift_maps[cam.camera_id].append((t, m))
     return snapshots, sift_maps
 
 

@@ -257,6 +257,19 @@ def test_invalid_state_record_exits_one(tmp_path, side, bad):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("stage", ["eval", "track"])
+def test_empty_ground_truth_exits_one(tmp_path, stage):
+    gt, out = tmp_path / "gt_tracks.jsonl", tmp_path / "out.jsonl"
+    gt.write_text("\n")
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps(GOOD_STATE if stage == "eval" else GOOD_DETECTION) + "\n")
+    args = (["eval", "--tracks", inputs] if stage == "eval"
+            else ["track", "--detections", inputs, "--algo", "oracle"])
+    assert_rejected(args + ["--gt", gt, "--out", out], "gt_tracks.jsonl",
+                    "no ground-truth records")
+    assert not out.exists()
+
+
 GOOD_POINT = {"id": "p0", "camera": "c0", "direction": "EB",
               "im": [412.7, 883.1], "st": [5213.4, 2024.0]}
 

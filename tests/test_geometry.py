@@ -289,6 +289,23 @@ def test_round_trip_property(x, y):
     assert abs(back.x - x) < 1e-9 and abs(back.y - y) < 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       pixels=st.lists(st.tuples(st.floats(0.0, 1920.0), st.floats(0.0, 1080.0)),
+                       min_size=1, max_size=40))
+def test_stacked_one_point_projections_equal_one_point_calls_bit_for_bit(seed, pixels):
+    """`_project_h(m, pts[:, None])[:, 0]` gives the bits of one call per
+    point, through a homography and through its inverse."""
+    h = random_homography(np.random.default_rng(seed))
+    hinv = Homography(h).hinv
+    img = np.array(pixels)
+    world = np.array([g._project_h(h, p[None])[0] for p in img])
+    for m, pts, want in ((h, img, world),
+                         (hinv, world, [g._project_h(hinv, p[None])[0] for p in world])):
+        got = g._project_h(m, pts[:, None])[:, 0]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # 3D projection
 
@@ -405,6 +422,15 @@ def test_projection3d_columns_match_inverse_homography(rng):
     assert np.allclose(p3.p[:, [0, 1, 3]], hinv)
     # planar recovery round-trips
     assert np.allclose(p3.homography().h, hom.h)
+    assert p3.homography() is p3.homography()      # computed once
+
+
+def test_lift_through_the_kept_homography_equals_a_fresh_projection(rng):
+    p3, foot, tops = lifted_fixture(rng, 6.0)
+    first = g.lift_image_box_to_prism(p3, foot, tops)
+    again = g.lift_image_box_to_prism(p3, foot, tops)
+    fresh = g.lift_image_box_to_prism(g.Projection3D(p3.p), foot, tops)
+    assert first.corners.tobytes() == again.corners.tobytes() == fresh.corners.tobytes()
 
 
 def test_projection3d_all_samples_on_ground(rng):

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from curvitrack import cli, io_formats as iof
+from curvitrack.errors import DataInvariantViolation
 from curvitrack.simulator import SceneConfig, simulate
+from curvitrack.tracking import Tracklet
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -67,6 +69,54 @@ def test_detections_and_annotations_round_trip(tmp_path, scene):
     iof.write_annotations(anns, scene.annotations)
     assert iof.read_detections(dets) == scene.detections
     assert iof.read_annotations(anns) == scene.annotations
+
+
+def test_row_templates_write_what_json_dumps_writes(tmp_path, scene):
+    odd = ["V\"1", "caf\u00e9", "100%s", "nan-cam"]
+    dets = [dataclasses.replace(d, camera=odd[i % 4], cls=odd[(i + 1) % 4])
+            for i, d in enumerate(scene.detections[:40])]
+    path = tmp_path / "detections.jsonl"
+    iof.write_detections(str(path), dets)
+    assert path.read_text() == "".join(json.dumps(
+        {"t": d.t, "camera": d.camera, "box": list(d.box), "class": d.cls, "conf": d.conf})
+        + "\n" for d in dets)
+    tracks = [dataclasses.replace(tr, vehicle_id=odd[i % 4])
+              for i, tr in enumerate(scene.ground_truth.trajectories)]
+    iof.write_gt_tracks(str(path), tracks)
+    assert path.read_text() == "".join(
+        json.dumps({"id": tr.vehicle_id, "t": t, "box": box}) + "\n"
+        for tr in tracks for t, box in zip(tr.times.tolist(), tr.boxes.tolist()))
+
+
+@pytest.mark.parametrize("field", ["t", "box", "conf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_detections_writer_refuses_a_non_finite_number(tmp_path, scene, field, bad):
+    dets = list(scene.detections[:5])
+    d = dets[3]
+    dets[3] = dataclasses.replace(d, **{field: (d.box[0], bad) + d.box[2:] if field == "box"
+                                        else bad})
+    path = tmp_path / "detections.jsonl"
+    with pytest.raises(DataInvariantViolation, match=r"detections\.jsonl: record 4: "):
+        iof.write_detections(str(path), dets)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_state_writers_refuse_a_non_finite_number(tmp_path, scene, bad):
+    tracks = scene.ground_truth.trajectories[:2]
+    n = len(tracks[0].times)
+    tracks[1] = dataclasses.replace(tracks[1], y=tracks[1].y.copy())
+    tracks[1].y[2] = bad
+    gt = tmp_path / "gt_tracks.jsonl"
+    with pytest.raises(DataInvariantViolation, match=rf"gt_tracks\.jsonl: record {n + 3}: "):
+        iof.write_gt_tracks(str(gt), tracks)
+    times = np.array([0.0, 0.1, bad])
+    tls = [Tracklet(0, times[:2], np.tile(BOX, (2, 1)), np.array(BOX[2:])),
+           Tracklet(1, times, np.tile(BOX, (3, 1)), np.array(BOX[2:]))]
+    out = tmp_path / "tracks.jsonl"
+    with pytest.raises(DataInvariantViolation, match=r"tracks\.jsonl: record 5: "):
+        iof.write_tracklets(str(out), tls)
+    assert not gt.exists() and not out.exists()
 
 
 def test_default_scene_config_round_trips_through_json():

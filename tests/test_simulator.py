@@ -3,10 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvitrack import simulator as sim
+from curvitrack import geometry, simulator as sim
+from curvitrack.drift import RediscoverySnapshot
 from curvitrack.errors import ConfigInvalid
+from curvitrack.geometry import (CorrespondencePoint, Homography, ImagePoint, PointSet,
+                                 StatePlanePoint)
 from curvitrack.simulator import (DetectionConfig, DriftConfig, GpsConfig,
                                   RoadConfig, SceneConfig, simulate)
+from curvitrack.tracking import Detection, time_grid
 
 
 def small_config(**kw):
@@ -201,3 +205,122 @@ def test_config_invalid(bad):
 def test_arc_road_simulates():
     res = simulate(small_config(road=RoadConfig(kind="arc", radius_ft=20000.0)))
     assert res.detections
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-camera loop and per-point projections
+
+def reference_make_camera(cfg, spline, pole, idx, direction, fov, rng):
+    """The camera construction `_make_camera` replaced, kept as its oracle:
+    the spline evaluated and each point projected one at a time."""
+    cam_id = f"P{pole + 1:02d}C{idx + 1:02d}"
+    a, b = fov
+    y_near, y_far = (5.0, 60.0) if direction == "EB" else (-5.0, -60.0)
+
+    def ground(x_r, y_r):
+        return spline.point(x_r) + y_r * spline.normal(x_r)
+
+    world = np.array([ground(a, y_near), ground(b, y_near),
+                      ground(b, y_far), ground(a, y_far)])
+    jit = rng.uniform(-40.0, 40.0, size=(4, 2))
+    img = np.array([[120.0, 980.0], [1800.0, 980.0],
+                    [1500.0, 220.0], [420.0, 220.0]]) + jit
+    ref = Homography(geometry._dlt(img, world), cam_id, direction)
+    points = []
+    sign = 1.0 if direction == "EB" else -1.0
+    for x_r in np.arange(a + 5.0, b - 4.0, 20.0):
+        for y_line in (12.0, 24.0, 36.0, 48.0):
+            p = ground(x_r, sign * y_line)
+            im = geometry._project_h(ref.hinv, p[None, :])[0]
+            points.append(CorrespondencePoint(
+                f"{cam_id}_{direction}_{len(points):03d}",
+                ImagePoint(im[0], im[1]), StatePlanePoint(p[0], p[1], 0.0)))
+    return sim.Camera(cam_id, direction, pole, fov, ref, PointSet(points))
+
+
+def reference_emit_detections(cfg, vehicles, cameras, rng):
+    """The detection loop `_emit_detections` replaced: every camera of the
+    vehicle's direction tested at every sample."""
+    det_cfg = cfg.detection
+    dets = []
+    for v in vehicles:
+        ts = time_grid(v.times[0], v.times[-1], 1.0 / det_cfg.rate_hz)
+        xs = np.interp(ts, v.times, v.x)
+        ys = np.interp(ts, v.times, v.y)
+        for t, x, y in zip(ts, xs, ys):
+            for cam in cameras:
+                if cam.direction != v.direction or not (cam.fov[0] <= x <= cam.fov[1]):
+                    continue
+                if rng.random() < det_cfg.miss_rate:
+                    continue
+                nx = x + rng.normal(0.0, det_cfg.noise_ft)
+                ny = y + rng.normal(0.0, det_cfg.noise_ft * 0.5)
+                if not (cam.fov[0] <= nx <= cam.fov[1]):
+                    continue
+                dims = tuple(max(0.5, d + rng.normal(0.0, det_cfg.dims_noise_ft))
+                             for d in v.dims)
+                conf = float(np.clip(rng.normal(det_cfg.conf_mean, det_cfg.conf_std),
+                                     0.05, 1.0))
+                dets.append(Detection(float(t), cam.camera_id,
+                                      (float(nx), float(ny)) + dims, v.cls, conf))
+    dets.sort(key=lambda d: (d.t, d.camera))
+    return dets
+
+
+def reference_emit_snapshots(cfg, result_stub, cameras, rng):
+    """The snapshot loop `_emit_snapshots` replaced: one projection per
+    kept point."""
+    snapshots = []
+    sift_maps = {c.camera_id: [] for c in cameras}
+    for cam in cameras:
+        hinv = cam.reference.hinv
+        for t in np.arange(0.0, cfg.duration_s + 1e-9, cfg.snapshot_interval_s):
+            v = result_stub.drift_vector(cam.pole, float(t))
+            pts = []
+            for cp in cam.points:
+                if rng.random() < cfg.snapshot_dropout:
+                    continue
+                noisy = (np.array([cp.world.x, cp.world.y]) - v
+                         + rng.normal(0.0, cfg.drift.noise_ft, 2))
+                im = geometry._project_h(hinv, noisy[None, :])[0]
+                pts.append((cp.id, ImagePoint(im[0], im[1])))
+            if len(pts) >= 4:
+                snapshots.append(RediscoverySnapshot(
+                    float(t), cam.camera_id, cam.direction, tuple(pts)))
+            b = sim.SIFT_BIAS_FT * result_stub.ground_truth.drift_dir[cam.pole]
+            vs = v + b + rng.normal(0.0, sim.SIFT_NOISE_FT, 2)
+            trans = np.array([[1.0, 0.0, -vs[0]], [0.0, 1.0, -vs[1]], [0, 0, 1.0]])
+            m = geometry.normalize_h(hinv @ trans @ cam.reference.h)
+            sift_maps[cam.camera_id].append((float(t), m))
+    return snapshots, sift_maps
+
+
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(road=RoadConfig(kind="arc", radius_ft=3000.0), snapshot_dropout=0.5,
+         detection=DetectionConfig(miss_rate=0.3, rate_hz=7.5)),
+    dict(snapshot_dropout=0.5, pole_outage=1,
+         detection=DetectionConfig(miss_rate=0.3, rate_hz=7.5)),
+    dict(road=RoadConfig(kind="arc", radius_ft=3000.0),
+         detection=DetectionConfig(miss_rate=0.0)),
+], ids=["straight", "arc-miss-dropout-7.5hz", "straight-outage-miss-dropout-7.5hz",
+        "arc-no-miss"])
+def test_simulate_equals_reference_loops(monkeypatch, kw):
+    cfg = small_config(vehicle_count=12, duration_s=40.0, snapshot_interval_s=5.0, **kw)
+    got = simulate(cfg)
+    for name, ref in (("_make_camera", reference_make_camera),
+                      ("_emit_detections", reference_emit_detections),
+                      ("_emit_snapshots", reference_emit_snapshots)):
+        monkeypatch.setattr(sim, name, ref)
+    want = simulate(cfg)
+    assert len(got.detections) > 100 and len(got.snapshots) > 10
+    assert [det_key(d) for d in got.detections] == [det_key(d) for d in want.detections]
+    assert [(s.epoch, s.camera_id, s.direction, s.points) for s in got.snapshots] == \
+        [(s.epoch, s.camera_id, s.direction, s.points) for s in want.snapshots]
+    assert got.sift_maps.keys() == want.sift_maps.keys()
+    for cid, maps in got.sift_maps.items():
+        assert [e for e, _ in maps] == [e for e, _ in want.sift_maps[cid]]
+        assert all(np.array_equal(m, w) for (_, m), (_, w) in zip(maps, want.sift_maps[cid]))
+    assert [(c.camera_id, c.fov, c.reference.h.tobytes(), c.points.points)
+            for c in got.cameras] == [(c.camera_id, c.fov, c.reference.h.tobytes(),
+                                       c.points.points) for c in want.cameras]
