@@ -12,8 +12,7 @@ _EXPORTS = {
     "errors": ("CurvitrackError",),
     "geometry": ("CorrespondencePoint", "Homography", "ImagePoint", "PointSet", "Prism3D",
                  "Projection3D", "StatePlanePoint", "decode_anchor_detection",
-                 "fit_homography", "fit_projection3d", "lift_image_box_to_prism",
-                 "project_image_to_world", "project_world_to_image"),
+                 "fit_homography", "fit_projection3d", "lift_image_box_to_prism"),
     "roadway": ("RoadwayBox", "RoadwaySpline", "fit_centerline",
                 "roadway_to_world", "world_to_roadway"),
     "drift": ("ErrorStats", "EstimateStack", "HomographyTimeline", "RediscoverySnapshot",

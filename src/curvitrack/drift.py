@@ -359,6 +359,6 @@ def metric_sub_drift(
     found = rows >= 0
     if not found.any():
         return ErrorStats.from_distances(np.array([]))
-    pa = geometry.project_points_image_to_world(h, points.image[rows[found]])
-    pb = geometry.project_points_image_to_world(h, snap.image[found])
+    pa = geometry._project_h(h.h, points.image[rows[found]])
+    pb = geometry._project_h(h.h, snap.image[found])
     return ErrorStats.from_distances(_norms((pa - pb).T))

@@ -23,8 +23,6 @@ from .errors import (
     SingularFit,
 )
 
-FRAME_W = 1920.0
-FRAME_H = 1080.0
 COND_LIMIT = 1e10
 DEFAULT_INLIER_FT = 2.0  # state-plane consensus threshold
 RANSAC_ITERS = 200
@@ -52,13 +50,6 @@ class ImagePoint:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("image point must be finite")
-
-    @classmethod
-    def labeled(cls, x: float, y: float) -> "ImagePoint":
-        """Construct a point labeled inside a frame; enforces frame bounds."""
-        if not (0.0 <= x <= FRAME_W and 0.0 <= y <= FRAME_H):
-            raise ValueError(f"labeled point ({x}, {y}) outside frame bounds")
-        return cls(x, y)
 
 
 @dataclass(frozen=True)
@@ -303,23 +294,6 @@ def _project_h(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """
     cols = _columns(np.atleast_2d(np.asarray(pts, dtype=float)))
     return _project_columns(m, cols).swapaxes(-1, -2)
-
-
-def project_image_to_world(h: Homography, p: ImagePoint) -> StatePlanePoint:
-    """Map an image pixel to the state plane (z=0)."""
-    w = _project_h(h.h, [[p.x, p.y]])[0]
-    return StatePlanePoint(w[0], w[1], 0.0)
-
-
-def project_world_to_image(h: Homography, p: StatePlanePoint) -> ImagePoint:
-    """Map a z=0 state-plane point back into the image."""
-    q = _project_h(h.hinv, [[p.x, p.y]])[0]
-    return ImagePoint(q[0], q[1])
-
-
-def project_points_image_to_world(h: Homography, pts: np.ndarray) -> np.ndarray:
-    """Vectorized image -> state-plane projection for an Nx2 array."""
-    return _project_h(h.h, pts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import os
 import tempfile
 from array import array
@@ -89,6 +90,15 @@ def read_json(path: str):
             return json.load(f)
         except json.JSONDecodeError as e:
             raise MalformedInput(f"{path}: {e}") from e
+
+
+def _read_document(path: str, kind: type):
+    """read_json's document, refused unless it is a JSON list or object,
+    as `kind` says."""
+    doc = read_json(path)
+    if not isinstance(doc, kind):
+        raise MalformedInput(f"{path}: expected a JSON {'list' if kind is list else 'object'}")
+    return doc
 
 
 def _write_rows(path: str, header, rows) -> None:
@@ -244,9 +254,7 @@ def read_homographies(path: str) -> dict:
     """{camera: Homography}; `direction` defaults to EB."""
     from .geometry import Homography
 
-    entries = read_json(path)
-    if not isinstance(entries, list):
-        raise MalformedInput(f"{path}: expected a JSON list")
+    entries = _read_document(path, list)
     out = {}
     for i, r in enumerate(entries, start=1):
         where = f"entry {i}"
@@ -311,9 +319,7 @@ def read_sift_maps(path: str) -> dict:
     every map as well-conditioned as a Homography."""
     from .geometry import check_conditioned
 
-    entries = read_json(path)
-    if not isinstance(entries, list):
-        raise MalformedInput(f"{path}: expected a JSON list")
+    entries = _read_document(path, list)
     out = {}
     for i, r in enumerate(entries, start=1):
         where = f"entry {i}"
@@ -432,9 +438,7 @@ def read_tracklets(path: str):
     from .tracking import Tracklet
 
     dims_path = _sidecar(path)
-    dims = read_json(dims_path) if os.path.exists(dims_path) else None
-    if dims is not None and not isinstance(dims, dict):
-        raise MalformedInput(f"{dims_path}: expected a JSON object")
+    dims = _read_document(dims_path, dict) if os.path.exists(dims_path) else None
     for tid, d in (dims or {}).items():
         _check({"dims": d}, {"dims": DIMS}, dims_path, f"id {tid}")
     states = _read_states(path, int_ids=True)
@@ -578,9 +582,7 @@ def read_eval_summary(path: str) -> dict:
     report.json; each must be a finite number."""
     from .moteval import EvalReport
 
-    rep = read_json(path)
-    if not isinstance(rep, dict):
-        raise MalformedInput(f"{path}: expected a JSON object")
+    rep = _read_document(path, dict)
     out = {c: rep[c] for c in EvalReport.COLUMNS if c in rep}
     _check(out, dict.fromkeys(out, NUM), path, "summary")
     return out
@@ -588,59 +590,38 @@ def read_eval_summary(path: str) -> dict:
 
 # --- scene config and pipeline manifest -----------------------------------------
 
-def _json_int(v) -> bool:
-    """A JSON integer (not a bool) within numpy's int64 range."""
-    return type(v) is int and -2 ** 63 <= v < 2 ** 63
+def _int64(v) -> bool:
+    """An integer (not a bool) within numpy's int64 range."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and -2 ** 63 <= v < 2 ** 63
 
 
-def _config_fields(cls, d, name: str) -> dict:
-    """`d`'s fields of dataclass `cls`, each of its default's JSON type: a
-    float default takes a finite number, an int default an integer, the None
-    default of `pole_outage` an integer or null, and a str default a string.
-    Fields without a plain default (the nested sections) are left to the
-    caller."""
+def _config_from_dict(cls, d, name: str):
+    """Config dataclass `cls` from its JSON object, each nested object made
+    the section of its field; ConfigInvalid names an unknown field."""
     if not isinstance(d, dict):
         raise ConfigInvalid(f"{name} must be a JSON object, got {d!r}")
-    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(d) - set(fields)
     if unknown:
         raise ConfigInvalid(f"unknown {name} fields {sorted(unknown)}")
-    for key, v in d.items():
-        default = fields[key]
-        if default is dataclasses.MISSING:
-            continue
-        if type(default) is float:
-            ok, want = _finite_numbers((v,)), "a finite number"
-        elif type(default) is int:
-            ok, want = _json_int(v), "an integer"
-        elif default is None:
-            ok, want = v is None or _json_int(v), "an integer or null"
-        else:
-            ok, want = type(v) is type(default), f"of type {type(default).__name__}"
-        if not ok:
-            raise ConfigInvalid(f"{name} field {key} must be {want}, got {v!r}")
-    return dict(d)
+    return cls(**{key: v if fields[key].default is not dataclasses.MISSING
+                  else _config_from_dict(fields[key].default_factory, v, f"{key} config")
+                  for key, v in d.items()})
 
 
 def scene_config_from_dict(d):
-    """A SceneConfig from its JSON form; ConfigInvalid names the bad field."""
-    from .simulator import (DetectionConfig, DriftConfig, GpsConfig, RoadConfig,
-                            SceneConfig)
+    """A validated SceneConfig from its JSON form."""
+    from .simulator import SceneConfig
 
-    kwargs = _config_fields(SceneConfig, d, "config")
-    for key, cls in (("road", RoadConfig), ("drift", DriftConfig),
-                     ("detection", DetectionConfig), ("gps", GpsConfig)):
-        if key in kwargs:
-            kwargs[key] = cls(**_config_fields(cls, kwargs[key], f"{key} config"))
-    return SceneConfig(**kwargs)
+    cfg = _config_from_dict(SceneConfig, d, "config")
+    cfg.validate()
+    return cfg
 
 
 def read_scene_config(path: str):
     """A validated SceneConfig from a scene config file."""
     try:
-        cfg = scene_config_from_dict(read_json(path))
-        cfg.validate()
-        return cfg
+        return scene_config_from_dict(read_json(path))
     except ConfigInvalid as exc:
         raise ConfigInvalid(f"{path}: {exc}") from exc
 
@@ -652,14 +633,12 @@ def read_manifest(path: str, stages) -> dict:
     `scene` (a valid scene config) and `out` (a string)."""
     from .tracking import TRACKER_NAMES
 
-    m = read_json(path)
-    if not isinstance(m, dict):
-        raise MalformedInput(f"{path}: expected a JSON object")
+    m = _read_document(path, dict)
     for key, kind, want in (("stages", list, "a list"), ("track", dict, "an object"),
                             ("scene", dict, "an object"), ("out", str, "a string")):
         if key in m and not isinstance(m[key], kind):
             raise MalformedInput(f"{path}: {key} must be {want}, got {m[key]!r}")
-    if "seed" in m and not (_json_int(m["seed"]) and m["seed"] >= 0):
+    if "seed" in m and not (_int64(m["seed"]) and m["seed"] >= 0):
         raise MalformedInput(f"{path}: seed must be a non-negative integer, "
                              f"got {m['seed']!r}")
     for stage in m.get("stages", ()):
@@ -670,7 +649,7 @@ def read_manifest(path: str, stages) -> dict:
                              f"got {m['track']['algo']!r}")
     if "scene" in m:
         try:
-            scene_config_from_dict(m["scene"]).validate()
+            scene_config_from_dict(m["scene"])
         except ConfigInvalid as exc:
             raise ConfigInvalid(f"{path}: scene: {exc}") from exc
     return m

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousMedian, NonMonotonic, OutOfExtent, TooShort
-from .geometry import Prism3D, StatePlanePoint
+from .geometry import Prism3D
 
 KNOT_SPACING_FT = 200.0
 GAMMA_SPACING_FT = 5.0
@@ -122,9 +122,6 @@ class RoadwaySpline:
         p, d = self.point(s, der=1)
         t = d / np.sqrt((d * d).sum(-1, keepdims=True))
         return p, t, t[..., ::-1] * (-self.eb_sign, self.eb_sign)
-
-    def tangent(self, s):
-        return self.frame(s)[1]
 
     def normal(self, s):
         return self.frame(s)[2]
@@ -289,8 +286,3 @@ def roadway_to_world(spline: RoadwaySpline, box: RoadwayBox) -> Prism3D:
     front, half = sign * box.l * u_f, (box.w / 2.0) * (sign * u_perp)
     bbl, bbr = o_c - half, o_c + half     # left and right of travel
     return Prism3D.from_footprint([bbl, bbr, bbl + front, bbr + front], box.h)
-
-
-def point_prism(p: StatePlanePoint) -> Prism3D:
-    """Zero-size prism wrapping a single ground-plane point."""
-    return Prism3D.from_footprint(np.tile([p.x, p.y], (4, 1)), 0.0)

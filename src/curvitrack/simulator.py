@@ -13,7 +13,8 @@ bulk, changes every scene.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import ConfigInvalid
 from .geometry import CorrespondencePoint, Homography, ImagePoint, PointSet, StatePlanePoint
 from .gps import SAMPLE_PERIOD_S, GpsTrace, PoleAnnotation
 from .drift import RediscoverySnapshot
-from .io_formats import MAX_DURATION_S
+from .io_formats import MAX_DURATION_S, _int64
 from .roadway import MIN_SPAN_FT, line_span
 from .tracking import Detection, time_grid
 
@@ -51,91 +52,107 @@ MAX_SNAPSHOTS = 100_000         # cameras x duration_s / snapshot_interval_s
 MAX_DETECTION_RATE_HZ = 30
 
 
+def _setting(default, within=None):
+    """A scene-config field.  Its kind is its default's type, and `within`
+    its range: an interval such as "(0, 30]" for a number, or a tuple of the
+    strings a string field takes.  SceneConfig.validate checks both."""
+    return field(default=default, metadata={"range": within})
+
+
+def _number(v) -> bool:
+    """A real number (not a bool) that converts to a finite float."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
+# a setting's kind by its default's type: its test and what a refusal asks for
+_KINDS = {
+    float: (_number, "a finite number"),
+    int: (_int64, "an integer"),
+    type(None): (lambda v: v is None or _int64(v), "an integer or null"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_settings(config, prefix: str = "") -> None:
+    """Refuse a setting of `config`, or of a section within it, whose value
+    is not of its default's kind or lies outside its declared range, naming
+    the dotted setting and the value."""
+    for f in fields(config):
+        name, v, rng = prefix + f.name, getattr(config, f.name), f.metadata.get("range")
+        if f.default is MISSING:   # a section
+            ok, want = isinstance(v, f.default_factory), f"a {f.default_factory.__name__}"
+        elif isinstance(rng, tuple):
+            ok, want = v in rng, " or ".join(f'"{c}"' for c in rng)
+        else:
+            test, want = _KINDS[type(f.default)]
+            ok = test(v)
+            if rng:
+                lo, hi = map(float, rng[1:-1].split(","))
+                ok = ok and (lo < v if rng[0] == "(" else lo <= v) and (
+                    v < hi if rng[-1] == ")" else v <= hi)
+                want = f"{want} in {rng}"
+        if not ok:
+            raise ConfigInvalid(f"{name} must be {want}, got {v!r}")
+        if f.default is MISSING:
+            _check_settings(v, name + ".")
+
+
 @dataclass(frozen=True)
 class RoadConfig:
-    kind: str = "straight"        # "straight" | "arc"
-    radius_ft: float = 5000.0     # arc roads only
+    kind: str = _setting("straight", ("straight", "arc"))
+    radius_ft: float = _setting(5000.0, "(0, inf)")   # arc roads only
 
 
 @dataclass(frozen=True)
 class DriftConfig:
     amplitude_ft: float = 5.0
-    period_s: float = 2400.0
+    period_s: float = _setting(2400.0, "(0, inf)")
     bias_ft: float = 3.0
-    noise_ft: float = 0.1         # per-point rediscovery noise (world feet)
+    noise_ft: float = _setting(0.1, "[0, inf)")   # per-point rediscovery noise (world feet)
 
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    miss_rate: float = 0.1
-    noise_ft: float = 0.5
-    dims_noise_ft: float = 0.1
-    rate_hz: float = 10.0
+    miss_rate: float = _setting(0.1, "[0, 1]")
+    noise_ft: float = _setting(0.5, "[0, inf)")
+    dims_noise_ft: float = _setting(0.1, "[0, inf)")
+    rate_hz: float = _setting(10.0, f"(0, {MAX_DETECTION_RATE_HZ}]")
     conf_mean: float = 0.8
-    conf_std: float = 0.1
+    conf_std: float = _setting(0.1, "[0, inf)")
 
 
 @dataclass(frozen=True)
 class GpsConfig:
     bias_x_ft: float = 8.0
-    lateral_noise_ft: float = 1.0
-    time_offset_s: float = 0.7
-    long_noise_ft: float = 0.1
-    fraction: float = 1.0
+    lateral_noise_ft: float = _setting(1.0, "[0, inf)")
+    time_offset_s: float = _setting(0.7, "[-2, 2]")
+    long_noise_ft: float = _setting(0.1, "[0, inf)")
+    fraction: float = _setting(1.0, "[0, 1]")
 
 
 @dataclass(frozen=True)
 class SceneConfig:
     road: RoadConfig = field(default_factory=RoadConfig)
-    extent_ft: float = 3000.0
-    pole_spacing_ft: float = 500.0
+    extent_ft: float = _setting(3000.0, "(0, inf)")
+    pole_spacing_ft: float = _setting(500.0, "(0, inf)")
     cameras_per_pole: int = 6
-    vehicle_count: int = 20
-    duration_s: float = 60.0
-    seed: int = 0
+    vehicle_count: int = _setting(20, f"(-inf, {MAX_VEHICLES}]")
+    duration_s: float = _setting(60.0, f"(0, {MAX_DURATION_S}]")
+    seed: int = _setting(0, "[0, inf)")
     drift: DriftConfig = field(default_factory=DriftConfig)
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     gps: GpsConfig = field(default_factory=GpsConfig)
-    snapshot_interval_s: float = 30.0
-    snapshot_dropout: float = 0.0
+    snapshot_interval_s: float = _setting(30.0, "(0, inf)")
+    snapshot_dropout: float = _setting(0.0, "[0, 1]")
     pole_outage: int | None = None
 
     def validate(self):
-        rates = {
-            "miss_rate": self.detection.miss_rate,
-            "snapshot_dropout": self.snapshot_dropout,
-            "gps.fraction": self.gps.fraction,
-        }
-        for name, r in rates.items():
-            if not (0.0 <= r <= 1.0):
-                raise ConfigInvalid(f"{name} must be in [0,1], got {r}")
-        if self.pole_spacing_ft <= 0:
-            raise ConfigInvalid("pole spacing must be positive")
-        if self.drift.period_s <= 0:
-            raise ConfigInvalid("drift period must be positive")
-        if not (-2.0 <= self.gps.time_offset_s <= 2.0):
-            raise ConfigInvalid("gps time offset must be in [-2, 2] s")
-        if self.road.kind not in ("straight", "arc"):
-            raise ConfigInvalid(f"unknown road kind {self.road.kind!r}")
-        if self.road.radius_ft <= 0:
-            raise ConfigInvalid("road radius must be positive")
-        if self.extent_ft <= 0 or self.duration_s <= 0:
-            raise ConfigInvalid("extent and duration must be positive")
-        if self.seed < 0:
-            raise ConfigInvalid(f"seed must be non-negative, got {self.seed}")
-        if self.detection.rate_hz <= 0 or self.snapshot_interval_s <= 0:
-            raise ConfigInvalid("detection rate and snapshot interval must be positive")
-        scales = {
-            "detection.noise_ft": self.detection.noise_ft,
-            "detection.dims_noise_ft": self.detection.dims_noise_ft,
-            "detection.conf_std": self.detection.conf_std,
-            "drift.noise_ft": self.drift.noise_ft,
-            "gps.lateral_noise_ft": self.gps.lateral_noise_ft,
-            "gps.long_noise_ft": self.gps.long_noise_ft,
-        }
-        for name, scale in scales.items():
-            if scale < 0:
-                raise ConfigInvalid(f"{name} must be non-negative, got {scale}")
+        """Check each setting by its kind and range, then the rules that
+        join settings."""
+        _check_settings(self)
         min_radius = (self.extent_ft + 2 * ROAD_PAD_FT) / ARC_MAX_TURN_RAD
         if self.road.kind == "arc" and self.road.radius_ft < min_radius:
             raise ConfigInvalid(
@@ -161,10 +178,7 @@ class SceneConfig:
                 f"{self.cameras_per_pole} ask for more than {MAX_CAMERAS} cameras "
                 f"over extent_ft {self.extent_ft}")
         caps = (
-            ("vehicle_count", self.vehicle_count, MAX_VEHICLES),
-            ("duration_s", self.duration_s, MAX_DURATION_S),
             ("vehicle_count x duration_s", self.vehicle_count * self.duration_s, MAX_VEHICLE_S),
-            ("detection.rate_hz", self.detection.rate_hz, MAX_DETECTION_RATE_HZ),
             ("cameras x duration_s / snapshot_interval_s",
              self.poles * per_pole * self.duration_s / self.snapshot_interval_s, MAX_SNAPSHOTS),
         )

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -41,3 +44,50 @@ def points_from_h(h, img, camera="cam", direction="EB"):
                             StatePlanePoint(world[i, 0], world[i, 1], 0.0))
         for i in range(len(img))
     ], hom
+
+
+def with_setting(cfg, name, value):
+    """`cfg` with the setting of dotted `name` set to `value`."""
+    section, _, key = name.rpartition(".")
+    if section:
+        value = dataclasses.replace(getattr(cfg, section), **{key: value})
+    return dataclasses.replace(cfg, **{section or key: value})
+
+
+def settings(config, prefix=""):
+    """(dotted name, field, value) of each setting of a scene config and of
+    its sections."""
+    for f in dataclasses.fields(config):
+        name, value = prefix + f.name, getattr(config, f.name)
+        if f.default is dataclasses.MISSING:
+            yield from settings(value, name + ".")
+        else:
+            yield name, f, value
+
+
+def bad_settings():
+    """(dotted name, label, value) of values each scene-config setting refuses:
+    nan, +inf, -inf, a bool, a string and a value just past each finite bound
+    of its declared range."""
+    from curvitrack.simulator import SceneConfig
+
+    out = []
+    for name, f, default in settings(SceneConfig()):
+        cases = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "true": True,
+                 "string": "x"}
+        rng = f.metadata.get("range")
+        if isinstance(rng, str):
+            kind = type(default)
+            lo, hi = map(float, rng[1:-1].split(","))
+            for label, bound, closed, outward in (("below", lo, rng[0] == "[", -1),
+                                                  ("above", hi, rng[-1] == "]", 1)):
+                if not math.isfinite(bound):
+                    continue
+                if not closed:
+                    cases[label] = kind(bound)
+                elif kind is int:
+                    cases[label] = int(bound) + outward
+                else:
+                    cases[label] = float(np.nextafter(bound, outward * math.inf))
+        out += [(name, label, v) for label, v in cases.items()]
+    return out

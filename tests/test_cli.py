@@ -18,6 +18,8 @@ from curvitrack.simulator import (ARC_MAX_TURN_RAD, MAX_CAMERAS, MAX_DETECTION_R
                                   MAX_DURATION_S, MAX_SNAPSHOTS, MAX_VEHICLE_S,
                                   MAX_VEHICLES, ROAD_PAD_FT, DetectionConfig, SceneConfig)
 
+from conftest import bad_settings
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -424,8 +426,8 @@ def test_gps_sample_period_is_not_configurable(tmp_path, period):
     ([1, 2], "JSON object"),
     ({"duration_s": True}, "duration_s"),
     ({"seed": -1}, "seed"),
-    ({"detection": {"rate_hz": 0.0}}, "detection rate"),
-    ({"snapshot_interval_s": 0.0}, "snapshot interval"),
+    ({"detection": {"rate_hz": 0.0}}, "detection.rate_hz"),
+    ({"snapshot_interval_s": 0.0}, "snapshot_interval_s"),
     ({"drift": {"noise_ft": -1.0}}, "drift.noise_ft"),
     ({"road": {"kind": "arc", "radius_ft": 0.0}}, "radius"),
 ], ids=["count-string", "road-not-object", "not-object", "duration-bool", "seed-negative",
@@ -435,6 +437,18 @@ def test_invalid_scene_config_exits_one(tmp_path, cfg, where):
     path.write_text(json.dumps(cfg))
     assert_rejected(["simulate", "--config", path, "--out", tmp_path / "out"],
                     "scene.json", where)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, value", [(n, v) for n, _, v in bad_settings()],
+                         ids=[f"{n}-{label}" for n, label, _ in bad_settings()])
+def test_each_bad_setting_exits_one_naming_it(tmp_path, capsys, name, value):
+    section, _, key = name.rpartition(".")
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({section: {key: value}} if section else {key: value}))
+    assert run(["simulate", "--config", path, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert f"scene.json: {name} must be " in err
     assert not (tmp_path / "out").exists()
 
 

@@ -261,21 +261,20 @@ def test_homography_is_slotted_and_inverts_on_first_use(rng):
 # projection
 
 def test_project_identity():
-    h = Homography(np.eye(3), "c", "EB")
-    w = g.project_image_to_world(h, ImagePoint(100.0, 50.0))
-    assert (w.x, w.y, w.z) == (100.0, 50.0, 0.0)
+    w = g._project_h(np.eye(3), [[100.0, 50.0]])[0]
+    assert tuple(w) == (100.0, 50.0)
 
 
 def test_project_pure_translation():
     t = np.array([[1.0, 0.0, 10.0], [0.0, 1.0, 20.0], [0.0, 0.0, 1.0]])
-    w = g.project_image_to_world(Homography(t, "c", "EB"), ImagePoint(0.0, 0.0))
-    assert (w.x, w.y) == (10.0, 20.0)
+    w = g._project_h(t, [[0.0, 0.0]])[0]
+    assert tuple(w) == (10.0, 20.0)
 
 
 def test_horizon_point_raises():
     h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1e-3, 1.0]])
     with pytest.raises(HorizonPoint):
-        g.project_image_to_world(Homography(h, "c", "EB"), ImagePoint(0.0, 1000.0))
+        g._project_h(h, [[0.0, 1000.0]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -284,9 +283,9 @@ def test_round_trip_property(x, y):
     h = np.array([[0.55, 0.03, 4200.0], [0.01, -0.45, 8800.0],
                   [2e-6, 2.2e-5, 1.0]])
     hom = Homography(h, "c", "EB")
-    w = g.project_image_to_world(hom, ImagePoint(x, y))
-    back = g.project_world_to_image(hom, w)
-    assert abs(back.x - x) < 1e-9 and abs(back.y - y) < 1e-9
+    w = g._project_h(hom.h, [[x, y]])
+    back = g._project_h(hom.hinv, w)[0]
+    assert abs(back[0] - x) < 1e-9 and abs(back[1] - y) < 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -685,12 +684,3 @@ def test_decode_commutes_with_anchor_translation(dx, dy):
     for qa, qb in zip(a, b):
         assert qb.x - qa.x == pytest.approx(dx, abs=1e-9)
         assert qb.y - qa.y == pytest.approx(dy, abs=1e-9)
-
-
-def test_labeled_image_point_bounds():
-    ImagePoint.labeled(0.0, 0.0)
-    ImagePoint.labeled(1920.0, 1080.0)
-    with pytest.raises(ValueError):
-        ImagePoint.labeled(-1.0, 50.0)
-    with pytest.raises(ValueError):
-        ImagePoint.labeled(100.0, 2000.0)

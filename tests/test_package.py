@@ -82,3 +82,55 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{fname}:{line}: {name}" for name, line in imported.items()
                    if name not in used and (module, name) not in IMPORTED_FOR_OTHERS]
     assert unused == []
+
+
+
+# public names that nothing in the package, the benchmark or the acceptance
+# gate references, kept on purpose
+KEPT_UNREFERENCED = {
+    "decode_anchor_detection": "ROADMAP item 4 decides its fate",
+    "metric_sub_drift": "ROADMAP item 4 decides its fate",
+    "match_frame": "the public form of the per-frame matching rule; test_moteval.py "
+                   "pins the rule through it",
+}
+
+
+def _names_read(path: str) -> set:
+    """The names and attributes a file's code reads or imports; a mention in
+    a docstring or comment is no reference."""
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_function_and_class_is_referenced():
+    """Each top-level function or class of the package is read by its own
+    or another module, the benchmark or the acceptance gate; the __init__
+    export table does not count."""
+    src = os.path.dirname(curvitrack.__file__)
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    modules = [os.path.join(src, f) for f in sorted(os.listdir(src))
+               if f.endswith(".py") and f != "__init__.py"]
+    readers = modules + [os.path.join(bench, f) for f in sorted(os.listdir(bench))
+                         if f.endswith(".py")]
+    readers.append(os.path.join(os.path.dirname(__file__), "test_acceptance.py"))
+    read = set().union(*map(_names_read, readers))
+    unreferenced = []
+    for path in modules:
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        unreferenced += [f"{os.path.basename(path)}: {node.name}" for node in tree.body
+                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                         and not node.name.startswith("_") and node.name not in read
+                         and node.name not in KEPT_UNREFERENCED]
+    assert unreferenced == []
+    # a kept name that something now reads leaves the list
+    assert sorted(KEPT_UNREFERENCED.keys() & read) == []

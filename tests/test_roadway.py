@@ -3,8 +3,8 @@ import pytest
 
 from curvitrack import roadway as rw
 from curvitrack.errors import AmbiguousMedian, NonMonotonic, OutOfExtent, TooShort
-from curvitrack.geometry import Prism3D, StatePlanePoint
-from curvitrack.roadway import RoadwayBox, fit_centerline, point_prism
+from curvitrack.geometry import Prism3D
+from curvitrack.roadway import RoadwayBox, fit_centerline
 from curvitrack.simulator import (ARC_MAX_TURN_RAD, ROAD_PAD_FT, RoadConfig, SceneConfig,
                                   _road_yellow_lines)
 
@@ -14,6 +14,11 @@ def straight_road(length=3000.0, gamma=24.0):
     eb = np.column_stack([xs, np.full_like(xs, gamma)])
     wb = np.column_stack([xs, np.full_like(xs, -gamma)])
     return fit_centerline(eb, wb)
+
+
+def ground_point(x, y):
+    """Zero-size prism at a ground-plane point."""
+    return Prism3D.from_footprint(np.tile([x, y], (4, 1)), 0.0)
 
 
 def arc_road(radius=20000.0, length=3000.0, gamma=24.0):
@@ -97,7 +102,7 @@ def test_nearest_arc_finds_the_known_arc_position(extent, turn):
     assert most <= 6    # quadratic convergence; without the curvature term it takes 15
     for s, along in ((lo, 0.0), (lo, -25.0), (hi, 0.0), (hi, 25.0)):
         for y in (-70.0, 5.0, 70.0):
-            p = point(s) + along * sp.tangent(s) + y * sp.normal(s)
+            p = point(s) + along * sp.frame(s)[1] + y * sp.normal(s)
             with pytest.raises(OutOfExtent):
                 rw._nearest_arc(sp, p)
 
@@ -183,7 +188,7 @@ def test_eastbound_side_at_negative_state_plane_y_is_positive_y():
     sp = fit_centerline(np.column_stack([xs, np.full_like(xs, -24.0)]),
                         np.column_stack([xs, np.full_like(xs, 24.0)]))
     assert sp.eb_sign == -1
-    box = rw.world_to_roadway(sp, point_prism(StatePlanePoint(1500.0, -18.0, 0.0)))
+    box = rw.world_to_roadway(sp, ground_point(1500.0, -18.0))
     assert box.y == pytest.approx(6.0, abs=1e-2)
     for box, y_st in ((RoadwayBox(800.0, 6.0, 16.0, 6.0, 5.0), -18.0),
                       (RoadwayBox(1600.0, -30.0, 60.0, 8.5, 13.0), 42.0)):
@@ -195,7 +200,7 @@ def test_eastbound_side_at_negative_state_plane_y_is_positive_y():
 def test_shift_example_lane_offset():
     # gamma = 24, target +12: a point at raw lateral 18 lands at 18 + (12-24) = 6
     sp = straight_road(gamma=24.0)
-    box = rw.world_to_roadway(sp, point_prism(StatePlanePoint(1500.0, 18.0, 0.0)))
+    box = rw.world_to_roadway(sp, ground_point(1500.0, 18.0))
     assert box.y == pytest.approx(6.0, abs=1e-2)
 
 
@@ -206,13 +211,13 @@ def test_centerline_point_without_shift_is_zero():
     base, _, normal = sp.frame(rw._nearest_arc(sp, p))
     assert abs(float((p - base) @ normal)) < 1e-4
     with pytest.raises(AmbiguousMedian):
-        rw.world_to_roadway(sp, point_prism(StatePlanePoint(p[0], p[1], 0.0)))
+        rw.world_to_roadway(sp, ground_point(p[0], p[1]))
 
 
 def test_yellow_line_points_map_to_twelve():
     sp = straight_road(gamma=24.0)
     for y_raw, want in ((24.0, 12.0), (-24.0, -12.0)):
-        box = rw.world_to_roadway(sp, point_prism(StatePlanePoint(900.0, y_raw, 0.0)))
+        box = rw.world_to_roadway(sp, ground_point(900.0, y_raw))
         assert box.y == pytest.approx(want, abs=1e-2)
 
 
@@ -224,7 +229,7 @@ def test_direction_follows_sign_of_y():
 def test_ambiguous_median_raises():
     sp = straight_road()
     with pytest.raises(AmbiguousMedian):
-        rw.world_to_roadway(sp, point_prism(StatePlanePoint(900.0, 0.2, 0.0)))
+        rw.world_to_roadway(sp, ground_point(900.0, 0.2))
 
 
 def test_out_of_extent_raises():

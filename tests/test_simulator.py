@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from curvitrack.geometry import (CorrespondencePoint, Homography, ImagePoint, Po
 from curvitrack.simulator import (DetectionConfig, DriftConfig, GpsConfig,
                                   RoadConfig, SceneConfig, simulate)
 from curvitrack.tracking import Detection, time_grid
+
+from conftest import bad_settings, settings, with_setting
 
 
 def small_config(**kw):
@@ -202,6 +206,35 @@ def test_config_invalid(bad):
         simulate(small_config(**bad))
 
 
+@pytest.mark.parametrize("name, value", [(n, v) for n, _, v in bad_settings()],
+                         ids=[f"{n}-{label}" for n, label, _ in bad_settings()])
+def test_each_setting_refuses_a_value_outside_its_kind_or_range(name, value):
+    with pytest.raises(ConfigInvalid) as exc:
+        with_setting(SceneConfig(), name, value).validate()
+    assert str(exc.value).startswith(f"{name} must be ")
+    assert str(exc.value).endswith(f", got {value!r}")
+
+
+def test_numpy_scalars_are_accepted():
+    """Every number setting may be a numpy scalar; the scene is the one its
+    Python values give."""
+    cfg = small_config(pole_outage=1)
+    as_numpy = cfg
+    for name, f, v in settings(cfg):
+        if isinstance(v, (int, float)):
+            as_numpy = with_setting(as_numpy, name, (np.int64 if isinstance(v, int)
+                                                      else np.float64)(v))
+    assert type(as_numpy.detection.rate_hz) is np.float64
+    assert type(as_numpy.vehicle_count) is np.int64
+    a, b = simulate(cfg), simulate(as_numpy)
+    assert [det_key(d) for d in a.detections] == [det_key(d) for d in b.detections]
+
+
+def test_a_section_of_another_class_is_refused():
+    with pytest.raises(ConfigInvalid, match=r"^road must be a RoadConfig, got 5$"):
+        SceneConfig(road=5).validate()
+
+
 def test_arc_road_simulates():
     res = simulate(small_config(road=RoadConfig(kind="arc", radius_ft=20000.0)))
     assert res.detections
@@ -324,3 +357,23 @@ def test_simulate_equals_reference_loops(monkeypatch, kw):
     assert [(c.camera_id, c.fov, c.reference.h.tobytes(), c.points.points)
             for c in got.cameras] == [(c.camera_id, c.fov, c.reference.h.tobytes(),
                                        c.points.points) for c in want.cameras]
+
+
+def test_formats_table_lists_each_setting_with_its_default_and_range():
+    """FORMATS.md's scene-config table has one row per declared setting, in
+    declaration order, with its type, default and range."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "FORMATS.md")
+    with open(path) as f:
+        text = f.read()
+    header = "| field | type | default | range |\n|---|---|---|---|\n"
+    table = text[text.index(header) + len(header):].split("\n\n")[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in table.splitlines()]
+    types = {float: "number", int: "integer", type(None): "integer or null", str: "string"}
+    declared = []
+    for name, f, default in settings(SceneConfig()):
+        rng = f.metadata.get("range")
+        shown = (" or ".join(f'"{c}"' for c in rng) if isinstance(rng, tuple)
+                 else rng or "any")
+        declared.append([name, types[type(default)], json.dumps(default), shown])
+    assert rows == declared
