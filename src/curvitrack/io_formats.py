@@ -137,7 +137,7 @@ def _finite_numbers(values) -> bool:
 
 # Field kinds of a _check table; an int n stands for a list of n finite
 # numbers and a nested table for a list of sub-records.
-ANY, STR, NUM = "any value", "a string", "a finite number"
+ANY, STR, INT, NUM = "any value", "a string", "an integer", "a finite number"
 TIME = f"a finite number of seconds in [-{MAX_DURATION_S}, {MAX_DURATION_S}]"
 MATRIX = "a 3x3 list of finite numbers"
 BOX = "a list of 5 finite numbers x, y, l, w, h with l, w, h >= 0"
@@ -165,6 +165,8 @@ def _check(record, fields: dict, path: str, where: str) -> None:
                   and _finite_numbers(v) and min(v[-3:]) >= 0)
         elif kind is STR:
             ok = isinstance(v, str)
+        elif kind is INT:
+            ok = type(v) is int
         elif kind is MATRIX:
             ok = isinstance(v, list) and len(v) == 3 and all(
                 isinstance(row, list) and len(row) == 3 and _finite_numbers(row) for row in v)
@@ -178,6 +180,115 @@ def _check(record, fields: dict, path: str, where: str) -> None:
             want = {int: f"a list of {kind} finite numbers",
                     dict: "a list"}.get(type(kind), kind)
             raise MalformedInput(f"{path}: {where}: {key} must be {want}, got {v!r}")
+
+
+# A chunk of JSON-lines records is checked a column at a time, as one pass
+# of _check over each record would check it.  Its records are held as
+# parsed objects at once: enough of them to make the per-chunk numpy calls
+# cheap, few enough that they stay small beside the columns read.
+_CHUNK = 250
+
+
+def _chunks(path: str):
+    """(records, error) per run of up to _CHUNK records of a JSON-lines
+    file; `error` is the MalformedInput of a line that is not JSON, which
+    ends the last run, to be raised once the records before it pass."""
+    chunk = []
+    try:
+        for r in _jsonl(path):
+            chunk.append(r)
+            if len(chunk) == _CHUNK:
+                yield chunk, None
+                chunk = []
+    except MalformedInput as e:
+        yield chunk, e
+        return
+    yield chunk, None
+
+
+def _column(values: list, kind):
+    """`values` as a float array ((n,5) for a BOX) when each is of `kind`,
+    NUM, TIME or BOX, as _check tests it; else None."""
+    if kind is BOX:
+        if not all(type(v) is list and len(v) == 5 for v in values):
+            return None
+        values = list(itertools.chain.from_iterable(values))
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        return None
+    try:
+        a = np.array(values, dtype=float)
+    except OverflowError:   # an int beyond the float range
+        return None
+    if not np.isfinite(a).all():
+        return None
+    if kind is TIME and not (np.abs(a) <= MAX_DURATION_S).all():
+        return None
+    if kind is BOX:
+        a = a.reshape(-1, 5)
+        if not (a[:, 2:] >= 0).all():
+            return None
+    return a
+
+
+def _columns(records: list, fields: dict, defaults: dict):
+    """{key: column} of a chunk of records when every record is a JSON
+    object holding each key of `fields` (or of `defaults`, which fill it
+    in) of its kind: a float array per NUM, TIME or BOX field, a list per
+    STR, INT or ANY one.  None when a record fails."""
+    if not all(type(r) is dict for r in records):
+        return None
+    try:
+        cols = {k: [r.get(k, defaults[k]) for r in records] if k in defaults
+                else [r[k] for r in records] for k in fields}
+    except KeyError:
+        return None
+    for key, kind in fields.items():
+        if kind is STR or kind is INT:
+            want = str if kind is STR else int
+            if not all(type(v) is want for v in cols[key]):
+                return None
+        elif kind is not ANY:
+            cols[key] = _column(cols[key], kind)
+            if cols[key] is None:
+                return None
+    return cols
+
+
+def _read_columns(path: str, fields: dict, check, defaults=None) -> dict:
+    """{key: column} of the records of a JSON-lines file, read and checked
+    about _CHUNK records at a time: a float array per NUM, TIME or BOX
+    field ((N,5) for a BOX), a (table of distinct strings, (N,) codes into
+    it) per STR field, a list per other field.  A chunk that fails the
+    column check goes through check(record, where) one record at a time,
+    which refuses the record a per-record pass refuses first."""
+    defaults = defaults or {}
+    tables = {k: {} for k, kind in fields.items() if kind is STR}
+    out = {k: [] if kind is INT or kind is ANY else array("i" if k in tables else "d")
+           for k, kind in fields.items()}
+    n = 0
+    for chunk, error in _chunks(path):
+        cols = _columns(chunk, fields, defaults)
+        if cols is None:
+            for i, r in enumerate(chunk, start=n + 1):
+                check(r, f"record {i}")
+            raise AssertionError(f"{path}: records {n + 1}-{n + len(chunk)} fail "
+                                 "the column check but pass the record check")
+        for k, v in cols.items():
+            if k in tables:
+                out[k].extend([tables[k].setdefault(s, len(tables[k])) for s in v])
+            elif isinstance(v, np.ndarray):
+                out[k].frombytes(v.tobytes())
+            else:
+                out[k].extend(v)
+        n += len(chunk)
+        if error:
+            raise error
+    for k, kind in fields.items():
+        if k in tables:
+            out[k] = tuple(tables[k]), np.frombuffer(out[k], dtype=np.intc)
+        elif kind is not INT and kind is not ANY:
+            out[k] = np.frombuffer(out[k]).reshape((-1, 5) if kind is BOX else -1)
+    return out
 
 
 def _series(ids: list, t: np.ndarray, path: str, unit: str, owner: str, first: int):
@@ -346,37 +457,40 @@ def read_sift_maps(path: str) -> dict:
 # other values go in as their json.dumps text.  A non-finite float would print
 # as nan or inf, which no JSON reader takes, so the writers refuse it.
 
-def _detection_row(d, js: dict) -> str:
-    """d's record, with js the json.dumps text of its camera and class."""
-    x, y, l, w, h = map(float, d.box)
-    return (f'{{"t": {float(d.t)!r}, "camera": {js[d.camera]}, "box": [{x!r}, {y!r}, '
-            f'{l!r}, {w!r}, {h!r}], "class": {js[d.cls]}, "conf": {float(d.conf)!r}}}\n')
-
-
 def write_detections(path: str, detections) -> None:
-    """One record per detection of a sequence; a non-finite t, box entry or
-    conf is refused, naming its record."""
-    js = {s: json.dumps(s) for d in detections for s in (d.camera, d.cls)}
-    text = "".join([_detection_row(d, js) for d in detections])
-    if "nan" in text or "inf" in text:      # a non-finite number prints one of them
-        for i, d in enumerate(detections, start=1):
-            if not all(map(math.isfinite, (d.t, *d.box, d.conf))):
-                raise DataInvariantViolation(
-                    f"{path}: record {i}: t, box and conf must be finite, got {d}")
-    atomic_write(path, text)
+    """One record per row of `tracking.Detections.of(detections)`; a
+    non-finite t, box entry or conf is refused, naming its record."""
+    from .tracking import Detections
+
+    d = Detections.of(detections)
+    bad = np.flatnonzero(~np.isfinite(np.column_stack([d.t, d.box, d.conf])).all(axis=1))
+    if len(bad):
+        raise DataInvariantViolation(f"{path}: record {bad[0] + 1}: t, box and conf "
+                                     f"must be finite, got {d[bad[0]]}")
+    cameras, classes = [json.dumps(s) for s in d.cameras], [json.dumps(s) for s in d.classes]
+    atomic_write(path, "".join([
+        f'{{"t": {t!r}, "camera": {cameras[c]}, "box": [{x!r}, {y!r}, {l!r}, {w!r}, '
+        f'{h!r}], "class": {classes[k]}, "conf": {conf!r}}}\n'
+        for t, c, x, y, l, w, h, k, conf in zip(d.t.tolist(), d.camera.tolist(),
+                                                 *d.box.T.tolist(), d.cls.tolist(),
+                                                 d.conf.tolist())]))
 
 
-def read_detections(path: str) -> list:
-    """tracking.Detection records in file order; `camera` and `class`
-    default to ""."""
-    from .tracking import Detection
+_DETECTION = {"t": TIME, "box": BOX, "conf": NUM, "camera": STR, "class": STR}
+_DETECTION_DEFAULTS = {"camera": "", "class": ""}
 
-    out = []
-    for i, r in enumerate(_jsonl(path), start=1):
-        _check(r, {"t": TIME, "box": BOX, "conf": NUM}, path, f"record {i}")
-        out.append(Detection(float(r["t"]), r.get("camera", ""), tuple(map(float, r["box"])),
-                             r.get("class", ""), float(r["conf"])))
-    return out
+
+def read_detections(path: str):
+    """tracking.Detections in file order; `camera` and `class` default to ""."""
+    from .tracking import Detections
+
+    def check(r, where):
+        _check({**_DETECTION_DEFAULTS, **r} if isinstance(r, dict) else r,
+               _DETECTION, path, where)
+
+    c = _read_columns(path, _DETECTION, check, _DETECTION_DEFAULTS)
+    (cameras, camera), (classes, cls) = c["camera"], c["class"]
+    return Detections(c["t"], c["box"], c["conf"], camera, cls, cameras, classes)
 
 
 def _write_states(path: str, series) -> None:
@@ -416,18 +530,16 @@ def _read_states(path: str, int_ids: bool):
     """(id, t, (N,5) boxes) per id, in id order, from {id, t, box} records,
     with `t` a TIME unique within its id and `box` a BOX.  Ids must be JSON
     integers when `int_ids`, and are taken as strings otherwise."""
-    ids, t, box = [], array("d"), array("d")
-    for i, r in enumerate(_jsonl(path), start=1):
-        _check(r, {"id": ANY, "t": TIME, "box": BOX}, path, f"record {i}")
-        sid = r["id"]
-        if not int_ids:
-            sid = str(sid)
-        elif type(sid) is not int:
-            raise MalformedInput(f"{path}: record {i}: id must be an integer, got {sid!r}")
-        ids.append(sid)
-        t.append(r["t"])
-        box.extend(r["box"])
-    t, box = np.frombuffer(t), np.frombuffer(box).reshape(-1, 5)
+    fields = {"id": ANY, "t": TIME, "box": BOX}
+
+    def check(r, where):
+        _check(r, fields, path, where)
+        if int_ids:
+            _check(r, {"id": INT}, path, where)
+
+    c = _read_columns(path, dict(fields, id=INT if int_ids else ANY), check)
+    ids = c["id"] if int_ids else list(map(str, c["id"]))
+    t, box = c["t"], c["box"]
     return [(sid, t[k], box[k]) for sid, k in _series(ids, t, path, "record", "id", 1)]
 
 

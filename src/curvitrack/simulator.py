@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from .gps import SAMPLE_PERIOD_S, GpsTrace, PoleAnnotation
 from .drift import RediscoverySnapshot
 from .io_formats import MAX_DURATION_S, _int64
 from .roadway import MIN_SPAN_FT, line_span
-from .tracking import Detection, time_grid
+from .tracking import Detections, time_grid
 
 VEHICLE_CLASSES = {
     "sedan": (15.0, 6.0, 5.0),
@@ -43,7 +44,7 @@ SIFT_BIAS_FT = 2.0      # non-ground-plane bias of the matcher baseline
 SIFT_NOISE_FT = 0.2
 ROAD_PAD_FT = 200.0     # road beyond each end of the extent, so it sits inside the spline
 ARC_MAX_TURN_RAD = 0.9 * math.pi   # the padded arc stays short of a half circle
-MAX_CAMERAS = 1000      # poles x 2 x max(1, cameras_per_pole // 2); the paper has 234
+MAX_CAMERAS = 1000      # poles x 2 x (cameras_per_pole // 2); the paper has 234
 # Work caps: every vehicle gets a 10 Hz grid over the whole scene, every
 # camera a snapshot per interval, and detections sample at rate_hz.
 MAX_VEHICLES = 10_000           # the paper has 500+ vehicles in view at once
@@ -138,8 +139,8 @@ class SceneConfig:
     road: RoadConfig = field(default_factory=RoadConfig)
     extent_ft: float = _setting(3000.0, "(0, inf)")
     pole_spacing_ft: float = _setting(500.0, "(0, inf)")
-    cameras_per_pole: int = 6
-    vehicle_count: int = _setting(20, f"(-inf, {MAX_VEHICLES}]")
+    cameras_per_pole: int = _setting(6, "[2, inf)")
+    vehicle_count: int = _setting(20, f"[1, {MAX_VEHICLES}]")
     duration_s: float = _setting(60.0, f"(0, {MAX_DURATION_S}]")
     seed: int = _setting(0, "[0, inf)")
     drift: DriftConfig = field(default_factory=DriftConfig)
@@ -169,7 +170,7 @@ class SceneConfig:
                     f"{key}: an arc road of extent_ft {self.extent_ft} and radius_ft "
                     f"{self.road.radius_ft} has a yellow line spanning {span:.0f} ft, "
                     f"short of the {MIN_SPAN_FT:.0f} ft the roadway frame needs")
-        per_pole = 2 * max(1, self.cameras_per_pole // 2)
+        per_pole = 2 * (self.cameras_per_pole // 2)
         # the ratio test first: math.ceil cannot take the inf of a tiny spacing
         if (self.extent_ft / self.pole_spacing_ft > MAX_CAMERAS
                 or self.poles * per_pole > MAX_CAMERAS):
@@ -177,6 +178,9 @@ class SceneConfig:
                 f"pole_spacing_ft {self.pole_spacing_ft} and cameras_per_pole "
                 f"{self.cameras_per_pole} ask for more than {MAX_CAMERAS} cameras "
                 f"over extent_ft {self.extent_ft}")
+        if self.pole_outage is not None and not 0 <= self.pole_outage < self.poles:
+            raise ConfigInvalid(f"pole_outage must be null or in [0, {self.poles}), "
+                                f"got {self.pole_outage!r}")
         caps = (
             ("vehicle_count x duration_s", self.vehicle_count * self.duration_s, MAX_VEHICLE_S),
             ("cameras x duration_s / snapshot_interval_s",
@@ -230,7 +234,7 @@ class SimulationResult:
     spline: roadway.RoadwaySpline
     cameras: list
     ground_truth: GroundTruth
-    detections: list
+    detections: Detections
     gps_traces: list
     annotations: list
     snapshots: list          # RediscoverySnapshot
@@ -306,7 +310,7 @@ def _make_camera(cfg, spline, pole, idx, direction, fov, rng) -> Camera:
 
 def _build_cameras(cfg: SceneConfig, spline, pad, rng) -> list:
     cams = []
-    per_dir = max(1, cfg.cameras_per_pole // 2)
+    per_dir = cfg.cameras_per_pole // 2
     for pole in range(cfg.poles):
         if cfg.pole_outage is not None and pole == cfg.pole_outage:
             continue
@@ -367,28 +371,34 @@ def _build_vehicles(cfg: SceneConfig, pad, rng) -> list:
     return vehicles
 
 
-def _emit_detections(cfg: SceneConfig, vehicles, cameras, rng) -> list:
+def _emit_detections(cfg: SceneConfig, vehicles, cameras, rng) -> Detections:
     """Each vehicle's (sample, camera) candidates, in row-major order from a
-    mask over its direction's fields of view, each with its scalar draws."""
+    mask over its direction's fields of view, each with its scalar draws;
+    the detections ordered by (t, camera id)."""
     det_cfg = cfg.detection
     miss, noise, dims_noise = det_cfg.miss_rate, det_cfg.noise_ft, det_cfg.dims_noise_ft
+    conf_mean, conf_std = det_cfg.conf_mean, det_cfg.conf_std
     random, normal = rng.random, rng.normal
     dt = 1.0 / det_cfg.rate_hz
+    cam_ids = sorted(c.camera_id for c in cameras)     # a camera's code is its rank
+    rank = {cid: k for k, cid in enumerate(cam_ids)}
+    classes = list(VEHICLE_CLASSES)
     fovs = {}
     for direction in ("EB", "WB"):
         cams = [c for c in cameras if c.direction == direction]
         lo, hi = np.array([c.fov for c in cams], dtype=float).reshape(-1, 2).T
-        fovs[direction] = (lo, hi, [c.fov for c in cams], [c.camera_id for c in cams])
-    dets = []
+        fovs[direction] = (lo, hi, [c.fov for c in cams], [rank[c.camera_id] for c in cams])
+    rows = array("d")   # per detection: t, camera code, x, y, l, w, h, conf, class code
     for v in vehicles:
-        lo, hi, fov, cam_ids = fovs[v.direction]
+        lo, hi, fov, codes = fovs[v.direction]
         ts = time_grid(v.times[0], v.times[-1], dt)
         xs = np.interp(ts, v.times, v.x)
         ys = np.interp(ts, v.times, v.y)
-        rows, cols = np.nonzero((lo <= xs[:, None]) & (xs[:, None] <= hi))
+        hits, cols = np.nonzero((lo <= xs[:, None]) & (xs[:, None] <= hi))
         ts, xs, ys = ts.tolist(), xs.tolist(), ys.tolist()
         l, w, h = v.dims
-        for i, c in zip(rows.tolist(), cols.tolist()):
+        k = classes.index(v.cls)
+        for i, c in zip(hits.tolist(), cols.tolist()):
             if random() < miss:
                 continue
             nx = xs[i] + normal(0.0, noise)
@@ -396,12 +406,15 @@ def _emit_detections(cfg: SceneConfig, vehicles, cameras, rng) -> list:
             a, b = fov[c]
             if not (a <= nx <= b):
                 continue
-            box = (nx, ny, max(0.5, l + normal(0.0, dims_noise)),
-                   max(0.5, w + normal(0.0, dims_noise)), max(0.5, h + normal(0.0, dims_noise)))
-            conf = min(max(normal(det_cfg.conf_mean, det_cfg.conf_std), 0.05), 1.0)
-            dets.append(Detection(ts[i], cam_ids[c], box, v.cls, conf))
-    dets.sort(key=lambda d: (d.t, d.camera))
-    return dets
+            rows.extend((ts[i], codes[c], nx, ny, max(0.5, l + normal(0.0, dims_noise)),
+                         max(0.5, w + normal(0.0, dims_noise)),
+                         max(0.5, h + normal(0.0, dims_noise)),
+                         min(max(normal(conf_mean, conf_std), 0.05), 1.0), k))
+    rows = np.frombuffer(rows).reshape(-1, 9)
+    order = np.lexsort((rows[:, 1], rows[:, 0]))    # stable, as a sort on (t, camera id)
+    return Detections(rows[order, 0], rows[order, 2:7], rows[order, 7],
+                      rows[order, 1].astype(np.int32), rows[order, 8].astype(np.int32),
+                      tuple(cam_ids), tuple(classes))
 
 
 def _emit_gps(cfg: SceneConfig, vehicles, rng) -> list:

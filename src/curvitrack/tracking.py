@@ -1,11 +1,14 @@
 """Tracking-by-detection baselines on fused roadway-coordinate detections.
 
-All trackers consume `Detection` records (or any objects with .t, .box =
-(x, y, l, w, h), .conf) in any order and emit Tracklets.  Boxes are axis-aligned in
-roadway coordinates; the box reference point is the back-bottom-center, so
-the footprint extends along +x for eastbound (y > 0) and -x for westbound.
-The records become time-sorted arrays once per run (`_arrays`), and each
-travel direction is a mask on those arrays, tracked as its own stream.
+Detections travel as one columnar record, `Detections`, from `simulate`
+and `io_formats.read_detections` to the trackers.  The trackers take a
+`Detections`, or any sequence of `Detection`-like records (.t, .camera,
+.box = (x, y, l, w, h), .cls, .conf), in any order, converted once by
+`Detections.of`, and emit Tracklets.  Boxes are axis-aligned in roadway
+coordinates; the box reference point is the back-bottom-center, so the
+footprint extends along +x for eastbound (y > 0) and -x for westbound.
+The columns are sorted by time once per run (`_arrays`), and each travel
+direction is a mask on those arrays, tracked as its own stream.
 A Tracklet holds arrays too, from the tracker through `tracks.jsonl` to
 `moteval.evaluate`: its times, its (x, y, l, w, h) states and the median
 l, w, h of the detections it matched, taken once where it is cut.
@@ -14,7 +17,7 @@ l, w, h of the detections it matched, taken once where it is cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -238,14 +241,84 @@ TRACKER_NAMES = sorted(ALGORITHMS) + ["oracle"]   # the `track --algo` choices
 
 @dataclass(frozen=True)
 class Detection:
-    """One detector output: the record `simulate` emits, `track` reads and
-    the trackers consume."""
+    """One detector output: one row of `Detections`."""
 
     t: float
     camera: str
     box: tuple  # (x, y, l, w, h) roadway feet
     cls: str
     conf: float
+
+
+def _codes(strings) -> tuple[tuple, np.ndarray]:
+    """(table of the distinct strings in first-seen order, each string's
+    index in it)."""
+    table = {}
+    codes = np.array([table.setdefault(s, len(table)) for s in strings], dtype=np.int32)
+    return tuple(table), codes
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Detector outputs as columns: the record `simulate` emits, `track`
+    reads and the trackers consume.  Row i is `Detection(t[i],
+    cameras[camera[i]], box[i], classes[cls[i]], conf[i])`; the record
+    takes len(), integer indexing (a `Detection`), slicing (a
+    `Detections`), iteration (`Detection`s) and == (row by row, strings
+    included)."""
+
+    t: np.ndarray       # (N,) seconds
+    box: np.ndarray     # (N,5) (x, y, l, w, h) roadway feet
+    conf: np.ndarray    # (N,)
+    camera: np.ndarray  # (N,) int codes into `cameras`
+    cls: np.ndarray     # (N,) int codes into `classes`
+    cameras: tuple      # camera ids
+    classes: tuple      # vehicle classes
+
+    @classmethod
+    def of(cls, records) -> Detections:
+        """`records` unchanged if a Detections, else the columns of a
+        sequence of Detection-like records."""
+        if isinstance(records, Detections):
+            return records
+        cameras, camera = _codes([d.camera for d in records])
+        classes, codes = _codes([d.cls for d in records])
+        return cls(np.array([d.t for d in records], dtype=float),
+                   np.array([d.box for d in records], dtype=float).reshape(-1, 5),
+                   np.array([d.conf for d in records], dtype=float),
+                   camera, codes, cameras, classes)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, t=self.t[i], box=self.box[i], conf=self.conf[i],
+                           camera=self.camera[i], cls=self.cls[i])
+        return Detection(float(self.t[i]), self.cameras[self.camera[i]],
+                         tuple(self.box[i].tolist()), self.classes[self.cls[i]],
+                         float(self.conf[i]))
+
+    def __iter__(self):
+        cameras, classes = self.cameras, self.classes
+        for t, c, box, k, conf in zip(self.t.tolist(), self.camera.tolist(),
+                                      self.box.tolist(), self.cls.tolist(),
+                                      self.conf.tolist()):
+            yield Detection(t, cameras[c], tuple(box), classes[k], conf)
+
+    def _strings(self):
+        """Each row's (camera, class)."""
+        cameras, classes = self.cameras, self.classes
+        return [(cameras[c], classes[k])
+                for c, k in zip(self.camera.tolist(), self.cls.tolist())]
+
+    def __eq__(self, other):
+        if not isinstance(other, Detections):
+            return NotImplemented
+        return (len(self) == len(other) and np.array_equal(self.t, other.t)
+                and np.array_equal(self.box, other.box)
+                and np.array_equal(self.conf, other.conf)
+                and self._strings() == other._strings())
 
 
 @dataclass
@@ -260,12 +333,11 @@ class Tracklet:
 
 
 def _arrays(detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, boxes (N,5), conf) of detection records, stably sorted by t."""
-    t = np.array([d.t for d in detections], dtype=float)
-    order = np.argsort(t, kind="stable")
-    boxes = np.array([d.box for d in detections], dtype=float).reshape(-1, 5)
-    conf = np.array([d.conf for d in detections], dtype=float)
-    return t[order], boxes[order], conf[order]
+    """(t, boxes (N,5), conf) of `Detections.of(detections)`, stably sorted
+    by t."""
+    d = Detections.of(detections)
+    order = np.argsort(d.t, kind="stable")
+    return d.t[order], d.box[order], d.conf[order]
 
 
 def _frames(t, boxes, conf, params: TrackerParams):

@@ -18,6 +18,22 @@ def pytest_terminal_summary(terminalreporter):
 from curvitrack.geometry import CorrespondencePoint, Homography, ImagePoint, StatePlanePoint
 
 
+@pytest.fixture
+def detection_count(monkeypatch):
+    """A list whose length counts the tracking.Detection objects built
+    while the test runs."""
+    from curvitrack.tracking import Detection
+
+    built, init = [], Detection.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Detection, "__init__", counting)
+    return built
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

@@ -164,6 +164,14 @@ def test_track_and_eval_pipeline(tmp_path):
     assert "HOTA" in header
 
 
+def test_kiou_track_builds_no_detection_objects(tmp_path, detection_count):
+    simulate(tmp_path)
+    assert run(["track", "--detections", tmp_path / "detections.jsonl",
+                "--algo", "kiou", "--out", tmp_path / "tracks.jsonl"]) == 0
+    assert iof.read_tracklets(str(tmp_path / "tracks.jsonl"))
+    assert not detection_count
+
+
 def test_missing_input_file_exits_one(tmp_path):
     assert run(["track", "--detections", tmp_path / "absent.jsonl",
                 "--algo", "sort", "--out", tmp_path / "tracks.jsonl"]) == 1
@@ -193,9 +201,11 @@ GOOD_DETECTION = {"t": 0.0, "camera": "c0", "box": [100.0, 6.0, 16.0, 6.0, 5.0],
     '{"t": 0.1, "box": [100.0, 6.0, 16.0, 6.0, -0.5], "conf": 0.8}',
     json.dumps(dict(GOOD_DETECTION, t=MAX_DURATION_S + 0.5)),
     json.dumps(dict(GOOD_DETECTION, t=-MAX_DURATION_S - 0.5)),
+    json.dumps(dict(GOOD_DETECTION, camera=7)),
+    json.dumps(dict(GOOD_DETECTION, **{"class": None})),
 ], ids=["t-string", "box-scalar", "box-string", "box-nan", "conf-inf",
         "not-object", "t-bool", "box-huge-int", "box-negative-l-w", "box-negative-h",
-        "t-past-one-day", "t-before-minus-one-day"])
+        "t-past-one-day", "t-before-minus-one-day", "camera-number", "class-null"])
 def test_invalid_detection_record_exits_one(tmp_path, bad):
     dets = tmp_path / "detections.jsonl"
     dets.write_text(json.dumps(GOOD_DETECTION) + "\n" + bad + "\n")
@@ -430,8 +440,11 @@ def test_gps_sample_period_is_not_configurable(tmp_path, period):
     ({"snapshot_interval_s": 0.0}, "snapshot_interval_s"),
     ({"drift": {"noise_ft": -1.0}}, "drift.noise_ft"),
     ({"road": {"kind": "arc", "radius_ft": 0.0}}, "radius"),
+    ({"extent_ft": 1000.0, "pole_outage": 2}, "pole_outage must be null or in [0, 2), got 2"),
+    ({"pole_outage": -1}, "pole_outage must be null or in [0, 6), got -1"),
 ], ids=["count-string", "road-not-object", "not-object", "duration-bool", "seed-negative",
-        "rate-zero", "snapshot-interval-zero", "noise-negative", "radius-zero"])
+        "rate-zero", "snapshot-interval-zero", "noise-negative", "radius-zero",
+        "outage-past-last-pole", "outage-negative"])
 def test_invalid_scene_config_exits_one(tmp_path, cfg, where):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(cfg))

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from curvitrack import cli, io_formats as iof
 from curvitrack.errors import DataInvariantViolation
 from curvitrack.simulator import SceneConfig, simulate
+from curvitrack.io_formats import MAX_DURATION_S
 from curvitrack.tracking import Tracklet
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -308,3 +309,153 @@ def test_one_bad_field_never_escapes(small_run, stage, name, data):
     assert rc in (0, 1, 2)
     if rc == 1:
         assert name in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the readers' column check refuses the record a per-record pass refuses
+
+def reference_read_detections(path):
+    """The per-record reader the column check replaced: one _check per
+    record, then its camera and class, when present, as strings."""
+    rows = []
+    for i, r in enumerate(iof._jsonl(path), start=1):
+        where = f"record {i}"
+        iof._check(r, {"t": iof.TIME, "box": iof.BOX, "conf": iof.NUM}, path, where)
+        named = {k: r[k] for k in ("camera", "class") if k in r}
+        iof._check(named, dict.fromkeys(named, iof.STR), path, where)
+        rows.append((float(r["t"]), list(map(float, r["box"])), float(r["conf"]),
+                     r.get("camera", ""), r.get("class", "")))
+    return rows
+
+
+def reference_read_states(path, int_ids):
+    """The per-record states reader the column check replaced."""
+    ids, t, box = [], [], []
+    for i, r in enumerate(iof._jsonl(path), start=1):
+        iof._check(r, {"id": iof.ANY, "t": iof.TIME, "box": iof.BOX}, path, f"record {i}")
+        sid = r["id"]
+        if not int_ids:
+            sid = str(sid)
+        elif type(sid) is not int:
+            raise iof.MalformedInput(f"{path}: record {i}: id must be an integer, got {sid!r}")
+        ids.append(sid)
+        t.append(float(r["t"]))
+        box.append(list(map(float, r["box"])))
+    t, box = np.array(t, dtype=float), np.array(box, dtype=float).reshape(-1, 5)
+    return [(sid, t[k], box[k]) for sid, k in iof._series(ids, t, path, "record", "id", 1)]
+
+
+def _valid_records(kind, n, rng):
+    """n valid records of a detections or states file: ints among the
+    floats, l, w, h of 0 and -0.0, camera and class absent or odd."""
+    box = np.column_stack([rng.normal(0.0, 1e4, n), rng.normal(0.0, 30.0, n),
+                           rng.uniform(0.0, 60.0, (n, 3))])
+    box[:, 2:][rng.random((n, 3)) < 0.05] = 0.0
+    box[:, 2:][rng.random((n, 3)) < 0.05] = -0.0
+    box = box.tolist()
+    for b in box:
+        if rng.random() < 0.1:
+            b[rng.integers(5)] = int(rng.integers(0, 60))
+        if rng.random() < 0.01:
+            b[0] = 2 ** 70
+    if kind == "detections":
+        t = rng.uniform(-MAX_DURATION_S, MAX_DURATION_S, n).tolist()
+        names = ["P01C01", "café", "", 'q"uote', None]
+        out = []
+        for k in range(n):
+            r = {"t": int(t[k]) if rng.random() < 0.1 else t[k], "box": box[k],
+                 "conf": float(rng.uniform(-1.0, 2.0)) if rng.random() < 0.9 else 1}
+            for key in ("camera", "class"):
+                name = names[rng.integers(len(names))]
+                if name is not None:
+                    r[key] = name
+            out.append(r)
+        return out
+    # t unique over the file, so within each id: ints and half-integers
+    t = [int(k) if rng.random() < 0.2 else k + 0.5 for k in (rng.permutation(n) - n // 2)]
+    if kind == "tracks":
+        ids = [2 ** 70 if rng.random() < 0.05 else int(rng.integers(0, 20)) for _ in range(n)]
+    else:
+        ids = [[1, "a"] if rng.random() < 0.05 else f"V{rng.integers(0, 20)}"
+               if rng.random() < 0.8 else int(rng.integers(0, 20)) for _ in range(n)]
+    return [{"id": i, "t": tk, "box": b} for i, tk, b in zip(ids, t, box)]
+
+
+def _apply_edit(data, rng, lines, records, keys):
+    """One bad value in a record anywhere in the file: a JSON_BAD value in
+    a field (DROP: no key) or a box entry (or -1.0 there), a box of 4 or 6
+    entries, a record that is not an object, or a line that is not JSON."""
+    i = int(rng.integers(len(records)))
+    how = data.draw(st.sampled_from(["field", "box entry", "box length", "record", "line"]),
+                    label="edit")
+    r = records[i]
+    if how == "line":
+        lines[i] = '{"t": '
+        return
+    # in a box, a negative number is a bad l, w or h and a valid x or y
+    bad = data.draw(st.sampled_from([-1.0] + JSON_BAD[:-1] if how == "box entry"
+                                    else JSON_BAD), label="value")
+    if how == "field":
+        key = data.draw(st.sampled_from(keys), label="field")
+        if bad is DROP:
+            r.pop(key, None)
+        else:
+            r[key] = bad
+    elif how == "box entry":
+        j = data.draw(st.sampled_from([4, 3, 2, 1, 0]), label="entry")
+        r["box"] = list(r["box"])
+        r["box"][j] = bad
+    elif how == "box length":
+        r["box"] = list(r["box"])[:4] if data.draw(st.booleans(), label="short") \
+            else list(r["box"]) + [1.0]
+    else:
+        r = "abc" if bad is DROP else bad
+    lines[i] = json.dumps(r)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except iof.MalformedInput as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("kind", ["detections", "tracks", "gt"])
+@settings(derandomize=True, database=None, max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_column_check_refuses_what_a_record_pass_refuses(kind, data):
+    # chunk edges, and any size up to two and a half chunks
+    n = data.draw(st.sampled_from([1, 999, 1000, 1001, 2500]) | st.integers(1, 2500),
+                  label="records")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    records = _valid_records(kind, n, rng)
+    lines = [json.dumps(r) for r in records]
+    keys = ["t", "box", "conf", "camera", "class"] if kind == "detections" else ["id", "t", "box"]
+    for _ in range(data.draw(st.integers(0, 2), label="edits")):
+        _apply_edit(data, rng, lines, records, keys)
+    if data.draw(st.booleans(), label="blank lines"):
+        lines = [line + "\n" * int(rng.integers(1, 3)) if rng.random() < 0.1 else line
+                 for line in lines]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, f"{kind}.jsonl")
+        with open(path, "w") as f:
+            f.write("".join(line + "\n" for line in lines))
+        if kind == "detections":
+            got, want = _outcome(iof.read_detections, path), \
+                _outcome(reference_read_detections, path)
+        else:
+            got, want = _outcome(iof._read_states, path, kind == "tracks"), \
+                _outcome(reference_read_states, path, kind == "tracks")
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    elif kind == "detections":
+        t, box, conf, camera, cls = zip(*want) if want else ([],) * 5
+        assert len(got) == len(want)
+        assert np.array_equal(got.t, t) and np.array_equal(got.conf, conf)
+        assert np.array_equal(got.box, np.reshape(box, (-1, 5)))
+        assert [(dt.camera, dt.cls) for dt in got] == list(zip(camera, cls))
+    else:
+        assert [sid for sid, _, _ in got] == [sid for sid, _, _ in want]
+        for (_, gt, gb), (_, wt, wb) in zip(got, want):
+            assert np.array_equal(gt, wt) and np.array_equal(gb, wb)

@@ -156,6 +156,23 @@ def test_snapshot_dropout_removes_points():
     assert n_dropped == pytest.approx(0.5 * n_full, rel=0.05)
 
 
+def test_pole_outage_must_name_a_pole():
+    cfg = small_config()    # 1,500 ft at 500 ft spacing: 3 poles
+    for outage in (None, 0, 2):
+        with_setting(cfg, "pole_outage", outage).validate()
+    for outage in (-1, 3, 99):
+        with pytest.raises(ConfigInvalid,
+                           match=rf"^pole_outage must be null or in \[0, 3\), got {outage}$"):
+            with_setting(cfg, "pole_outage", outage).validate()
+
+
+def test_simulate_builds_no_detection_objects(detection_count):
+    res = simulate(small_config())
+    assert len(res.detections) > 100 and not detection_count
+    res.detections[0]       # the count sees a row taken as a Detection
+    assert len(detection_count) == 1
+
+
 def test_pole_outage_removes_cameras():
     with_outage = simulate(small_config(pole_outage=1))
     without = simulate(small_config())

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -225,6 +225,46 @@ def test_hungarian_equals_whole_matrix_rule_on_sparse_patterns():
         assert hungarian_match(cost, 10.0) == whole_matrix_match(cost, 10.0), trial
         iou_cost = np.where(dist <= 12.0, 1.0 - np.exp(-dist / 5.0), np.inf)
         assert hungarian_match(iou_cost, 0.9) == whole_matrix_match(iou_cost, 0.9), trial
+
+
+# ---------------------------------------------------------------------------
+# the Detections record
+
+DETECTION_ROWS = [
+    tk.Detection(0.2, "P02C01", (100.0, 6.0, 16.0, 6.0, 5.0), "sedan", 0.9),
+    tk.Detection(0.1, "P01C01", (-3.0, -6.5, 15.0, 6.0, 5.0), "van", 0.7),
+    tk.Detection(0.1, "caf\u00e9", (7.0, 2.0 ** 70, 0.0, -0.0, 1e-300), "sedan", 1.0),
+    tk.Detection(0.3, "P02C01", (1.5, 6.0, 16.0, 6.0, 5.0), "", 0.5),
+]
+
+
+def test_detections_behaves_as_the_list_of_its_rows():
+    rows = DETECTION_ROWS
+    dets = tk.Detections.of(rows)
+    assert tk.Detections.of(dets) is dets
+    assert len(dets) == len(rows) and list(dets) == rows
+    assert [dets[i] for i in range(-4, 4)] == [rows[i] for i in range(-4, 4)]
+    assert dets[np.int64(2)] == rows[2]
+    with pytest.raises(IndexError):
+        dets[4]
+    for part in (slice(None), slice(1, 3), slice(None, None, -1), slice(3, 1), slice(0, 4, 2)):
+        assert isinstance(dets[part], tk.Detections)
+        assert list(dets[part]) == rows[part] and dets[part] == tk.Detections.of(rows[part])
+    # == compares rows, whatever order the string tables are in
+    assert tk.Detections.of(rows[::-1])[::-1] == dets
+    for changed in (dict(camera="P01C02"), dict(cls="van"), dict(conf=0.5), dict(t=0.0),
+                    dict(box=(7.0, 2.0 ** 70, 0.0, 0.0, 2e-300))):
+        other = rows[:2] + [replace(rows[2], **changed)] + rows[3:]
+        assert tk.Detections.of(other) != dets
+    assert dets != dets[:3] and len(tk.Detections.of([])) == 0
+
+
+@pytest.mark.parametrize("rows", [DETECTION_ROWS, [], "scene"])
+def test_arrays_of_a_list_and_of_its_record_are_the_same_bits(rows):
+    if rows == "scene":
+        rows = list(scene_detections(**EQUIVALENCE_SCENES["noisy"]))
+    for a, b in zip(tk._arrays(rows), tk._arrays(tk.Detections.of(rows))):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 # ---------------------------------------------------------------------------
