@@ -2,13 +2,13 @@
 
 Detections travel as one columnar record, `Detections`, from `simulate`
 and `io_formats.read_detections` to the trackers.  The trackers take a
-`Detections`, or any sequence of `Detection`-like records (.t, .camera,
-.box = (x, y, l, w, h), .cls, .conf), in any order, converted once by
-`Detections.of`, and emit Tracklets.  Boxes are axis-aligned in roadway
-coordinates; the box reference point is the back-bottom-center, so the
-footprint extends along +x for eastbound (y > 0) and -x for westbound.
-The columns are sorted by time once per run (`_arrays`), and each travel
-direction is a mask on those arrays, tracked as its own stream.
+`Detections`, or any sequence of records with .t, .box = (x, y, l, w, h)
+and .conf, in any order, and emit Tracklets.  Boxes are axis-aligned in
+roadway coordinates; the box reference point is the back-bottom-center,
+so the footprint extends along +x for eastbound (y > 0) and -x for
+westbound.  The columns are sorted by time once per run (`_arrays`), and
+each travel direction is a mask on those arrays, tracked as its own
+stream.
 A Tracklet holds arrays too, from the tracker through `tracks.jsonl` to
 `moteval.evaluate`: its times, its (x, y, l, w, h) states and the median
 l, w, h of the detections it matched, taken once where it is cut.
@@ -333,11 +333,16 @@ class Tracklet:
 
 
 def _arrays(detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, boxes (N,5), conf) of `Detections.of(detections)`, stably sorted
-    by t."""
-    d = Detections.of(detections)
-    order = np.argsort(d.t, kind="stable")
-    return d.t[order], d.box[order], d.conf[order]
+    """(t, boxes (N,5), conf) of a `Detections`, or of records with .t,
+    .box and .conf, stably sorted by t."""
+    if isinstance(detections, Detections):
+        t, boxes, conf = detections.t, detections.box, detections.conf
+    else:
+        t = np.array([d.t for d in detections], dtype=float)
+        boxes = np.array([d.box for d in detections], dtype=float).reshape(-1, 5)
+        conf = np.array([d.conf for d in detections], dtype=float)
+    order = np.argsort(t, kind="stable")
+    return t[order], boxes[order], conf[order]
 
 
 def _frames(t, boxes, conf, params: TrackerParams):

@@ -230,6 +230,15 @@ def test_hungarian_equals_whole_matrix_rule_on_sparse_patterns():
 # ---------------------------------------------------------------------------
 # the Detections record
 
+@dataclass
+class Bare:
+    """A detection record with only the fields the trackers read."""
+
+    t: float
+    box: list
+    conf: float
+
+
 DETECTION_ROWS = [
     tk.Detection(0.2, "P02C01", (100.0, 6.0, 16.0, 6.0, 5.0), "sedan", 0.9),
     tk.Detection(0.1, "P01C01", (-3.0, -6.5, 15.0, 6.0, 5.0), "van", 0.7),
@@ -265,6 +274,17 @@ def test_arrays_of_a_list_and_of_its_record_are_the_same_bits(rows):
         rows = list(scene_detections(**EQUIVALENCE_SCENES["noisy"]))
     for a, b in zip(tk._arrays(rows), tk._arrays(tk.Detections.of(rows))):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_trackers_take_records_with_only_t_box_and_conf():
+    rows = list(scene_detections(**EQUIVALENCE_SCENES["ladder"]))
+    bare = [Bare(d.t, list(d.box), d.conf) for d in rows]
+    for a, b in zip(tk._arrays(bare), tk._arrays(tk.Detections.of(rows))):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    got, want = run_tracker("kiou", bare), run_tracker("kiou", rows)
+    assert [tl.id for tl in got] == [tl.id for tl in want] and got
+    for g, w in zip(got, want):
+        assert np.array_equal(g.times, w.times) and np.array_equal(g.boxes, w.boxes)
 
 
 # ---------------------------------------------------------------------------
