@@ -3,6 +3,12 @@
 All writers are atomic (temp file in the destination directory, then
 rename), so a crashed run never leaves a half-written artifact.  Readers
 raise MalformedInput naming the file and the offending record.
+
+The rule of each JSON field kind (NUM, TIME, BOX, DIMS, MATRIX, a list of
+n numbers, STR, INT, ANY, a nested table) is written once, in _column,
+which tests a list of values at a time.  Every JSON-record reader checks
+its records a chunk at a time through _checked; _check, deciding each
+field by _column, only names the record and field that fail.
 """
 
 from __future__ import annotations
@@ -44,12 +50,15 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text) -> None:
+    """Write `text`, a string or an iterable of strings written as they
+    come, to `path`; an error, one raised by the iterable included, leaves
+    `path` as it was."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
         # mkstemp creates 0600; give the artifact the mode open() would
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
@@ -60,7 +69,7 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def write_jsonl(path: str, records) -> None:
-    atomic_write(path, "".join(json.dumps(r) + "\n" for r in records))
+    atomic_write(path, (json.dumps(r) + "\n" for r in records))
 
 
 def _jsonl(path: str):
@@ -74,10 +83,6 @@ def _jsonl(path: str):
                 yield json.loads(line)
             except json.JSONDecodeError as e:
                 raise MalformedInput(f"{path}: line {i}: {e}") from e
-
-
-def read_jsonl(path: str) -> list:
-    return list(_jsonl(path))
 
 
 def write_json(path: str, obj) -> None:
@@ -123,18 +128,6 @@ def read_csv(path: str) -> tuple[list, list]:
     return rows[0], rows[1:]
 
 
-_NUMBER_TYPES = {int, float}
-
-
-def _finite_numbers(values) -> bool:
-    """Each value is a JSON int or float (not a bool) that converts to a
-    finite float."""
-    try:
-        return _NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
-    except OverflowError:   # an int beyond the float range
-        return False
-
-
 # Field kinds of a _check table; an int n stands for a list of n finite
 # numbers and a nested table for a list of sub-records.
 ANY, STR, INT, NUM = "any value", "a string", "an integer", "a finite number"
@@ -143,10 +136,67 @@ MATRIX = "a 3x3 list of finite numbers"
 BOX = "a list of 5 finite numbers x, y, l, w, h with l, w, h >= 0"
 DIMS = "a list of 3 finite numbers l, w, h >= 0"
 
+_NUMBER_TYPES = {int, float}
+_SHAPES = {NUM: (), TIME: (), BOX: (5,), DIMS: (3,), MATRIX: (3, 3)}
+
+
+def _column(values: list, kind):
+    """`values` as a column when each is of `kind`, else None: the one test
+    of each kind.  A kind of numbers gives a float array, one row per value
+    ((n,5) for a BOX); STR, INT, ANY and a nested table give `values`."""
+    if kind is STR or kind is INT:
+        want = str if kind is STR else int
+        return values if all(type(v) is want for v in values) else None
+    if kind is ANY:
+        return values
+    if type(kind) is dict:
+        ok = all(type(v) is list for v in values) and \
+            _columns(list(itertools.chain.from_iterable(values)), kind) is not None
+        return values if ok else None
+    shape = (kind,) if type(kind) is int else _SHAPES[kind]
+    flat = values
+    for n in shape:
+        if not all(type(v) is list and len(v) == n for v in flat):
+            return None
+        flat = list(itertools.chain.from_iterable(flat))
+    if not _NUMBER_TYPES.issuperset(map(type, flat)):
+        return None
+    try:
+        a = np.array(flat, dtype=float).reshape(-1, *shape)
+    except OverflowError:   # an int beyond the float range
+        return None
+    if not np.isfinite(a).all():
+        return None
+    if kind is TIME and not (np.abs(a) <= MAX_DURATION_S).all():
+        return None
+    if (kind is BOX or kind is DIMS) and not (a[:, -3:] >= 0).all():
+        return None
+    return a
+
+
+def _columns(records: list, fields: dict, defaults=None):
+    """{key: _column} of a list of records when every record is a JSON
+    object holding each key of `fields` (or of `defaults`, which fill it
+    in) of its kind; else None."""
+    defaults = defaults or {}
+    if not all(type(r) is dict for r in records):
+        return None
+    try:
+        cols = {k: [r.get(k, defaults[k]) for r in records] if k in defaults
+                else [r[k] for r in records] for k in fields}
+    except KeyError:
+        return None
+    for key, kind in fields.items():
+        cols[key] = _column(cols[key], kind)
+        if cols[key] is None:
+            return None
+    return cols
+
 
 def _check(record, fields: dict, path: str, where: str) -> None:
     """Refuse a record that is not a JSON object, lacks a key of `fields`, or
-    holds a field not of its kind, naming the file and `where`."""
+    holds a field that _column finds not of its kind, naming the file,
+    `where` and the field."""
     if not isinstance(record, dict):
         raise MalformedInput(f"{path}: {where}: expected a JSON object")
     if not record.keys() >= fields.keys():
@@ -154,48 +204,30 @@ def _check(record, fields: dict, path: str, where: str) -> None:
         raise MalformedInput(f"{path}: {where}: missing fields {missing}")
     for key, kind in fields.items():
         v = record[key]
-        if kind is NUM:
-            ok = _finite_numbers((v,))
-        elif kind is TIME:
-            ok = _finite_numbers((v,)) and abs(v) <= MAX_DURATION_S
-        elif type(kind) is int:
-            ok = isinstance(v, list) and len(v) == kind and _finite_numbers(v)
-        elif kind is BOX or kind is DIMS:
-            ok = (isinstance(v, list) and len(v) == (5 if kind is BOX else 3)
-                  and _finite_numbers(v) and min(v[-3:]) >= 0)
-        elif kind is STR:
-            ok = isinstance(v, str)
-        elif kind is INT:
-            ok = type(v) is int
-        elif kind is MATRIX:
-            ok = isinstance(v, list) and len(v) == 3 and all(
-                isinstance(row, list) and len(row) == 3 and _finite_numbers(row) for row in v)
-        elif type(kind) is dict:
-            ok = isinstance(v, list)
-            for sub in v if ok else ():
-                _check(sub, kind, path, where)
-        else:
-            ok = True
-        if not ok:
+        if _column([v], kind) is None:
+            if type(kind) is dict and type(v) is list:
+                for sub in v:
+                    _check(sub, kind, path, where)
             want = {int: f"a list of {kind} finite numbers",
                     dict: "a list"}.get(type(kind), kind)
             raise MalformedInput(f"{path}: {where}: {key} must be {want}, got {v!r}")
 
 
-# A chunk of JSON-lines records is checked a column at a time, as one pass
-# of _check over each record would check it.  Its records are held as
-# parsed objects at once: enough of them to make the per-chunk numpy calls
-# cheap, few enough that they stay small beside the columns read.
+# Records are checked _CHUNK at a time, a column at once, as one pass of
+# _check over each record would check them, and detections are written
+# _CHUNK rows at a time.  A chunk's records are held as parsed objects at
+# once: enough of them to make the per-chunk numpy calls cheap, few enough
+# that they stay small beside the columns read.
 _CHUNK = 250
 
 
-def _chunks(path: str):
-    """(records, error) per run of up to _CHUNK records of a JSON-lines
-    file; `error` is the MalformedInput of a line that is not JSON, which
-    ends the last run, to be raised once the records before it pass."""
+def _chunks(records):
+    """(records, error) per run of up to _CHUNK of `records`; `error` is the
+    MalformedInput of a line that is not JSON, which ends the last run, to
+    be raised once the records before it pass."""
     chunk = []
     try:
-        for r in _jsonl(path):
+        for r in records:
             chunk.append(r)
             if len(chunk) == _CHUNK:
                 yield chunk, None
@@ -206,86 +238,51 @@ def _chunks(path: str):
     yield chunk, None
 
 
-def _column(values: list, kind):
-    """`values` as a float array ((n,5) for a BOX) when each is of `kind`,
-    NUM, TIME or BOX, as _check tests it; else None."""
-    if kind is BOX:
-        if not all(type(v) is list and len(v) == 5 for v in values):
-            return None
-        values = list(itertools.chain.from_iterable(values))
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
-        return None
-    try:
-        a = np.array(values, dtype=float)
-    except OverflowError:   # an int beyond the float range
-        return None
-    if not np.isfinite(a).all():
-        return None
-    if kind is TIME and not (np.abs(a) <= MAX_DURATION_S).all():
-        return None
-    if kind is BOX:
-        a = a.reshape(-1, 5)
-        if not (a[:, 2:] >= 0).all():
-            return None
-    return a
-
-
-def _columns(records: list, fields: dict, defaults: dict):
-    """{key: column} of a chunk of records when every record is a JSON
-    object holding each key of `fields` (or of `defaults`, which fill it
-    in) of its kind: a float array per NUM, TIME or BOX field, a list per
-    STR, INT or ANY one.  None when a record fails."""
-    if not all(type(r) is dict for r in records):
-        return None
-    try:
-        cols = {k: [r.get(k, defaults[k]) for r in records] if k in defaults
-                else [r[k] for r in records] for k in fields}
-    except KeyError:
-        return None
-    for key, kind in fields.items():
-        if kind is STR or kind is INT:
-            want = str if kind is STR else int
-            if not all(type(v) is want for v in cols[key]):
-                return None
-        elif kind is not ANY:
-            cols[key] = _column(cols[key], kind)
-            if cols[key] is None:
-                return None
-    return cols
-
-
-def _read_columns(path: str, fields: dict, check, defaults=None) -> dict:
-    """{key: column} of the records of a JSON-lines file, read and checked
-    about _CHUNK records at a time: a float array per NUM, TIME or BOX
-    field ((N,5) for a BOX), a (table of distinct strings, (N,) codes into
-    it) per STR field, a list per other field.  A chunk that fails the
-    column check goes through check(record, where) one record at a time,
-    which refuses the record a per-record pass refuses first."""
-    defaults = defaults or {}
-    tables = {k: {} for k, kind in fields.items() if kind is STR}
-    out = {k: [] if kind is INT or kind is ANY else array("i" if k in tables else "d")
-           for k, kind in fields.items()}
+def _checked(records, path: str, label: str, *tables: dict, defaults=None):
+    """(number of its first record, records, {key: _column}) per run of
+    `records`, each record checked against `tables` in turn with `defaults`
+    filling in absent keys; the last table naming a key gives its column
+    kind, so a later table may only narrow it.  A run that passes the column
+    check comes whole; one that fails comes a record at a time, each after
+    its own _check, so a caller's rules on the records before a bad one
+    speak first and the message is the one _check writes."""
+    fields = {k: kind for table in tables for k, kind in table.items()}
     n = 0
-    for chunk, error in _chunks(path):
+    for chunk, error in _chunks(records):
         cols = _columns(chunk, fields, defaults)
-        if cols is None:
+        if cols is not None:
+            yield n + 1, chunk, cols
+        else:
             for i, r in enumerate(chunk, start=n + 1):
-                check(r, f"record {i}")
-            raise AssertionError(f"{path}: records {n + 1}-{n + len(chunk)} fail "
-                                 "the column check but pass the record check")
+                for table in tables:
+                    _check({**defaults, **r} if defaults and isinstance(r, dict) else r,
+                           table, path, f"{label} {i}")
+                yield i, [r], _columns([r], fields, defaults)
+        n += len(chunk)
+        if error:
+            raise error
+
+
+def _read_columns(path: str, *tables: dict, defaults=None) -> dict:
+    """{key: column} of the records of a JSON-lines file, checked by
+    _checked: a float array per field of numbers ((N,5) for a BOX), a
+    (table of distinct strings, (N,) codes into it) per STR field, a list
+    per other field."""
+    fields = {k: kind for table in tables for k, kind in table.items()}
+    codes = {k: {} for k, kind in fields.items() if kind is STR}
+    out = {k: [] if kind is INT or kind is ANY else array("i" if k in codes else "d")
+           for k, kind in fields.items()}
+    for _, _, cols in _checked(_jsonl(path), path, "record", *tables, defaults=defaults):
         for k, v in cols.items():
-            if k in tables:
-                out[k].extend([tables[k].setdefault(s, len(tables[k])) for s in v])
+            if k in codes:
+                out[k].extend([codes[k].setdefault(s, len(codes[k])) for s in v])
             elif isinstance(v, np.ndarray):
                 out[k].frombytes(v.tobytes())
             else:
                 out[k].extend(v)
-        n += len(chunk)
-        if error:
-            raise error
     for k, kind in fields.items():
-        if k in tables:
-            out[k] = tuple(tables[k]), np.frombuffer(out[k], dtype=np.intc)
+        if k in codes:
+            out[k] = tuple(codes[k]), np.frombuffer(out[k], dtype=np.intc)
         elif kind is not INT and kind is not ANY:
             out[k] = np.frombuffer(out[k]).reshape((-1, 5) if kind is BOX else -1)
     return out
@@ -328,20 +325,19 @@ def read_points(path: str) -> dict:
 
     cameras: dict = {}
     seen = set()
-    for i, r in enumerate(read_jsonl(path), start=1):
-        where = f"record {i}"
-        _check(r, {"id": STR, "camera": STR, "direction": STR, "im": 2, "st": 2},
-               path, where)
-        direction, points = cameras.setdefault(r["camera"], (r["direction"], []))
-        if r["direction"] != direction:
-            raise MalformedInput(f"{path}: {where}: camera {r['camera']!r} is listed "
-                                 f"under both {direction!r} and {r['direction']!r}")
-        if (r["camera"], r["id"]) in seen:
-            raise MalformedInput(f"{path}: {where}: repeated id {r['id']!r} "
-                                 f"for camera {r['camera']!r}")
-        seen.add((r["camera"], r["id"]))
-        points.append(CorrespondencePoint(r["id"], ImagePoint(*map(float, r["im"])),
-                                          StatePlanePoint(*map(float, r["st"]), 0.0)))
+    for first, chunk, _ in _checked(_jsonl(path), path, "record", {
+            "id": STR, "camera": STR, "direction": STR, "im": 2, "st": 2}):
+        for i, r in enumerate(chunk, start=first):
+            direction, points = cameras.setdefault(r["camera"], (r["direction"], []))
+            if r["direction"] != direction:
+                raise MalformedInput(f"{path}: record {i}: camera {r['camera']!r} is listed "
+                                     f"under both {direction!r} and {r['direction']!r}")
+            if (r["camera"], r["id"]) in seen:
+                raise MalformedInput(f"{path}: record {i}: repeated id {r['id']!r} "
+                                     f"for camera {r['camera']!r}")
+            seen.add((r["camera"], r["id"]))
+            points.append(CorrespondencePoint(r["id"], ImagePoint(*map(float, r["im"])),
+                                              StatePlanePoint(*map(float, r["st"]), 0.0)))
     return {cam: (direction, PointSet(points)) for cam, (direction, points) in cameras.items()}
 
 
@@ -365,20 +361,18 @@ def read_homographies(path: str) -> dict:
     """{camera: Homography}; `direction` defaults to EB."""
     from .geometry import Homography
 
-    entries = _read_document(path, list)
     out = {}
-    for i, r in enumerate(entries, start=1):
-        where = f"entry {i}"
-        if isinstance(r, dict):
-            r.setdefault("direction", "EB")
-        _check(r, {"camera": STR, "direction": STR, "h": MATRIX}, path, where)
-        if r["camera"] in out:
-            raise MalformedInput(f"{path}: {where}: repeated camera {r['camera']!r}")
-        try:
-            out[r["camera"]] = Homography(np.asarray(r["h"], dtype=float),
-                                          r["camera"], r["direction"])
-        except SingularFit as e:
-            raise MalformedInput(f"{path}: {where}: {e}") from e
+    for first, chunk, c in _checked(_read_document(path, list), path, "entry",
+                                    {"camera": STR, "direction": STR, "h": MATRIX},
+                                    defaults={"direction": "EB"}):
+        for i, cam, direction, h in zip(itertools.count(first), c["camera"],
+                                        c["direction"], c["h"]):
+            if cam in out:
+                raise MalformedInput(f"{path}: entry {i}: repeated camera {cam!r}")
+            try:
+                out[cam] = Homography(h, cam, direction)
+            except SingularFit as e:
+                raise MalformedInput(f"{path}: entry {i}: {e}") from e
     return out
 
 
@@ -399,20 +393,19 @@ def read_snapshots(path: str) -> list:
 
     out = []
     seen = set()
-    for i, r in enumerate(read_jsonl(path), start=1):
-        where = f"record {i}"
-        _check(r, {"epoch": TIME, "camera": STR, "direction": STR,
-                   "points": {"id": STR, "im": 2}}, path, where)
-        ids = [p["id"] for p in r["points"]]
-        if len(set(ids)) != len(ids):
-            raise MalformedInput(f"{path}: {where}: repeated point id")
-        if (r["camera"], r["epoch"]) in seen:
-            raise MalformedInput(f"{path}: {where}: repeated epoch {r['epoch']!r} "
-                                 f"for camera {r['camera']!r}")
-        seen.add((r["camera"], r["epoch"]))
-        out.append(RediscoverySnapshot(
-            float(r["epoch"]), r["camera"], r["direction"],
-            tuple((p["id"], ImagePoint(*map(float, p["im"]))) for p in r["points"])))
+    for first, chunk, _ in _checked(_jsonl(path), path, "record", {
+            "epoch": TIME, "camera": STR, "direction": STR, "points": {"id": STR, "im": 2}}):
+        for i, r in enumerate(chunk, start=first):
+            ids = [p["id"] for p in r["points"]]
+            if len(set(ids)) != len(ids):
+                raise MalformedInput(f"{path}: record {i}: repeated point id")
+            if (r["camera"], r["epoch"]) in seen:
+                raise MalformedInput(f"{path}: record {i}: repeated epoch {r['epoch']!r} "
+                                     f"for camera {r['camera']!r}")
+            seen.add((r["camera"], r["epoch"]))
+            out.append(RediscoverySnapshot(
+                float(r["epoch"]), r["camera"], r["direction"],
+                tuple((p["id"], ImagePoint(*map(float, p["im"]))) for p in r["points"])))
     return out
 
 
@@ -430,24 +423,23 @@ def read_sift_maps(path: str) -> dict:
     every map as well-conditioned as a Homography."""
     from .geometry import check_conditioned
 
-    entries = _read_document(path, list)
     out = {}
-    for i, r in enumerate(entries, start=1):
-        where = f"entry {i}"
-        _check(r, {"camera": STR, "maps": {"epoch": TIME, "m": MATRIX}}, path, where)
-        if r["camera"] in out:
-            raise MalformedInput(f"{path}: {where}: repeated camera {r['camera']!r}")
-        maps = {}
-        for j, m in enumerate(r["maps"], start=1):
-            if m["epoch"] in maps:
-                raise MalformedInput(f"{path}: {where}: map {j}: repeated epoch "
-                                     f"{m['epoch']!r} for camera {r['camera']!r}")
-            maps[m["epoch"]] = np.asarray(m["m"], dtype=float)
-            try:
-                check_conditioned(maps[m["epoch"]])
-            except SingularFit as e:
-                raise MalformedInput(f"{path}: {where}: map {j}: {e}") from e
-        out[r["camera"]] = [(float(e), mat) for e, mat in maps.items()]
+    for first, chunk, c in _checked(_read_document(path, list), path, "entry",
+                                    {"camera": STR, "maps": {"epoch": TIME, "m": MATRIX}}):
+        for i, cam, listed in zip(itertools.count(first), c["camera"], c["maps"]):
+            if cam in out:
+                raise MalformedInput(f"{path}: entry {i}: repeated camera {cam!r}")
+            maps = {}
+            for j, m in enumerate(listed, start=1):
+                if m["epoch"] in maps:
+                    raise MalformedInput(f"{path}: entry {i}: map {j}: repeated epoch "
+                                         f"{m['epoch']!r} for camera {cam!r}")
+                maps[m["epoch"]] = np.asarray(m["m"], dtype=float)
+                try:
+                    check_conditioned(maps[m["epoch"]])
+                except SingularFit as e:
+                    raise MalformedInput(f"{path}: entry {i}: map {j}: {e}") from e
+            out[cam] = [(float(e), mat) for e, mat in maps.items()]
     return out
 
 
@@ -463,17 +455,23 @@ def write_detections(path: str, detections) -> None:
     from .tracking import Detections
 
     d = Detections.of(detections)
-    bad = np.flatnonzero(~np.isfinite(np.column_stack([d.t, d.box, d.conf])).all(axis=1))
+    bad = np.flatnonzero(~(np.isfinite(d.t) & np.isfinite(d.box).all(axis=1)
+                           & np.isfinite(d.conf)))
     if len(bad):
         raise DataInvariantViolation(f"{path}: record {bad[0] + 1}: t, box and conf "
                                      f"must be finite, got {d[bad[0]]}")
     cameras, classes = [json.dumps(s) for s in d.cameras], [json.dumps(s) for s in d.classes]
-    atomic_write(path, "".join([
-        f'{{"t": {t!r}, "camera": {cameras[c]}, "box": [{x!r}, {y!r}, {l!r}, {w!r}, '
-        f'{h!r}], "class": {classes[k]}, "conf": {conf!r}}}\n'
-        for t, c, x, y, l, w, h, k, conf in zip(d.t.tolist(), d.camera.tolist(),
-                                                 *d.box.T.tolist(), d.cls.tolist(),
-                                                 d.conf.tolist())]))
+    columns = (d.t, d.camera, *d.box.T, d.cls, d.conf)
+
+    def rows():     # _CHUNK rows at a time
+        for i in range(0, len(d), _CHUNK):
+            yield "".join([
+                f'{{"t": {t!r}, "camera": {cameras[c]}, "box": [{x!r}, {y!r}, {l!r}, {w!r}, '
+                f'{h!r}], "class": {classes[k]}, "conf": {conf!r}}}\n'
+                for t, c, x, y, l, w, h, k, conf in zip(*(a[i:i + _CHUNK].tolist()
+                                                          for a in columns))])
+
+    atomic_write(path, rows())
 
 
 _DETECTION = {"t": TIME, "box": BOX, "conf": NUM, "camera": STR, "class": STR}
@@ -484,11 +482,7 @@ def read_detections(path: str):
     """tracking.Detections in file order; `camera` and `class` default to ""."""
     from .tracking import Detections
 
-    def check(r, where):
-        _check({**_DETECTION_DEFAULTS, **r} if isinstance(r, dict) else r,
-               _DETECTION, path, where)
-
-    c = _read_columns(path, _DETECTION, check, _DETECTION_DEFAULTS)
+    c = _read_columns(path, _DETECTION, defaults=_DETECTION_DEFAULTS)
     (cameras, camera), (classes, cls) = c["camera"], c["class"]
     return Detections(c["t"], c["box"], c["conf"], camera, cls, cameras, classes)
 
@@ -496,7 +490,7 @@ def read_detections(path: str):
 def _write_states(path: str, series) -> None:
     """One {id, t, box} record per state of each (id, times, boxes); a
     non-finite t or box entry is refused, naming its record."""
-    def rows():     # one string per id, all freed once joined
+    def rows():     # one string per id, written as it comes
         n = 0
         for sid, times, boxes in series:
             times, boxes = np.asarray(times, dtype=float), np.asarray(boxes, dtype=float)
@@ -511,7 +505,7 @@ def _write_states(path: str, series) -> None:
                 for t, x, y, l, w, h in zip(times.tolist(), *boxes.T.tolist())])
             n += len(times)
 
-    atomic_write(path, "".join(rows()))
+    atomic_write(path, rows())
 
 
 def write_tracklets(path: str, tracklets) -> None:
@@ -530,14 +524,9 @@ def _read_states(path: str, int_ids: bool):
     """(id, t, (N,5) boxes) per id, in id order, from {id, t, box} records,
     with `t` a TIME unique within its id and `box` a BOX.  Ids must be JSON
     integers when `int_ids`, and are taken as strings otherwise."""
-    fields = {"id": ANY, "t": TIME, "box": BOX}
-
-    def check(r, where):
-        _check(r, fields, path, where)
-        if int_ids:
-            _check(r, {"id": INT}, path, where)
-
-    c = _read_columns(path, dict(fields, id=INT if int_ids else ANY), check)
+    # the integer-id rule is a second table, so a bad t or box is named first
+    c = _read_columns(path, {"id": ANY, "t": TIME, "box": BOX},
+                      *([{"id": INT}] if int_ids else []))
     ids = c["id"] if int_ids else list(map(str, c["id"]))
     t, box = c["t"], c["box"]
     return [(sid, t[k], box[k]) for sid, k in _series(ids, t, path, "record", "id", 1)]

@@ -283,10 +283,7 @@ class Detections:
             return records
         cameras, camera = _codes([d.camera for d in records])
         classes, codes = _codes([d.cls for d in records])
-        return cls(np.array([d.t for d in records], dtype=float),
-                   np.array([d.box for d in records], dtype=float).reshape(-1, 5),
-                   np.array([d.conf for d in records], dtype=float),
-                   camera, codes, cameras, classes)
+        return cls(*_record_columns(records), camera, codes, cameras, classes)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -332,15 +329,19 @@ class Tracklet:
     dims: np.ndarray    # (3,)
 
 
+def _record_columns(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, box (N,5), conf) of a sequence of records with .t, .box and
+    .conf, in their order."""
+    return (np.array([d.t for d in records], dtype=float),
+            np.array([d.box for d in records], dtype=float).reshape(-1, 5),
+            np.array([d.conf for d in records], dtype=float))
+
+
 def _arrays(detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, boxes (N,5), conf) of a `Detections`, or of records with .t,
     .box and .conf, stably sorted by t."""
-    if isinstance(detections, Detections):
-        t, boxes, conf = detections.t, detections.box, detections.conf
-    else:
-        t = np.array([d.t for d in detections], dtype=float)
-        boxes = np.array([d.box for d in detections], dtype=float).reshape(-1, 5)
-        conf = np.array([d.conf for d in detections], dtype=float)
+    t, boxes, conf = (detections.t, detections.box, detections.conf) \
+        if isinstance(detections, Detections) else _record_columns(detections)
     order = np.argsort(t, kind="stable")
     return t[order], boxes[order], conf[order]
 

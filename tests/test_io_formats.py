@@ -14,7 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from curvitrack import cli, io_formats as iof
-from curvitrack.errors import DataInvariantViolation
+from curvitrack.drift import RediscoverySnapshot
+from curvitrack.errors import DataInvariantViolation, SingularFit
+from curvitrack.geometry import (CorrespondencePoint, Homography, ImagePoint, PointSet,
+                                 StatePlanePoint, check_conditioned)
 from curvitrack.simulator import SceneConfig, simulate
 from curvitrack.io_formats import MAX_DURATION_S
 from curvitrack.tracking import Tracklet
@@ -118,6 +121,21 @@ def test_state_writers_refuse_a_non_finite_number(tmp_path, scene, bad):
     with pytest.raises(DataInvariantViolation, match=r"tracks\.jsonl: record 5: "):
         iof.write_tracklets(str(out), tls)
     assert not gt.exists() and not out.exists()
+
+
+def test_a_write_refused_midway_keeps_the_file_there(tmp_path, scene):
+    """The state writer streams its rows, so it refuses a non-finite value
+    after writing others: the temporary file goes, the old file stays."""
+    tracks = scene.ground_truth.trajectories[:2]
+    gt = tmp_path / "gt_tracks.jsonl"
+    iof.write_gt_tracks(str(gt), tracks)
+    before = gt.read_bytes()
+    tracks[1] = dataclasses.replace(tracks[1], y=tracks[1].y.copy())
+    tracks[1].y[2] = math.nan
+    with pytest.raises(DataInvariantViolation):
+        iof.write_gt_tracks(str(gt), tracks)
+    assert gt.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["gt_tracks.jsonl"]
 
 
 def test_default_scene_config_round_trips_through_json():
@@ -257,7 +275,8 @@ def _load(path):
         with open(path, newline="") as f:
             return list(csv.reader(f))
     if path.endswith(".jsonl"):
-        return iof.read_jsonl(path)
+        with open(path) as f:
+            return [json.loads(line) for line in f if line.strip()]
     return iof.read_json(path)
 
 
@@ -459,3 +478,260 @@ def test_column_check_refuses_what_a_record_pass_refuses(kind, data):
         assert [sid for sid, _, _ in got] == [sid for sid, _, _ in want]
         for (_, gt, gb), (_, wt, wb) in zip(got, want):
             assert np.array_equal(gt, wt) and np.array_equal(gb, wb)
+
+
+# ---------------------------------------------------------------------------
+# the chunked points, snapshots, homography and sift-map readers give the
+# outcome of a per-record pass: its own rules and _check, record by record
+
+def reference_read_points(path):
+    cameras, seen = {}, set()
+    for i, r in enumerate(iof._jsonl(path), start=1):
+        where = f"record {i}"
+        iof._check(r, {"id": iof.STR, "camera": iof.STR, "direction": iof.STR, "im": 2, "st": 2},
+                   path, where)
+        direction, points = cameras.setdefault(r["camera"], (r["direction"], []))
+        if r["direction"] != direction:
+            raise iof.MalformedInput(f"{path}: {where}: camera {r['camera']!r} is listed "
+                                     f"under both {direction!r} and {r['direction']!r}")
+        if (r["camera"], r["id"]) in seen:
+            raise iof.MalformedInput(f"{path}: {where}: repeated id {r['id']!r} "
+                                     f"for camera {r['camera']!r}")
+        seen.add((r["camera"], r["id"]))
+        points.append(CorrespondencePoint(r["id"], ImagePoint(*map(float, r["im"])),
+                                          StatePlanePoint(*map(float, r["st"]), 0.0)))
+    return {cam: (direction, PointSet(points)) for cam, (direction, points) in cameras.items()}
+
+
+def reference_read_snapshots(path):
+    out, seen = [], set()
+    for i, r in enumerate(iof._jsonl(path), start=1):
+        where = f"record {i}"
+        iof._check(r, {"epoch": iof.TIME, "camera": iof.STR, "direction": iof.STR,
+                       "points": {"id": iof.STR, "im": 2}}, path, where)
+        ids = [p["id"] for p in r["points"]]
+        if len(set(ids)) != len(ids):
+            raise iof.MalformedInput(f"{path}: {where}: repeated point id")
+        if (r["camera"], r["epoch"]) in seen:
+            raise iof.MalformedInput(f"{path}: {where}: repeated epoch {r['epoch']!r} "
+                                     f"for camera {r['camera']!r}")
+        seen.add((r["camera"], r["epoch"]))
+        out.append(RediscoverySnapshot(
+            float(r["epoch"]), r["camera"], r["direction"],
+            tuple((p["id"], ImagePoint(*map(float, p["im"]))) for p in r["points"])))
+    return out
+
+
+def reference_read_homographies(path):
+    with open(path) as f:
+        entries = json.load(f)
+    out = {}
+    for i, r in enumerate(entries, start=1):
+        where = f"entry {i}"
+        if isinstance(r, dict):
+            r.setdefault("direction", "EB")
+        iof._check(r, {"camera": iof.STR, "direction": iof.STR, "h": iof.MATRIX}, path, where)
+        if r["camera"] in out:
+            raise iof.MalformedInput(f"{path}: {where}: repeated camera {r['camera']!r}")
+        try:
+            out[r["camera"]] = Homography(np.asarray(r["h"], dtype=float),
+                                          r["camera"], r["direction"])
+        except SingularFit as e:
+            raise iof.MalformedInput(f"{path}: {where}: {e}") from e
+    return out
+
+
+def reference_read_sift_maps(path):
+    with open(path) as f:
+        entries = json.load(f)
+    out = {}
+    for i, r in enumerate(entries, start=1):
+        where = f"entry {i}"
+        iof._check(r, {"camera": iof.STR, "maps": {"epoch": iof.TIME, "m": iof.MATRIX}},
+                   path, where)
+        if r["camera"] in out:
+            raise iof.MalformedInput(f"{path}: {where}: repeated camera {r['camera']!r}")
+        maps = {}
+        for j, m in enumerate(r["maps"], start=1):
+            if m["epoch"] in maps:
+                raise iof.MalformedInput(f"{path}: {where}: map {j}: repeated epoch "
+                                         f"{m['epoch']!r} for camera {r['camera']!r}")
+            maps[m["epoch"]] = np.asarray(m["m"], dtype=float)
+            try:
+                check_conditioned(maps[m["epoch"]])
+            except SingularFit as e:
+                raise iof.MalformedInput(f"{path}: {where}: map {j}: {e}") from e
+        out[r["camera"]] = [(float(e), mat) for e, mat in maps.items()]
+    return out
+
+
+def _numbers(rng, n, scale):
+    """n finite numbers, about one in ten a JSON int."""
+    return [int(v) if rng.random() < 0.1 else v for v in rng.normal(0.0, scale, n).tolist()]
+
+
+def _matrix(rng):
+    m = (np.eye(3) + rng.normal(0.0, 0.05, (3, 3))).tolist()
+    m[2][2] = 1 if rng.random() < 0.5 else 1.0
+    return m
+
+
+def _valid_points(n, rng):
+    cams = [f"P{k:02d}C01" for k in range(int(rng.integers(1, 12)))]
+    out = []
+    for k in range(n):
+        c = int(rng.integers(len(cams)))
+        out.append({"id": f"{cams[c]}_{k:03d}", "camera": cams[c],
+                    "direction": "EB" if c % 2 else "WB",
+                    "im": _numbers(rng, 2, 900.0), "st": _numbers(rng, 2, 1e4)})
+    return out
+
+
+def _valid_snapshots(n, rng):
+    cams = [f"P{k:02d}C02" for k in range(int(rng.integers(1, 6)))]
+    out = []
+    for k in range(n):     # epochs unique over the file, some of them ints
+        ids = rng.choice(12, size=int(rng.integers(0, 5)), replace=False)
+        out.append({"epoch": k if rng.random() < 0.3 else k - n / 2 + 0.25,
+                    "camera": cams[int(rng.integers(len(cams)))], "direction": "EB",
+                    "points": [{"id": f"P{m}", "im": _numbers(rng, 2, 900.0)} for m in ids]})
+    return out
+
+
+def _valid_homographies(n, rng):
+    out = []
+    for k in range(n):
+        r = {"camera": f"C{k}", "h": _matrix(rng)}
+        if rng.random() < 0.7:
+            r["direction"] = "EB" if rng.random() < 0.5 else "WB"
+        out.append(r)
+    return out
+
+
+def _valid_sift_maps(n, rng):
+    return [{"camera": f"C{k}", "maps": [{"epoch": e if rng.random() < 0.3 else e + 0.5,
+                                          "m": _matrix(rng)}
+                                         for e in range(int(rng.integers(0, 4)))]}
+            for k in range(n)]
+
+
+def _repeat(*keys):
+    """An own fault: record i takes record j's values of `keys`."""
+    def fault(records, i, j):
+        for key in keys:
+            records[i][key] = records[j].get(key)
+    return fault
+
+
+def _flip_direction(records, i, j):
+    """An own fault: record i takes record j's camera, under the other
+    direction."""
+    records[i]["camera"] = records[j].get("camera")
+    records[i]["direction"] = "WB" if records[j].get("direction") == "EB" else "EB"
+
+
+def _twice(key, entry):
+    """An own fault: record i's list `key` gets `entry` twice."""
+    def fault(records, i, j):
+        if isinstance(records[i].get(key), list):
+            records[i][key] += [entry, entry]
+    return fault
+
+
+READERS = {
+    "points": (iof.read_points, reference_read_points, _valid_points,
+               {"repeated id": _repeat("camera", "direction", "id"),
+                "two directions": _flip_direction}),
+    "snapshots": (iof.read_snapshots, reference_read_snapshots, _valid_snapshots,
+                  {"repeated epoch": _repeat("camera", "epoch"),
+                   "repeated point id": _twice("points", {"id": "P99", "im": [1.0, 2.0]})}),
+    "homographies": (iof.read_homographies, reference_read_homographies,
+                     _valid_homographies, {"repeated camera": _repeat("camera")}),
+    "sift maps": (iof.read_sift_maps, reference_read_sift_maps, _valid_sift_maps,
+                  {"repeated camera": _repeat("camera"),
+                   "repeated epoch": _twice("maps", {"epoch": 99.5,
+                                                     "m": np.eye(3).tolist()})}),
+}
+
+
+def _fault(how, records, i, j, own, bad=None, slot=0):
+    """Fault `how` at record i (j another record): "value" puts `bad` at
+    the slot-th place in it (DROP: that key or entry goes), "record" makes
+    it `bad`, not an object, and the rest are the reader's `own` faults."""
+    if how == "record":
+        records[i] = "abc" if bad is DROP else bad
+    elif not (isinstance(records[i], dict) and isinstance(records[j], dict)):
+        return
+    elif how == "value":
+        slots = list(_slots(records[i]))
+        container, key = slots[slot % len(slots)]
+        if bad is DROP:
+            del container[key]
+        else:
+            container[key] = bad
+    else:
+        own[how](records, i, j)
+
+
+def _reader_outcome(name, read, path):
+    try:
+        got = read(path)
+    except iof.MalformedInput as e:
+        return str(e)
+    if name == "points":
+        return {cam: (d, list(points)) for cam, (d, points) in got.items()}
+    if name == "homographies":
+        return {cam: (h.direction, h.h.tolist()) for cam, h in got.items()}
+    if name == "sift maps":
+        return {cam: [(e, m.tolist()) for e, m in maps] for cam, maps in got.items()}
+    return got
+
+
+def _write_records(name, path, records):
+    with open(path, "w") as f:
+        if name in ("points", "snapshots"):
+            f.write("".join(json.dumps(r) + "\n" for r in records))
+        else:
+            json.dump(records, f)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(derandomize=True, database=None, max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_chunked_readers_give_the_outcome_of_a_record_pass(name, data):
+    read, reference, valid, own = READERS[name]
+    # chunk edges, and any size up to three chunks and more
+    n = data.draw(st.sampled_from([1, 249, 250, 251, 800]) | st.integers(1, 800),
+                  label="records")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    records = valid(n, rng)
+    for _ in range(data.draw(st.integers(0, 2), label="faults")):
+        how = data.draw(st.sampled_from(["value", "value", "record", *sorted(own)]),
+                        label="fault")
+        i = data.draw(st.integers(0, n - 1), label="at")
+        j = data.draw(st.integers(0, n - 1), label="other")
+        _fault(how, records, i, j, own, data.draw(st.sampled_from(JSON_BAD), label="value"),
+               data.draw(st.integers(0, 100), label="slot"))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "records")
+        _write_records(name, path, records)
+        got = _reader_outcome(name, read, path)
+        want = _reader_outcome(name, reference, path)
+    assert got == want
+
+
+@pytest.mark.parametrize("name, how", [(name, how) for name in sorted(READERS)
+                                       for how in sorted(READERS[name][3])])
+def test_a_readers_own_fault_is_named_before_a_later_type_fault_in_its_chunk(
+        tmp_path, name, how):
+    read, reference, valid, own = READERS[name]
+    unit = "record" if name in ("points", "snapshots") else "entry"
+    records = valid(40, np.random.default_rng(5))
+    path = str(tmp_path / "records")
+    for at, fault in ((31, "value"), (13, how)):     # None in the first field
+        _fault(fault, records, at - 1, 4, own, None)
+        _write_records(name, path, records)
+        want = _reader_outcome(name, reference, path)
+        assert isinstance(want, str) and f": {unit} {at}: " in want
+        assert _reader_outcome(name, read, path) == want
