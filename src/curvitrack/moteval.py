@@ -19,15 +19,14 @@ counts.
 Cost follows the feasible pairs, not objects x frames: every series is
 resampled over its own time window only, and one sweep over all frames
 (tracking.candidate_pairs) yields the same-frame pairs that overlap in x,
-the only ones that can reach an alpha (all above 0).  The pairs with
-IOU >= min(alpha) are split into connected components.  A component that
-is a single pair is a match at every alpha it clears; only components with
-a shared ground-truth row or track column are matched by Hungarian, on
-their own submatrix, at each alpha where a row or column is still shared.
-Disjoint components match independently, and a matching is unique where
-no row or column is shared, so the matches are those of a Hungarian pass
-on the whole frame, except that among equally good matchings (exact IOU
-ties, as between identical duplicate tracks) the one chosen may differ.
+the only ones that can reach an alpha (all above 0).  At each alpha, one
+tracking._assign over the pairs that reach it matches every frame at
+once: a pair sharing neither its row nor its column is taken as it is,
+and each connected component of the others is solved on its own
+submatrix.  Disjoint components match independently, so the matches are
+those of a Hungarian pass on the whole frame, except that among equally
+good matchings (exact IOU ties, as between identical duplicate tracks)
+the one chosen may differ.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tracking import (_components, _rect_iou, candidate_pairs, footprint_rect,  # noqa: F401
-                       hungarian_match, iou_matrix, time_grid)   # perfbench wraps iou_matrix
+from .tracking import (_assign, _rect_iou, candidate_pairs, footprint_rect,  # noqa: F401
+                       hungarian_match, iou_matrix, time_grid)   # perfbench wraps these two
 
 STEP_S = 0.1                # evaluation grid
 MATCH_IOU = 0.1             # working threshold of Recall, IDs, LCSS and MOTP
@@ -85,11 +84,8 @@ def match_frame(gt_boxes: np.ndarray, tr_boxes: np.ndarray, alphas) -> tuple:
 
     Returns (rows, cols, iou, matched): the gt index, track index and IOU
     of every pair with IOU >= min(alphas), in row-major order, and a
-    (len(alphas), pairs) mask of the pairs matched at each threshold.
-    A pair sharing neither its row nor its column with another pair is
-    matched wherever it clears the threshold.  The other pairs are split
-    into connected components, and a component is matched by Hungarian on
-    1 - IOU at each threshold where it still has a shared row or column.
+    (len(alphas), pairs) mask of the pairs matched at each threshold: the
+    tracking._assign on 1 - IOU of the pairs that clear it.
     """
     gt, tr = (_Samples(np.zeros(len(b), dtype=int), np.zeros(len(b), dtype=int),
                        np.asarray(b, dtype=float)) for b in (gt_boxes, tr_boxes))
@@ -227,28 +223,10 @@ def _match_frames(gt: _Samples, tr: _Samples, alphas) -> tuple:
     vals = _rect_iou(g_rect[rows], t_rect[cols])
     keep = vals >= alphas.min()
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    matched = vals >= alphas[:, None]
-    shared = ((np.bincount(rows, minlength=len(g_rect)) > 1)[rows]
-              | (np.bincount(cols, minlength=len(t_rect)) > 1)[cols])
-    edges = np.flatnonzero(shared)
-    ascending = np.argsort(alphas, kind="stable")
-    for comp in _components(rows[edges].tolist(), cols[edges].tolist()):
-        e = edges[comp]
-        r, ri = np.unique(rows[e], return_inverse=True)
-        c, ci = np.unique(cols[e], return_inverse=True)
-        sub = np.zeros((len(r), len(c)))    # a cell off the pair list is below every alpha
-        sub[ri, ci] = vals[e]
-        pair = np.zeros(sub.shape, dtype=int)
-        pair[ri, ci] = e
-        for k in ascending.tolist():
-            alpha = alphas[k]
-            feasible = sub >= alpha
-            if feasible.sum(0).max() <= 1 and feasible.sum(1).max() <= 1:
-                break   # no shared row or column here, nor at any higher alpha
-            matched[k, e] = False
-            cost = np.where(feasible, 1.0 - sub, np.inf)
-            for i, j in hungarian_match(cost, 1.0 - alpha):
-                matched[k, pair[i, j]] = True
+    matched, cost = vals >= alphas[:, None], 1.0 - vals
+    for m in matched:
+        e = np.flatnonzero(m)
+        m[e] = _assign(rows[e], cols[e], cost[e])
     return g_order[rows], t_order[cols], vals, matched
 
 

@@ -46,7 +46,9 @@ ROAD_PAD_FT = 200.0     # road beyond each end of the extent, so it sits inside 
 ARC_MAX_TURN_RAD = 0.9 * math.pi   # the padded arc stays short of a half circle
 MAX_CAMERAS = 1000      # poles x 2 x (cameras_per_pole // 2); the paper has 234
 # Work caps: every vehicle gets a 10 Hz grid over the whole scene, every
-# camera a snapshot per interval, and detections sample at rate_hz.
+# camera a snapshot per interval, the cameras' snapshots of one interval hold
+# lane points in proportion to extent_ft, the road is resampled at 0.1 ft,
+# and detections sample at rate_hz.
 MAX_VEHICLES = 10_000           # the paper has 500+ vehicles in view at once
 MAX_VEHICLE_S = 2_000_000       # vehicle_count x duration_s
 MAX_SNAPSHOTS = 100_000         # cameras x duration_s / snapshot_interval_s
@@ -137,7 +139,7 @@ class GpsConfig:
 @dataclass(frozen=True)
 class SceneConfig:
     road: RoadConfig = field(default_factory=RoadConfig)
-    extent_ft: float = _setting(3000.0, "(0, inf)")
+    extent_ft: float = _setting(3000.0, "(0, 100000]")
     pole_spacing_ft: float = _setting(500.0, "(0, inf)")
     cameras_per_pole: int = _setting(6, "[2, inf)")
     vehicle_count: int = _setting(20, f"[1, {MAX_VEHICLES}]")
@@ -185,6 +187,8 @@ class SceneConfig:
             ("vehicle_count x duration_s", self.vehicle_count * self.duration_s, MAX_VEHICLE_S),
             ("cameras x duration_s / snapshot_interval_s",
              self.poles * per_pole * self.duration_s / self.snapshot_interval_s, MAX_SNAPSHOTS),
+            ("extent_ft x duration_s / snapshot_interval_s",     # lane points held
+             self.extent_ft * self.duration_s / self.snapshot_interval_s, 10_000_000),
         )
         for name, value, cap in caps:
             if value > cap:

@@ -514,7 +514,12 @@ def test_camera_count_is_capped(tmp_path):
      "vehicle_count x duration_s"),
     ({"detection": {"rate_hz": MAX_DETECTION_RATE_HZ + 0.5}}, "detection.rate_hz"),
     ({"snapshot_interval_s": 1e-300}, "snapshot_interval_s"),
-], ids=["vehicles", "duration", "vehicle-seconds", "rate", "snapshots"])
+    ({"extent_ft": 1e7, "pole_spacing_ft": 1e5}, "extent_ft"),
+    ({"extent_ft": 3000, "pole_spacing_ft": 3000, "cameras_per_pole": 2, "vehicle_count": 1,
+      "duration_s": 86400, "snapshot_interval_s": 1.728},
+     "extent_ft x duration_s / snapshot_interval_s"),
+], ids=["vehicles", "duration", "vehicle-seconds", "rate", "snapshots", "extent",
+        "lane-points"])
 def test_scene_work_is_capped(tmp_path, cfg, field):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(cfg))

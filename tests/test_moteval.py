@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from curvitrack import moteval as me
+from curvitrack import tracking as tk
 from curvitrack.moteval import (HOTA_ALPHAS, TrajectorySeries, det_a_star,
                                 evaluate, lcss, match_frame, resample,
                                 series_from_tracklet)
@@ -483,20 +484,24 @@ def same_report(gts, trs):
 
 
 @pytest.fixture
-def hungarian_calls(monkeypatch):
-    """Arguments of every hungarian_match call made by moteval."""
+def lsap_calls(monkeypatch):
+    """The submatrix of every tracking._lsap call, the solver under
+    moteval's one _assign per alpha."""
     calls = []
-    real = me.hungarian_match
-    monkeypatch.setattr(me, "hungarian_match",
-                        lambda *a: calls.append(a) or real(*a))
+    real = tk._lsap
+    monkeypatch.setattr(tk, "_lsap", lambda sub: calls.append(sub) or real(sub))
     return calls
 
 
-def test_evaluate_matches_reference_on_random_scenes(hungarian_calls):
+def test_evaluate_matches_reference_on_random_scenes(lsap_calls):
+    solved = 0      # evaluate's own calls; the reference's go through _lsap too
     for seed in range(12):
         gts, trs = random_scene(seed)
+        evaluate(gts, trs)
+        solved += len(lsap_calls)
+        lsap_calls.clear()
         assert same_report(gts, trs), seed
-    assert hungarian_calls      # the scenes do have shared rows or columns
+    assert solved      # the scenes do have shared rows or columns
 
 
 def test_exact_ties_change_only_which_track_is_matched():
@@ -528,15 +533,15 @@ def test_evaluate_matches_reference_on_simulated_trackers():
 # ---------------------------------------------------------------------------
 # matching mechanism and rule
 
-def test_one_to_one_frames_skip_hungarian(hungarian_calls):
+def test_one_to_one_frames_skip_hungarian(lsap_calls):
     gt = [series("g1", 0.0, 9.9), series("g2", 0.0, 9.9, x0=200.0)]
     evaluate(gt, [series("t1", 0.0, 9.9, x0=3.0), series("t2", 0.0, 9.9, x0=198.0)])
-    assert hungarian_calls == []
+    assert lsap_calls == []
     # one gt overlapping two tracks (IOU 0.68 and 0.52) in all 100 frames:
     # one pass per frame at each of the ten alphas up to 0.50
     evaluate(gt[:1], [series("t1", 0.0, 9.9, x0=3.0), series("t2", 0.0, 9.9, x0=-5.0)])
-    assert len(hungarian_calls) == 100 * 10
-    assert all(a[0].shape == (1, 2) for a in hungarian_calls)
+    assert len(lsap_calls) == 100 * 10
+    assert all((len(sub), len(sub[0])) == (1, 2) for sub in lsap_calls)
 
 
 def test_matching_rule_is_hungarian_per_alpha():

@@ -194,21 +194,65 @@ def test_lsap_equals_scipy():
     assert min(shapes.values()) > 300
 
 
+def dense_cost(rows, cols, cost):
+    """The matrix a pair list makes: each pair's cost in its cell, inf in
+    the others."""
+    out = np.full((int(rows.max(initial=-1)) + 1, int(cols.max(initial=-1)) + 1), np.inf)
+    out[rows, cols] = cost
+    return out
+
+
+def assigned_pairs(rows, cols, cost):
+    taken = tk._assign(rows, cols, cost)
+    return sorted(zip(rows[taken].tolist(), cols[taken].tolist()))
+
+
 def test_hungarian_equals_whole_matrix_rule_on_tracker_frames(monkeypatch):
-    """hungarian_match, split into components, returns what one scipy pass
-    over the whole matrix returns, on every matrix the trackers pass it
-    in a crowded scene."""
+    """_assign, split into components, returns what one scipy pass over the
+    whole matrix returns, on every pair list the trackers pass it in a
+    crowded scene."""
     calls = []
-    real = tk.hungarian_match
-    monkeypatch.setattr(tk, "hungarian_match",
-                        lambda *a: calls.append(a) or real(*a))
+    real = tk._assign
+    monkeypatch.setattr(tk, "_assign", lambda *a: calls.append(a) or real(*a))
     dets = scene_detections(**EQUIVALENCE_SCENES["dense"])
     for algo in ALGORITHMS:
         run_tracker(algo, dets)
+    monkeypatch.undo()
     assert len(calls) > 50
-    assert any(min(c.shape) > 10 for c, _ in calls)
-    for cost, max_cost in calls:
-        assert real(cost, max_cost) == whole_matrix_match(cost, max_cost)
+    assert any(min(len(set(r.tolist())), len(set(c.tolist()))) > 10 for r, c, _ in calls)
+    for rows, cols, cost in calls:
+        assert assigned_pairs(rows, cols, cost) == whole_matrix_match(
+            dense_cost(rows, cols, cost), np.inf)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       kind=st.sampled_from(["uniform", "decimal", "ties", "one-to-one", "empty"]),
+       density=st.floats(0.0, 0.3))
+def test_assign_equals_whole_matrix_rule_on_sparse_pairs(seed, shape, kind, density):
+    # pairs in any order, at most a few per row or column; on a 4x4 matrix
+    # or smaller, the count and cost of an exhaustive search as well
+    g = np.random.default_rng(seed)
+    if kind == "one-to-one":
+        k = int(g.integers(0, min(shape) + 1))
+        rows, cols = (g.choice(n, k, replace=False) for n in shape)
+        cost = random_cost(g, k, "uniform")
+    else:
+        rows, cols = np.nonzero(g.uniform(size=shape) < (0.0 if kind == "empty" else density))
+        cost = random_cost(g, len(rows), kind)
+    order = g.permutation(len(rows))
+    rows, cols, cost = rows[order], cols[order], cost[order]
+    dense = dense_cost(rows, cols, cost)
+    got = assigned_pairs(rows, cols, cost)
+    wants = [whole_matrix_match(dense, np.inf)]
+    if kind in ("uniform", "one-to-one"):     # no two matchings cost the same
+        assert got == wants[0]
+    if max(shape) <= 4:
+        wants.append(brute_force_min_cost(dense, 10.0))
+    for want in wants:
+        assert len(got) == len(want)
+        assert sum(dense[r, c] for r, c in got) == pytest.approx(
+            sum(dense[r, c] for r, c in want), abs=1e-9)
 
 
 def test_hungarian_equals_whole_matrix_rule_on_sparse_patterns():
@@ -654,11 +698,11 @@ def test_nms_chain_keeps_third_box():
 
 def test_one_to_one_frames_skip_hungarian(monkeypatch):
     def refuse(*args):
-        raise AssertionError("hungarian_match called on a one-to-one frame")
+        raise AssertionError("_assign called on a one-to-one frame")
 
     dets = sorted(vehicle_dets() + vehicle_dets(x0=400.0, y=18.0)
                   + vehicle_dets(y=-6.0), key=lambda d: d.t)
-    monkeypatch.setattr(tk, "hungarian_match", refuse)
+    monkeypatch.setattr(tk, "_assign", refuse)
     for algo in ALGORITHMS:
         assert len(run_tracker(algo, dets)) == 3
 
