@@ -6,9 +6,11 @@ and `io_formats.read_detections` to the trackers.  The trackers take a
 and .conf, in any order, and emit Tracklets.  Boxes are axis-aligned in
 roadway coordinates; the box reference point is the back-bottom-center,
 so the footprint extends along +x for eastbound (y > 0) and -x for
-westbound.  The columns are sorted by time once per run (`_arrays`), and
-each travel direction is a mask on those arrays, tracked as its own
-stream.
+westbound.  The columns are sorted by time once per run (`_arrays`).  The
+two travel directions are tracked in one loop over frames, as two blocks
+of tracks and detections that never associate or suppress each other:
+eastbound tracklets come first, and ids follow each direction's spawn
+order, westbound after every eastbound spawn.
 A Tracklet holds arrays too, from the tracker through `tracks.jsonl` to
 `moteval.evaluate`: its times, its (x, y, l, w, h) states and the median
 l, w, h of the detections it matched, taken once where it is cut.
@@ -17,6 +19,7 @@ l, w, h of the detections it matched, taken once where it is cut.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -379,18 +382,22 @@ def _frames(t, boxes, conf, params: TrackerParams):
     return frame[kept], boxes[kept], rects[kept], conf[kept]
 
 
-def _associate(tboxes, dboxes, drects, params: TrackerParams):
-    """(track rows, detection cols) matched in one association stage.
+def _associate(tkeys, dkeys, params: TrackerParams):
+    """(track rows, detection cols) matched in one association stage, from
+    the tracks' and the detections' keys: centres (x, y) for "l2",
+    footprint rectangles for "iou".
 
     A one-to-one feasible set is taken before `_assign`, which would take it
     whole: on the many small one-to-one stages this set test is about six
     times faster than `_assign`'s bincount test.
     """
     if params.similarity == "l2":
-        cost = np.linalg.norm(tboxes[:, None, :2] - dboxes[None, :, :2], axis=2)
+        dx = tkeys[:, 0, None] - dkeys[None, :, 0]
+        dy = tkeys[:, 1, None] - dkeys[None, :, 1]
+        cost = np.sqrt(dx * dx + dy * dy)   # np.linalg.norm's bits, no strided reduce
         feasible = cost <= D_MAX
     else:
-        iou = _rect_iou(footprint_rect(tboxes)[:, None, :], drects[None, :, :])
+        iou = _rect_iou(tkeys[:, None, :], dkeys[None, :, :])
         cost, feasible = 1.0 - iou, iou >= PHI_MIN
     rows, cols = np.nonzero(feasible)
     if len(set(rows.tolist())) == len(rows) == len(set(cols.tolist())):
@@ -399,125 +406,181 @@ def _associate(tboxes, dboxes, drects, params: TrackerParams):
     return rows[taken], cols[taken]
 
 
-def _run_stream(t, boxes, conf, params: TrackerParams, id_start: int):
-    """Track one detection stream, given as _arrays gives it.
+def _merged_frames(detections, params: TrackerParams):
+    """`_frames` of each travel direction, merged for `_run_stream`.
 
-    Active tracks are stacked: `state` holds (id, hits, first frame, last
-    matched frame) per track and X (N,7) / P (N,7,7) the constant-velocity
-    Kalman filter on (x, y, l, w, h, vx, vy); without Kalman, X[:, :5] is
-    the last matched box.  Returns (tracklets, next_id).
+    Returns the kept boxes and rects, the number of eastbound ones, each
+    direction's last frame (None if it keeps no detection), the first
+    frame f0 and `cut`: frame f0 + i holds stage 1 eastbound, stage 1
+    westbound, stage 2 eastbound and stage 2 westbound detections between
+    the five bounds cut[4 * i:4 * i + 5], each part in input order.  A
+    one-stage tracker has no stage 2.
     """
-    frame, boxes, rects, conf = _frames(t, boxes, conf, params)
-    if not len(frame):
-        return [], id_start
-    dt = 1.0 / params.f_track
-    cut = np.searchsorted(frame, np.arange(frame[0], frame[-1] + 2))
-    # high-confidence detections first within a frame, each part in input
-    # order; a one-stage tracker has no low-confidence part
-    low = (conf < TAU_HIGH) & params.two_stage
-    order = np.lexsort((low, frame))
-    boxes, rects = boxes[order], rects[order]
-    n_high = np.concatenate([[0], np.cumsum(~low[order])])
-    mid = cut[:-1] + n_high[cut[1:]] - n_high[cut[:-1]]
-    bounds = zip(range(int(frame[0]), int(frame[-1]) + 1),
-                 cut[:-1].tolist(), mid.tolist(), cut[1:].tolist())
+    t, boxes, conf = _arrays(detections)
+    east = boxes[:, 1] >= 0
+    sides = [_frames(t[side], boxes[side], conf[side], params) for side in (east, ~east)]
+    frame, boxes, rects, conf = (np.concatenate(c) for c in zip(*sides))
+    n_east = len(sides[0][0])
+    last = [int(side[0][-1]) if len(side[0]) else None for side in sides]
+    key = 4 * frame + 2 * ((conf < TAU_HIGH) & params.two_stage) + (np.arange(len(frame)) >= n_east)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    f0, f1 = (int(key[0]) // 4, int(key[-1]) // 4) if len(key) else (0, -1)
+    cut = np.searchsorted(key, np.arange(4 * f0, 4 * f1 + 5))
+    return boxes[order], rects[order], n_east, last, f0, cut.tolist()
 
+
+def _run_stream(detections, params: TrackerParams) -> list[Tracklet]:
+    """Track both travel directions of one detection stream in one loop
+    over frames.
+
+    Active tracks are stacked as [eastbound | westbound], with `ne`
+    eastbound rows: `state` holds (id, matched detection or -1, hits, first
+    frame, last matched frame) per track and X (N,7) / P (N,7,7) the
+    constant-velocity Kalman filter on (x, y, l, w, h, vx, vy); without
+    Kalman, X[:, :5] is the last matched box.  Each stage's detections are
+    ordered the same way, and each stage builds one cost block per
+    direction, so no track or detection meets the other direction's.
+    Stage 2 takes only the tracks stage 1 left unmatched, so one Kalman
+    update per frame, after both stages, is exact.
+
+    Each direction's block is predicted by its own product: BLAS may round
+    a row of X @ F.T differently in a one-row product (x + vx * dt, rounded
+    twice) than in a taller one (fused), so one product over both blocks
+    would let one direction's tracks change the other's bits.
+
+    Eastbound ids count eastbound spawns from 0.  Westbound ids count from
+    the number of eastbound detections, a bound on the eastbound spawns,
+    and are renumbered at the end to follow the last eastbound id.
+    Eastbound tracklets come first, each direction's in the order its
+    tracks ended.
+    """
+    boxes, rects, n_east, last, f0, cut = _merged_frames(detections, params)
+    if not len(boxes):
+        return []
+    dt = 1.0 / params.f_track
+    dkeys = boxes[:, :2] if params.similarity == "l2" else rects
     F = np.eye(7)
     F[0, 5] = F[1, 6] = dt
-    state = np.zeros((0, 4), dtype=np.int64)
+    state = np.zeros((0, 5), dtype=np.int64)
     X, P = np.zeros((0, 7)), np.zeros((0, 7, 7))
-    next_id = id_start
-    history = []    # per frame: (track ids, boxes, matched detection or -1, frame)
+    ne, next_east, next_west = 0, 0, n_east
+    # history, one row per track and frame: (id, matched detection) and X[:, :5]
+    pairs, states = array("q"), array("d")
     ended = []      # state rows of terminated tracks, in termination order
 
-    for k, lo, mid, hi in bounds:
+    for i in range(len(cut) // 4):
+        k = f0 + i
+        lo, mid1, lo2, mid2, hi = cut[4 * i:4 * i + 5]
         n = len(state)
         if not n and lo == hi:
             continue
         if n and params.kalman:
-            X = X @ F.T
+            X = np.concatenate([X[:ne] @ F.T, X[ne:] @ F.T]) if 0 < ne < n else X @ F.T
             P = F @ P @ F.T + _Q
-        source = np.full(n, -1)
-        fresh = np.ones(mid - lo, dtype=bool)      # stage-1 detections left unmatched
-        for a, b, spawning in ((lo, mid, True), (mid, hi, False)):
-            pool = np.flatnonzero(source < 0)
-            if a == b or not len(pool):
-                continue
-            ti, di = _associate(X[pool, :5], boxes[a:b], rects[a:b], params)
-            ti, di = pool[ti], di + a
-            if params.kalman and len(ti):
+        state[:, 1] = -1
+        matched, unmatched = [], lo2 - lo     # unmatched stage-1 detections spawn
+        if n and lo < hi:
+            tkeys = X[:, :2] if params.similarity == "l2" else footprint_rect(X[:, :5])
+            for stage_1, r0, r1, a, b in ((True, 0, ne, lo, mid1), (True, ne, n, mid1, lo2),
+                                          (False, 0, ne, lo2, mid2), (False, ne, n, mid2, hi)):
+                if a == b or r0 == r1:
+                    continue
+                pool = np.arange(r0, r1) if stage_1 else (state[r0:r1, 1] < 0).nonzero()[0] + r0
+                if not len(pool):
+                    continue
+                ti, di = _associate(tkeys[pool], dkeys[a:b], params)
+                ti, di = pool[ti], di + a
+                state[ti, 1] = di
+                matched.append((ti, di))
+                if stage_1:
+                    unmatched -= len(di)
+        if matched:
+            ti, di = matched[0] if len(matched) == 1 else (np.concatenate(c) for c in zip(*matched))
+            if params.kalman:
                 x, p = X[ti], P[ti]
                 pt = p.transpose(0, 2, 1)
                 gain_t = np.linalg.solve(pt[:, :5, :5] + _R, pt[:, :5, :])   # K^T
                 innovation = boxes[di] - x[:, :5]
                 X[ti] = x + (innovation[:, None, :] @ gain_t)[:, 0, :]
                 P[ti] = p - gain_t.transpose(0, 2, 1) @ p[:, :5, :]
-            elif len(ti):
+            else:
                 X[ti, :5] = boxes[di]
-            state[ti, 1] += 1
-            state[ti, 3] = k
-            source[ti] = di
-            if spawning:
-                fresh[di - lo] = False
-        if n:
-            history.append((state[:, 0].copy(), X[:, :5].copy(), source, k))
-            missed = state[source < 0]
-            expired = k * dt - missed[:, 3] * dt > T_MAX_S
-            ended.append(missed[expired])
-            drop = expired | (missed[:, 1] < CONFIRM_HITS)
+            state[ti, 2] += 1
+            state[ti, 4] = k
+        missed = state[:, 1] < 0
+        if missed.any():
+            gone = state[missed]
+            expired = k * dt - gone[:, 4] * dt > T_MAX_S
+            ended.append(gone[expired])
+            drop = expired | (gone[:, 2] < CONFIRM_HITS)
             if drop.any():
-                keep = source >= 0
-                keep[~keep] = ~drop
+                keep = ~missed
+                keep[missed] = ~drop
+                ne = int(np.count_nonzero(keep[:ne]))
                 state, X, P = state[keep], X[keep], P[keep]
-        spawn = np.flatnonzero(fresh) + lo
-        if len(spawn):
-            m = len(spawn)
-            ids = np.arange(next_id, next_id + m)
-            next_id += m
-            state = np.concatenate([state, np.column_stack(
-                [ids, np.ones(m, dtype=np.int64), np.full((m, 2), k)])])
-            X = np.concatenate([X, np.column_stack([boxes[spawn], np.zeros((m, 2))])])
-            P = np.concatenate([P, np.broadcast_to(_P0, (m, 7, 7))])
-            history.append((ids, boxes[spawn], spawn, k))
-    ended = np.concatenate(ended + [state])
-    lasted = ended[:, 3] * dt - ended[:, 2] * dt
-    emit = (ended[:, 1] >= CONFIRM_HITS) & ~(lasted < T_MIN_S)
-    return _cut_tracklets(history, ended[emit], boxes, dt), next_id
+        if unmatched:
+            fresh = np.ones(hi - lo, dtype=bool)
+            fresh[state[state[:, 1] >= 0, 1] - lo] = False
+            spawn = np.flatnonzero(fresh[:lo2 - lo]) + lo
+            m, m_east = len(spawn), int(np.searchsorted(spawn, mid1))
+            ids = np.concatenate([np.arange(next_east, next_east + m_east),
+                                  np.arange(next_west, next_west + m - m_east)])
+            next_east, next_west = next_east + m_east, next_west + m - m_east
+            new = np.column_stack([ids, spawn, np.ones(m, dtype=np.int64), np.full((m, 2), k)])
+            new_x = np.column_stack([boxes[spawn], np.zeros((m, 2))])
+            new_p = np.broadcast_to(_P0, (m, 7, 7))
+            state = np.concatenate([state[:ne], new[:m_east], state[ne:], new[m_east:]])
+            X = np.concatenate([X[:ne], new_x[:m_east], X[ne:], new_x[m_east:]])
+            P = np.concatenate([P[:ne], new_p[:m_east], P[ne:], new_p[m_east:]])
+            ne += m_east
+        pairs.frombytes(state[:, :2].tobytes())
+        states.frombytes(X[:, :5].tobytes())
+        if k == last[0]:    # the eastbound detections end
+            ended.append(state[:ne])
+            state, X, P, ne = state[ne:], X[ne:], P[ne:], 0
+        if k == last[1]:
+            ended.append(state[ne:])
+            state, X, P = state[:ne], X[:ne], P[:ne]
+    ended = np.concatenate(ended)
+    lasted = ended[:, 4] * dt - ended[:, 3] * dt
+    ended = ended[(ended[:, 2] >= CONFIRM_HITS) & ~(lasted < T_MIN_S)]
+    ended = ended[np.argsort(ended[:, 0] >= n_east, kind="stable")]     # eastbound first
+    history = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
+    out = _cut_tracklets(history[:, 0], history[:, 1], np.frombuffer(states).reshape(-1, 5),
+                         ended, boxes, dt)
+    for tl in out:      # westbound ids follow the last eastbound id
+        if tl.id >= n_east:
+            tl.id -= n_east - next_east
+    return out
 
 
-def _cut_tracklets(history, ended, boxes, dt: float) -> list:
+def _cut_tracklets(ids, source, states, ended, boxes, dt: float) -> list:
     """Tracklets of the `ended` state rows, in order, each cut after its
-    last matched frame, with the median dims of the boxes it matched."""
+    last matched frame, with the median dims of the boxes it matched.
+    Row r of the history is track ids[r]'s state and matched detection
+    (or -1) in one frame, a track's rows in frame order from its spawn."""
     if not len(ended):
         return []
-    ids, states, source, frames = zip(*history)
-    frame = np.repeat(frames, [len(i) for i in ids])
-    ids = np.concatenate(ids)
     order = np.argsort(ids, kind="stable")      # rows by id, then frame
-    states, source = np.concatenate(states), np.concatenate(source)
-    start = np.searchsorted(ids[order], ended[:, 0])
-    stop = start + ended[:, 3] - frame[order[start]] + 1
+    counts = np.bincount(ids)
+    start = (np.cumsum(counts) - counts)[ended[:, 0]]
     out = []
-    for i, a, b in zip(ended[:, 0].tolist(), start.tolist(), stop.tolist()):
-        rows = order[a:b]
+    for i, a, first, stop in zip(ended[:, 0].tolist(), start.tolist(),
+                                 ended[:, 3].tolist(), ended[:, 4].tolist()):
+        rows = order[a:a + stop - first + 1]
         matched = source[rows]
-        out.append(Tracklet(i, frame[rows] * dt, states[rows],
+        out.append(Tracklet(i, np.arange(first, stop + 1) * dt, states[rows],
                             np.median(boxes[matched[matched >= 0], 2:5], axis=0)))
     return out
 
 
 def run_tracker(algo: str, detections) -> list[Tracklet]:
     """Run the ALGORITHMS entry `algo`; eastbound (y >= 0) and westbound
-    detections are tracked as separate streams."""
+    detections never associate, and eastbound tracklets come first."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown tracker {algo!r}")
-    t, boxes, conf = _arrays(detections)
-    out, next_id = [], 0
-    for side in (boxes[:, 1] >= 0, boxes[:, 1] < 0):
-        tracklets, next_id = _run_stream(t[side], boxes[side], conf[side],
-                                         ALGORITHMS[algo], next_id)
-        out.extend(tracklets)
-    return out
+    return _run_stream(detections, ALGORITHMS[algo])
 
 
 # ---------------------------------------------------------------------------

@@ -363,13 +363,23 @@ def test_two_parallel_vehicles_no_swap():
         assert np.ptp(ys) < 2.0  # each tracklet stays in its lane
 
 
-def test_opposite_directions_never_associate():
-    a = vehicle_dets(y=6.0)
-    b = vehicle_dets(y=-6.0)
-    out = run_tracker("sort", sorted(a + b, key=lambda d: d.t))
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+@pytest.mark.parametrize("shared", [True, False], ids=["same-frames", "own-frames"])
+def test_opposite_directions_never_associate(algo, shared):
+    # Stopped traffic on both sides of the median, footprints overlapping:
+    # eastbound [100, 116] x [-2, 4], westbound [92, 108] x [-4, 2], so IOU
+    # is 0.2 and the reference points are 8.2 ft apart.  In shared frames
+    # the two would suppress each other in NMS.  In their own frames,
+    # westbound missing while eastbound is seen, eastbound's detections
+    # would extend the westbound track.
+    east_steps = set(range(30, 100)) if shared else {30, 31, 50, 51, 70, 71, 90, 91}
+    west = vehicle_dets(x0=108.0, v=0.0, y=-1.0, drop=lambda i: not shared and i in east_steps)
+    east = vehicle_dets(x0=100.0, v=0.0, y=1.0, drop=lambda i: i not in east_steps)
+    assert iou_footprint(east[0].box, west[0].box) == pytest.approx(0.2)
+    assert np.hypot(8.0, 2.0) < tk.D_MAX
+    out = run_tracker(algo, sorted(west + east, key=lambda d: d.t))
     assert len(out) == 2
-    signs = sorted(np.sign(tr.boxes[0][1]) for tr in out)
-    assert signs == [-1.0, 1.0]
+    assert (out[0].boxes[:, 1] > 0).all() and (out[1].boxes[:, 1] < 0).all()
 
 
 def test_iout_fragments_fast_vehicle_where_kiou_does_not():
@@ -683,6 +693,42 @@ def test_stacked_core_matches_reference_on_low_confidence_frames():
         got = run_tracker(algo, dets)
         assert len(got) == 2
         assert_same_tracklets(got, reference_run_tracker(algo, dets))
+
+
+def one_track_against_several():
+    """Eastbound holds one live track for 10 s while westbound holds three;
+    x and y carry 1 ft of noise."""
+    dets = vehicle_dets(v=87.3) + [d for i in range(3) for d in vehicle_dets(
+        x0=2000.0 - 300.0 * i, v=-60.0 - 15.0 * i, y=-6.0 - 12.0 * i)]
+    noise = np.random.default_rng(0).normal(0.0, 1.0, (len(dets), 2))
+    return sorted((replace(d, box=(d.box[0] + dx, d.box[1] + dy) + d.box[2:])
+                   for d, (dx, dy) in zip(dets, noise.tolist())), key=lambda d: d.t)
+
+
+@pytest.mark.parametrize("scene", sorted(EQUIVALENCE_SCENES) + ["one-against-several"])
+def test_both_directions_together_equal_each_alone(scene):
+    """One loop over both directions gives each direction's tracklets the
+    bits they have when it is tracked alone: eastbound first with the same
+    ids, then westbound with ids shifted by one constant."""
+    dets = (list(scene_detections(**EQUIVALENCE_SCENES[scene])) if scene in EQUIVALENCE_SCENES
+            else one_track_against_several())
+    east = [d for d in dets if d.box[1] >= 0]
+    west = [d for d in dets if d.box[1] < 0]
+    emitted = [0, 0]
+    for algo in ALGORITHMS:
+        both = run_tracker(algo, dets)
+        alone_east, alone_west = run_tracker(algo, east), run_tracker(algo, west)
+        emitted = [emitted[0] + len(alone_east), emitted[1] + len(alone_west)]
+        assert len(both) == len(alone_east) + len(alone_west)
+        got_east, got_west = both[:len(alone_east)], both[len(alone_east):]
+        assert [tl.id for tl in got_east] == [tl.id for tl in alone_east]
+        assert len({g.id - a.id for g, a in zip(got_west, alone_west)}) <= 1
+        assert all(g.id > e.id for g in got_west for e in got_east)
+        for g, a in zip(got_east + got_west, alone_east + alone_west):
+            assert g.times.tobytes() == a.times.tobytes()
+            assert g.boxes.tobytes() == a.boxes.tobytes()
+            assert g.dims.tobytes() == a.dims.tobytes()
+    assert min(emitted) > 0
 
 
 def test_nms_chain_keeps_third_box():
