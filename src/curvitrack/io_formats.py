@@ -320,7 +320,8 @@ def write_points(path: str, cameras) -> None:
 
 
 def read_points(path: str) -> dict:
-    """{camera: (direction, PointSet)}, points in file order."""
+    """{camera: (direction, PointSet)}, points in file order; a file without
+    a record is refused."""
     from .geometry import CorrespondencePoint, ImagePoint, PointSet, StatePlanePoint
 
     cameras: dict = {}
@@ -338,6 +339,8 @@ def read_points(path: str) -> dict:
             seen.add((r["camera"], r["id"]))
             points.append(CorrespondencePoint(r["id"], ImagePoint(*map(float, r["im"])),
                                               StatePlanePoint(*map(float, r["st"]), 0.0)))
+    if not cameras:
+        raise MalformedInput(f"{path}: no correspondence points")
     return {cam: (direction, PointSet(points)) for cam, (direction, points) in cameras.items()}
 
 

@@ -9,8 +9,10 @@ so the footprint extends along +x for eastbound (y > 0) and -x for
 westbound.  The columns are sorted by time once per run (`_arrays`).  The
 two travel directions are tracked in one loop over frames, as two blocks
 of tracks and detections that never associate or suppress each other:
-eastbound tracklets come first, and ids follow each direction's spawn
-order, westbound after every eastbound spawn.
+each association stage costs both in one NaN-padded block, eastbound
+tracklets come first, and ids follow each direction's spawn order,
+westbound after every eastbound spawn.  The Kalman filter runs axis by
+axis, on 9 covariance numbers per track.
 A Tracklet holds arrays too, from the tracker through `tracks.jsonl` to
 `moteval.evaluate`: its times, its (x, y, l, w, h) states and the median
 l, w, h of the detections it matched, taken once where it is cut.
@@ -38,11 +40,6 @@ TAU_HIGH = 0.4      # first-stage confidence (ByteTrack)
 CONFIRM_HITS = 2
 PROCESS_STD = (1.0, 0.3, 0.1, 0.1, 0.1, 3.0, 0.5)   # x y l w h vx vy
 MEASURE_STD = 1.0
-
-# the constant-velocity Kalman filter's noises and initial covariance
-_Q = np.diag(np.asarray(PROCESS_STD) ** 2)
-_R = MEASURE_STD ** 2 * np.eye(5)
-_P0 = np.diag([MEASURE_STD ** 2] * 5 + [400.0, 25.0])
 
 _BIG = 1e9
 
@@ -382,27 +379,36 @@ def _frames(t, boxes, conf, params: TrackerParams):
     return frame[kept], boxes[kept], rects[kept], conf[kept]
 
 
-def _associate(tkeys, dkeys, params: TrackerParams):
+def _associate(tkeys, t_east: int, dkeys, d_east: int, params: TrackerParams):
     """(track rows, detection cols) matched in one association stage, from
-    the tracks' and the detections' keys: centres (x, y) for "l2",
-    footprint rectangles for "iou".
+    the tracks' and the detections' keys, each stacked [eastbound |
+    westbound] with `t_east` and `d_east` eastbound rows: centres (x, y) for
+    "l2", footprint rectangles for "iou".
 
-    A one-to-one feasible set is taken before `_assign`, which would take it
-    whole: on the many small one-to-one stages this set test is about six
-    times faster than `_assign`'s bincount test.
+    Each side's keys are padded with NaN, which is never feasible, into one
+    (2, R, k) array, so one (2, R, C) block costs both directions and no
+    cell pairs a track with the other direction's detection.  A one-to-one
+    feasible set is taken before `_assign`, which would take it whole: on
+    the many small one-to-one stages this set test is about six times
+    faster than `_assign`'s bincount test.
     """
+    t, d = (np.full((2, max(e, len(keys) - e), keys.shape[1]), np.nan)
+            for keys, e in ((tkeys, t_east), (dkeys, d_east)))
+    t[0, :t_east], t[1, :len(tkeys) - t_east] = tkeys[:t_east], tkeys[t_east:]
+    d[0, :d_east], d[1, :len(dkeys) - d_east] = dkeys[:d_east], dkeys[d_east:]
     if params.similarity == "l2":
-        dx = tkeys[:, 0, None] - dkeys[None, :, 0]
-        dy = tkeys[:, 1, None] - dkeys[None, :, 1]
+        dx = t[:, :, None, 0] - d[:, None, :, 0]
+        dy = t[:, :, None, 1] - d[:, None, :, 1]
         cost = np.sqrt(dx * dx + dy * dy)   # np.linalg.norm's bits, no strided reduce
         feasible = cost <= D_MAX
     else:
-        iou = _rect_iou(tkeys[:, None, :], dkeys[None, :, :])
+        iou = _rect_iou(t[:, :, None, :], d[:, None, :, :])
         cost, feasible = 1.0 - iou, iou >= PHI_MIN
-    rows, cols = np.nonzero(feasible)
+    side, r, c = np.nonzero(feasible)
+    rows, cols = r + side * t_east, c + side * d_east
     if len(set(rows.tolist())) == len(rows) == len(set(cols.tolist())):
         return rows, cols
-    taken = _assign(rows, cols, cost[rows, cols])
+    taken = _assign(rows, cols, cost[side, r, c])
     return rows[taken], cols[taken]
 
 
@@ -436,18 +442,18 @@ def _run_stream(detections, params: TrackerParams) -> list[Tracklet]:
 
     Active tracks are stacked as [eastbound | westbound], with `ne`
     eastbound rows: `state` holds (id, matched detection or -1, hits, first
-    frame, last matched frame) per track and X (N,7) / P (N,7,7) the
-    constant-velocity Kalman filter on (x, y, l, w, h, vx, vy); without
-    Kalman, X[:, :5] is the last matched box.  Each stage's detections are
-    ordered the same way, and each stage builds one cost block per
-    direction, so no track or detection meets the other direction's.
+    frame, last matched frame) per track and X (N,7) the constant-velocity
+    Kalman filter's (x, y, l, w, h, vx, vy); without Kalman, X[:, :5] is
+    the last matched box.  The noises and the initial covariance are
+    diagonal, and the motion couples only x with vx and y with vy, so a
+    track's covariance keeps 9 numbers, P (N,9): the variances of x, y, l,
+    w, h, vx and vy, then cov(x, vx) and cov(y, vy).  Predict and update
+    are elementwise column operations: S is diagonal and the gain a
+    division, so a track's states depend on no other live track and on no
+    BLAS build.  Each stage's detections are stacked the same way, and
+    each stage costs both directions in one padded block (`_associate`).
     Stage 2 takes only the tracks stage 1 left unmatched, so one Kalman
     update per frame, after both stages, is exact.
-
-    Each direction's block is predicted by its own product: BLAS may round
-    a row of X @ F.T differently in a one-row product (x + vx * dt, rounded
-    twice) than in a taller one (fused), so one product over both blocks
-    would let one direction's tracks change the other's bits.
 
     Eastbound ids count eastbound spawns from 0.  Westbound ids count from
     the number of eastbound detections, a bound on the eastbound spawns,
@@ -460,10 +466,12 @@ def _run_stream(detections, params: TrackerParams) -> list[Tracklet]:
         return []
     dt = 1.0 / params.f_track
     dkeys = boxes[:, :2] if params.similarity == "l2" else rects
-    F = np.eye(7)
-    F[0, 5] = F[1, 6] = dt
+    q = np.square(PROCESS_STD + (0.0, 0.0))     # Q, in P's columns
+    p0 = np.array([MEASURE_STD ** 2] * 5 + [400.0, 25.0, 0.0, 0.0])
+    # each state's measured axis, and P's column of their covariance
+    axis, cross_col = np.r_[0:5, 0:2], np.r_[0:5, 7:9]
     state = np.zeros((0, 5), dtype=np.int64)
-    X, P = np.zeros((0, 7)), np.zeros((0, 7, 7))
+    X, P = np.zeros((0, 7)), np.zeros((0, 9))
     ne, next_east, next_west = 0, 0, n_east
     # history, one row per track and frame: (id, matched detection) and X[:, :5]
     pairs, states = array("q"), array("d")
@@ -475,35 +483,37 @@ def _run_stream(detections, params: TrackerParams) -> list[Tracklet]:
         n = len(state)
         if not n and lo == hi:
             continue
-        if n and params.kalman:
-            X = np.concatenate([X[:ne] @ F.T, X[ne:] @ F.T]) if 0 < ne < n else X @ F.T
-            P = F @ P @ F.T + _Q
+        if n and params.kalman:     # X <- F X and P <- F P F^T + Q, axis by axis
+            X[:, :2] += dt * X[:, 5:]
+            cov = P[:, 7:] + dt * P[:, 5:7]
+            P[:, :2] += dt * (P[:, 7:] + cov)
+            P[:, 7:] = cov
+            P += q
         state[:, 1] = -1
         matched, unmatched = [], lo2 - lo     # unmatched stage-1 detections spawn
         if n and lo < hi:
             tkeys = X[:, :2] if params.similarity == "l2" else footprint_rect(X[:, :5])
-            for stage_1, r0, r1, a, b in ((True, 0, ne, lo, mid1), (True, ne, n, mid1, lo2),
-                                          (False, 0, ne, lo2, mid2), (False, ne, n, mid2, hi)):
-                if a == b or r0 == r1:
-                    continue
-                pool = np.arange(r0, r1) if stage_1 else (state[r0:r1, 1] < 0).nonzero()[0] + r0
+            for a, mid, b in ((lo, mid1, lo2), (lo2, mid2, hi)):
+                pool = np.flatnonzero(state[:, 1] < 0) if a < b else ()  # unmatched so far
                 if not len(pool):
                     continue
-                ti, di = _associate(tkeys[pool], dkeys[a:b], params)
+                ti, di = _associate(tkeys[pool], int(np.searchsorted(pool, ne)),
+                                    dkeys[a:b], mid - a, params)
                 ti, di = pool[ti], di + a
                 state[ti, 1] = di
                 matched.append((ti, di))
-                if stage_1:
+                if b == lo2:    # stage 1
                     unmatched -= len(di)
         if matched:
             ti, di = matched[0] if len(matched) == 1 else (np.concatenate(c) for c in zip(*matched))
-            if params.kalman:
+            if params.kalman:   # S = P[:, :5] + R is diagonal, so the gain is a division
                 x, p = X[ti], P[ti]
-                pt = p.transpose(0, 2, 1)
-                gain_t = np.linalg.solve(pt[:, :5, :5] + _R, pt[:, :5, :])   # K^T
-                innovation = boxes[di] - x[:, :5]
-                X[ti] = x + (innovation[:, None, :] @ gain_t)[:, 0, :]
-                P[ti] = p - gain_t.transpose(0, 2, 1) @ p[:, :5, :]
+                cross = p[:, cross_col]
+                gain = cross / (p[:, :5] + MEASURE_STD ** 2)[:, axis]
+                X[ti] = x + gain * (boxes[di] - x[:, :5])[:, axis]
+                p[:, :7] -= gain * cross
+                p[:, 7:] -= gain[:, :2] * cross[:, 5:]
+                P[ti] = p
             else:
                 X[ti, :5] = boxes[di]
             state[ti, 2] += 1
@@ -529,7 +539,7 @@ def _run_stream(detections, params: TrackerParams) -> list[Tracklet]:
             next_east, next_west = next_east + m_east, next_west + m - m_east
             new = np.column_stack([ids, spawn, np.ones(m, dtype=np.int64), np.full((m, 2), k)])
             new_x = np.column_stack([boxes[spawn], np.zeros((m, 2))])
-            new_p = np.broadcast_to(_P0, (m, 7, 7))
+            new_p = np.broadcast_to(p0, (m, 9))
             state = np.concatenate([state[:ne], new[:m_east], state[ne:], new[m_east:]])
             X = np.concatenate([X[:ne], new_x[:m_east], X[ne:], new_x[m_east:]])
             P = np.concatenate([P[:ne], new_p[:m_east], P[ne:], new_p[m_east:]])

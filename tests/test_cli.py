@@ -283,6 +283,30 @@ def test_empty_ground_truth_exits_one(tmp_path, stage):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["calibrate", "restim"])
+def test_empty_points_exit_one(tmp_path, stage):
+    # the run's other inputs are valid, so only points.jsonl is at fault
+    simulate(tmp_path)
+    points, out = tmp_path / "points.jsonl", tmp_path / "out"
+    points.write_text("\n")
+    args = ([stage, "--points", points, "--out", out] if stage == "calibrate"
+            else [stage, "--points", points, "--reference", tmp_path / "reference.json",
+                  "--snapshots", tmp_path / "snapshots.jsonl", "--out", out])
+    assert_rejected(args, "points.jsonl", "no correspondence points")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["kiou", "oracle"])
+def test_empty_detections_give_empty_tracks(tmp_path, algo):
+    dets, gt, out = (tmp_path / name for name in
+                     ("detections.jsonl", "gt_tracks.jsonl", "tracks.jsonl"))
+    dets.write_text("")
+    gt.write_text(json.dumps(GOOD_STATE) + "\n" + json.dumps(dict(GOOD_STATE, t=0.1)) + "\n")
+    assert run(["track", "--detections", dets, "--algo", algo, "--gt", gt, "--out", out]) == 0
+    assert out.read_text() == ""
+    assert json.loads((tmp_path / "tracks.dims.json").read_text()) == {}
+
+
 GOOD_POINT = {"id": "p0", "camera": "c0", "direction": "EB",
               "im": [412.7, 883.1], "st": [5213.4, 2024.0]}
 

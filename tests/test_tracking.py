@@ -731,6 +731,68 @@ def test_both_directions_together_equal_each_alone(scene):
     assert min(emitted) > 0
 
 
+@pytest.mark.parametrize("algo", ["sort", "kiou", "byte-l2", "byte-iou"])
+def test_a_tracks_states_do_not_depend_on_other_live_tracks(algo):
+    """A noisy eastbound vehicle's states have the same bits alone and with
+    a second eastbound vehicle 2,000 ft ahead in another lane: no batched
+    product rounds a row by how many tracks are live."""
+    noise = np.random.default_rng(0).normal(0.0, 1.0, (100, 2)).tolist()
+    one = [replace(d, box=(d.box[0] + dx, d.box[1] + dy) + d.box[2:])
+           for d, (dx, dy) in zip(vehicle_dets(v=87.3), noise)]
+    ahead = vehicle_dets(x0=2100.0, v=80.0, y=18.0)
+    (alone,) = run_tracker(algo, one)
+    together = [tl for tl in run_tracker(algo, sorted(one + ahead, key=lambda d: d.t))
+                if tl.boxes[0, 0] < 1000.0]
+    assert len(together) == 1
+    assert together[0].times.tobytes() == alone.times.tobytes()
+    assert together[0].boxes.tobytes() == alone.boxes.tobytes()
+
+
+def _pairs(rows, cols):
+    return sorted(zip(rows.tolist(), cols.tolist()))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), algo=st.sampled_from(["kiou", "sort"]),
+       n=st.integers(0, 12), m=st.integers(0, 12), data=st.data())
+def test_padded_association_equals_each_direction_alone(seed, algo, n, m, data):
+    # tracks and detections crowd 60 ft of two lanes per direction, the
+    # inner ones 2 ft apart across the median, so pairs share rows and
+    # columns and cross it; keys are rects (IOU) or centres (L2)
+    t_east, d_east = data.draw(st.integers(0, n)), data.draw(st.integers(0, m))
+    g = np.random.default_rng(seed)
+    params = ALGORITHMS[algo]
+
+    def keys(count, east):
+        y = (1.0 + 6.0 * g.integers(0, 2, count)) * np.where(np.arange(count) < east, 1, -1)
+        boxes = np.column_stack([g.uniform(0.0, 60.0, count), y + g.normal(0.0, 1.0, count),
+                                 g.uniform(12.0, 20.0, count), np.full(count, 6.0),
+                                 np.full(count, 5.0)])
+        return boxes[:, :2] if params.similarity == "l2" else tk.footprint_rect(boxes)
+
+    tkeys, dkeys = keys(n, t_east), keys(m, d_east)
+    want = _pairs(*tk._associate(tkeys[:t_east], t_east, dkeys[:d_east], d_east, params))
+    rows, cols = tk._associate(tkeys[t_east:], n - t_east, dkeys[d_east:], m - d_east, params)
+    want += _pairs(rows + t_east, cols + d_east)
+    got = _pairs(*tk._associate(tkeys, t_east, dkeys, d_east, params))
+    assert got == sorted(want)
+
+
+@pytest.mark.parametrize("algo", ["kiou", "sort"])
+def test_padded_association_never_pairs_across_the_median(algo):
+    # eastbound [100, 116] x [-2, 4] and westbound [92, 108] x [-4, 2]:
+    # IOU 0.2 and centres 8.2 ft apart, each feasible within its direction
+    east, west = (100.0, 1.0, 16.0, 6.0, 5.0), (108.0, -1.0, 16.0, 6.0, 5.0)
+    assert iou_footprint(east, west) >= tk.PHI_MIN and np.hypot(8.0, 2.0) < tk.D_MAX
+    params = ALGORITHMS[algo]
+    boxes = np.array([east, west])
+    keys = boxes[:, :2] if params.similarity == "l2" else tk.footprint_rect(boxes)
+    for t_keys, t_east, d_keys, d_east in ((keys[:1], 1, keys[1:], 0),
+                                           (keys[1:], 0, keys[:1], 1)):
+        assert _pairs(*tk._associate(t_keys, t_east, d_keys, d_east, params)) == []
+    assert _pairs(*tk._associate(keys, 1, keys, 1, params)) == [(0, 0), (1, 1)]
+
+
 def test_nms_chain_keeps_third_box():
     # A suppresses B; B would suppress C, but B is gone, so C stays.
     dets = [Det(0.0, (120.0, 6.0, 16.0, 6.0, 5.0), 0.7),   # C: IOU(B, C) = 0.23, IOU(A, C) = 0
