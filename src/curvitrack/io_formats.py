@@ -361,7 +361,8 @@ def write_homographies(path: str, homographies, inliers=()) -> None:
 
 
 def read_homographies(path: str) -> dict:
-    """{camera: Homography}; `direction` defaults to EB."""
+    """{camera: Homography}; `direction` defaults to EB, and a file without
+    an entry is refused."""
     from .geometry import Homography
 
     out = {}
@@ -376,6 +377,8 @@ def read_homographies(path: str) -> dict:
                 out[cam] = Homography(h, cam, direction)
             except SingularFit as e:
                 raise MalformedInput(f"{path}: entry {i}: {e}") from e
+    if not out:
+        raise MalformedInput(f"{path}: no reference homographies")
     return out
 
 
@@ -390,7 +393,8 @@ def write_snapshots(path: str, snapshots) -> None:
 
 def read_snapshots(path: str) -> list:
     """RediscoverySnapshot records in file order; point ids unique within a
-    snapshot and epochs unique within a camera."""
+    snapshot and epochs unique within a camera.  A file without a record is
+    refused."""
     from .drift import RediscoverySnapshot
     from .geometry import ImagePoint
 
@@ -409,6 +413,8 @@ def read_snapshots(path: str) -> list:
             out.append(RediscoverySnapshot(
                 float(r["epoch"]), r["camera"], r["direction"],
                 tuple((p["id"], ImagePoint(*map(float, p["im"]))) for p in r["points"])))
+    if not out:
+        raise MalformedInput(f"{path}: no rediscovery snapshots")
     return out
 
 
@@ -683,11 +689,13 @@ def read_drift(path: str) -> dict:
 
 def read_eval_summary(path: str) -> dict:
     """{column: value} for the EvalReport.COLUMNS present in eval's
-    report.json; each must be a finite number."""
+    report.json; each must be a finite number, and one at least present."""
     from .moteval import EvalReport
 
     rep = _read_document(path, dict)
     out = {c: rep[c] for c in EvalReport.COLUMNS if c in rep}
+    if not out:
+        raise MalformedInput(f"{path}: none of the columns {', '.join(EvalReport.COLUMNS)}")
     _check(out, dict.fromkeys(out, NUM), path, "summary")
     return out
 

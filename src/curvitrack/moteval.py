@@ -17,16 +17,16 @@ the matched pairs with IOU >= alpha; the two rules can give different TP
 counts.
 
 Cost follows the feasible pairs, not objects x frames: every series is
-resampled over its own time window only, and one sweep over all frames
-(tracking.candidate_pairs) yields the same-frame pairs that overlap in x,
-the only ones that can reach an alpha (all above 0).  At each alpha, one
-tracking._assign over the pairs that reach it matches every frame at
-once: a pair sharing neither its row nor its column is taken as it is,
-and each connected component of the others is solved on its own
-submatrix.  Disjoint components match independently, so the matches are
-those of a Hungarian pass on the whole frame, except that among equally
-good matchings (exact IOU ties, as between identical duplicate tracks)
-the one chosen may differ.
+resampled over its own time window only, and one sweep over the gt and
+track samples of all frames together (tracking.candidate_pairs) yields the
+same-frame gt-track pairs that overlap in x, the only ones that can reach
+an alpha (all above 0).  At each alpha, one tracking._assign over the
+pairs that reach it matches every frame at once: a pair sharing neither
+its row nor its column is taken as it is, and each connected component
+of the others is solved on its own submatrix.  Disjoint components match
+independently, so the matches are those of a Hungarian pass on the whole
+frame, except that among equally good matchings (exact IOU ties, as
+between identical duplicate tracks) the one chosen may differ.
 """
 
 from __future__ import annotations
@@ -213,21 +213,24 @@ def _samples(series_list: list, grid: np.ndarray, x_clip=None) -> _Samples:
 
 def _match_frames(gt: _Samples, tr: _Samples, alphas) -> tuple:
     """match_frame over every frame at once: (gt sample, track sample, iou,
-    matched) per pair, ordered by frame, then gt series, then track series."""
+    matched) per pair, ordered by frame, gt sample and track sample.  One
+    sweep over both sample sets finds the pairs, of which the gt-track ones
+    are kept; within a frame, samples come in series order."""
     alphas = np.asarray(alphas, dtype=float)
-    g_order = np.argsort(gt.frame, kind="stable")
-    t_order = np.argsort(tr.frame, kind="stable")
-    g_rect, t_rect = footprint_rect(gt.boxes[g_order]), footprint_rect(tr.boxes[t_order])
-    rows, cols = candidate_pairs(gt.frame[g_order], g_rect[:, 0], g_rect[:, 2],
-                                 tr.frame[t_order], t_rect[:, 0], t_rect[:, 2])
-    vals = _rect_iou(g_rect[rows], t_rect[cols])
-    keep = vals >= alphas.min()
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    n = len(gt.frame)
+    rect = footprint_rect(np.concatenate([gt.boxes, tr.boxes]))
+    rows, cols = candidate_pairs(np.concatenate([gt.frame, tr.frame]), rect[:, 0], rect[:, 2])
+    cross = (rows < n) & (cols >= n)
+    rows, cols = rows[cross], cols[cross]
+    vals = _rect_iou(rect[rows], rect[cols])
+    keep = np.flatnonzero(vals >= alphas.min())
+    keep = keep[np.lexsort((cols[keep], rows[keep], gt.frame[rows[keep]]))]
+    rows, cols, vals = rows[keep], cols[keep] - n, vals[keep]
     matched, cost = vals >= alphas[:, None], 1.0 - vals
     for m in matched:
         e = np.flatnonzero(m)
         m[e] = _assign(rows[e], cols[e], cost[e])
-    return g_order[rows], t_order[cols], vals, matched
+    return rows, cols, vals, matched
 
 
 def _ass_a(g: np.ndarray, t: np.ndarray, gt_count: np.ndarray, n_tr: int):

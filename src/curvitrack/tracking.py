@@ -6,10 +6,11 @@ and `io_formats.read_detections` to the trackers.  The trackers take a
 and .conf, in any order, and emit Tracklets.  Boxes are axis-aligned in
 roadway coordinates; the box reference point is the back-bottom-center,
 so the footprint extends along +x for eastbound (y > 0) and -x for
-westbound.  The columns are sorted by time once per run (`_arrays`).  The
-two travel directions are tracked in one loop over frames, as two blocks
-of tracks and detections that never associate or suppress each other:
-each association stage costs both in one NaN-padded block, eastbound
+westbound.  The columns are sorted by time once per run (`_arrays`), and
+one pass gates, suppresses (NMS) and schedules both travel directions
+(`_frames`).  The two directions are tracked in one loop over frames, as
+two blocks of tracks and detections that never associate or suppress each
+other: each association stage costs both in one NaN-padded block, eastbound
 tracklets come first, and ids follow each direction's spawn order,
 westbound after every eastbound spawn.  The Kalman filter runs axis by
 axis, on 9 covariance numbers per track.
@@ -65,32 +66,28 @@ def footprint_rect(boxes: np.ndarray) -> np.ndarray:
     return out
 
 
-def candidate_pairs(key_a, lo_a, hi_a, key_b, lo_b, hi_b) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), sorted by (i, j), with key_a[i] == key_b[j] and
-    closed intervals [lo_a[i], hi_a[i]] and [lo_b[j], hi_b[j]] that meet.
+def candidate_pairs(key, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair (i, j), i < j, with key[i] == key[j] and closed intervals
+    [lo[i], hi[i]] and [lo[j], hi[j]] that meet, once and in no set order.
 
     Sort and sweep (Cohen et al., I-COLLIDE, 1995) on exact (key, start) ranks:
     of two intervals that meet, the one whose start sorts first holds the
     other's start, so each is paired with the later starts up to its end.
     """
-    _, key = np.unique(np.concatenate([key_a, key_b]), return_inverse=True)
-    xs, x = np.unique(np.concatenate([lo_a, lo_b]), return_inverse=True)
-    lo = key * len(xs) + x
+    _, key = np.unique(key, return_inverse=True)
+    xs, x = np.unique(lo, return_inverse=True)
+    start = key * len(xs) + x
     del x
-    hi = key * len(xs) + np.searchsorted(xs, np.concatenate([hi_a, hi_b]), "right") - 1
+    end = key * len(xs) + np.searchsorted(xs, hi, "right") - 1
     del key, xs
-    order = np.argsort(lo, kind="stable")
-    after = np.arange(1, len(lo) + 1)
-    count = np.searchsorted(lo[order], hi[order], "right") - after
-    del lo, hi          # the pair arrays below need only the order and the counts
+    order = np.argsort(start, kind="stable")
+    after = np.arange(1, len(start) + 1)
+    count = np.searchsorted(start[order], end[order], "right") - after
+    del start, end      # the pair arrays below need only the order and the counts
     u = np.repeat(order, count)
     v = order[np.arange(len(u)) + np.repeat(after - np.cumsum(count) + count, count)]
     del order, after, count
-    cross = (u < len(lo_a)) != (v < len(lo_a))
-    i, j = np.minimum(u, v)[cross], np.maximum(u, v)[cross] - len(lo_a)
-    del u, v, cross
-    order = np.lexsort((j, i))
-    return i[order], j[order]
+    return np.minimum(u, v), np.maximum(u, v, out=v)
 
 
 def _rect_iou(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
@@ -349,26 +346,32 @@ def _arrays(detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t[order], boxes[order], conf[order]
 
 
-def _frames(t, boxes, conf, params: TrackerParams):
-    """Confidence gate and greedy cross-camera NMS over one detection stream,
-    given as _arrays gives it.
+def _frames(detections, params: TrackerParams):
+    """Confidence gate, greedy cross-camera NMS and frame schedule of one
+    detection stream, both travel directions in one pass.
 
-    A detection's frame is round(t / dt) on the tracking grid.  Within a
-    frame, detections are ranked by (-conf, time order), and one is kept
-    unless a kept, higher-ranked one overlaps it with IOU >= PHI_NMS > 0,
-    which only the same-frame pairs candidate_pairs finds can reach.
-    Returns the kept detections' frames, boxes, rects and confidences in
-    time order (stable, so input order within a time).
+    A detection's frame is round(t / dt) on the tracking grid; it is
+    eastbound when y >= 0.  Within a (frame, direction) group, detections
+    are ranked by (-conf, time order), and one is kept unless a kept,
+    higher-ranked one overlaps it with IOU >= PHI_NMS > 0, which only the
+    pairs candidate_pairs finds in its group can reach.
+
+    Returns the kept boxes and rects, the number of eastbound ones, each
+    direction's last frame (None if it keeps none), the first frame f0 and
+    `cut`: frame f0 + i holds stage 1 eastbound, stage 1 westbound, stage 2
+    eastbound and stage 2 westbound detections, each in time order (stable),
+    between cut[4 * i:4 * i + 5].  A one-stage tracker has no stage 2.
     """
-    dt = 1.0 / params.f_track
+    t, boxes, conf = _arrays(detections)
     gate = ~(conf < params.sigma_high)
-    frame = np.rint(t[gate] / dt).astype(np.int64)
+    frame = np.rint(t[gate] / (1.0 / params.f_track)).astype(np.int64)
     boxes, conf = boxes[gate], conf[gate]
-    rects = footprint_rect(boxes)
-    order = np.lexsort((-conf, frame))
-    ranked, key = rects[order], frame[order]
-    a, b = candidate_pairs(key, ranked[:, 0], ranked[:, 2], key, ranked[:, 0], ranked[:, 2])
-    hit = (a < b) & (_rect_iou(ranked[a], ranked[b]) >= PHI_NMS)
+    west, rects = ~(boxes[:, 1] >= 0), footprint_rect(boxes)
+    order = np.lexsort((-conf, west, frame))
+    ranked = rects[order]
+    a, b = candidate_pairs((2 * frame + west)[order], ranked[:, 0], ranked[:, 2])
+    hit = np.flatnonzero(_rect_iou(ranked[a], ranked[b]) >= PHI_NMS)
+    hit = hit[np.lexsort((b[hit], a[hit]))]
     keep = [True] * len(order)
     # in (a, b) order, a's fate is settled before its own pairs come up: its
     # rivals rank higher
@@ -376,7 +379,14 @@ def _frames(t, boxes, conf, params: TrackerParams):
         if keep[i]:
             keep[j] = False
     kept = np.sort(order[np.array(keep, dtype=bool)])
-    return frame[kept], boxes[kept], rects[kept], conf[kept]
+    frame, west = frame[kept], west[kept]
+    last = [int(f[-1]) if len(f) else None for f in (frame[~west], frame[west])]
+    key = 4 * frame + 2 * ((conf[kept] < TAU_HIGH) & params.two_stage) + west
+    order = np.argsort(key, kind="stable")
+    key, order = key[order], kept[order]
+    f0, f1 = (int(key[0]) // 4, int(key[-1]) // 4) if len(key) else (0, -1)
+    cut = np.searchsorted(key, np.arange(4 * f0, 4 * f1 + 5))
+    return boxes[order], rects[order], len(kept) - int(west.sum()), last, f0, cut.tolist()
 
 
 def _associate(tkeys, t_east: int, dkeys, d_east: int, params: TrackerParams):
@@ -412,33 +422,9 @@ def _associate(tkeys, t_east: int, dkeys, d_east: int, params: TrackerParams):
     return rows[taken], cols[taken]
 
 
-def _merged_frames(detections, params: TrackerParams):
-    """`_frames` of each travel direction, merged for `_run_stream`.
-
-    Returns the kept boxes and rects, the number of eastbound ones, each
-    direction's last frame (None if it keeps no detection), the first
-    frame f0 and `cut`: frame f0 + i holds stage 1 eastbound, stage 1
-    westbound, stage 2 eastbound and stage 2 westbound detections between
-    the five bounds cut[4 * i:4 * i + 5], each part in input order.  A
-    one-stage tracker has no stage 2.
-    """
-    t, boxes, conf = _arrays(detections)
-    east = boxes[:, 1] >= 0
-    sides = [_frames(t[side], boxes[side], conf[side], params) for side in (east, ~east)]
-    frame, boxes, rects, conf = (np.concatenate(c) for c in zip(*sides))
-    n_east = len(sides[0][0])
-    last = [int(side[0][-1]) if len(side[0]) else None for side in sides]
-    key = 4 * frame + 2 * ((conf < TAU_HIGH) & params.two_stage) + (np.arange(len(frame)) >= n_east)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    f0, f1 = (int(key[0]) // 4, int(key[-1]) // 4) if len(key) else (0, -1)
-    cut = np.searchsorted(key, np.arange(4 * f0, 4 * f1 + 5))
-    return boxes[order], rects[order], n_east, last, f0, cut.tolist()
-
-
 def _run_stream(detections, params: TrackerParams) -> list[Tracklet]:
     """Track both travel directions of one detection stream in one loop
-    over frames.
+    over the frame schedule `_frames` builds.
 
     Active tracks are stacked as [eastbound | westbound], with `ne`
     eastbound rows: `state` holds (id, matched detection or -1, hits, first
@@ -461,7 +447,7 @@ def _run_stream(detections, params: TrackerParams) -> list[Tracklet]:
     Eastbound tracklets come first, each direction's in the order its
     tracks ended.
     """
-    boxes, rects, n_east, last, f0, cut = _merged_frames(detections, params)
+    boxes, rects, n_east, last, f0, cut = _frames(detections, params)
     if not len(boxes):
         return []
     dt = 1.0 / params.f_track

@@ -296,6 +296,21 @@ def test_empty_points_exit_one(tmp_path, stage):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("reference.json", "[]", "no reference homographies"),
+    ("snapshots.jsonl", "\n", "no rediscovery snapshots"),
+])
+def test_restim_refuses_an_input_without_a_record(tmp_path, name, text, where):
+    # the run's other inputs are valid, so only `name` is at fault
+    simulate(tmp_path)
+    (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    assert_rejected(["restim", "--points", tmp_path / "points.jsonl",
+                     "--reference", tmp_path / "reference.json",
+                     "--snapshots", tmp_path / "snapshots.jsonl", "--out", out], name, where)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("algo", ["kiou", "oracle"])
 def test_empty_detections_give_empty_tracks(tmp_path, algo):
     dets, gt, out = (tmp_path / name for name in
@@ -724,7 +739,8 @@ def test_invalid_manifest_exits_one(tmp_path, change, where):
     ("--drift", "drift.csv", "camera,epoch,fd_static,fd_baseline\nc0,abc,1.0,\n", "line 2"),
     ("--eval", "report.json", '{"HOTA": "x"}', "HOTA"),
     ("--eval", "report.json", "[1]", "JSON object"),
-], ids=["drift-epoch-string", "eval-value-string", "eval-not-object"])
+    ("--eval", "report.json", '{"n_gt": 3}', "none of the columns HOTA"),
+], ids=["drift-epoch-string", "eval-value-string", "eval-not-object", "eval-no-columns"])
 def test_invalid_report_input_exits_one(tmp_path, flag, name, text, where):
     path = tmp_path / name
     path.write_text(text)

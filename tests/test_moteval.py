@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from curvitrack import moteval as me
@@ -109,6 +111,39 @@ def test_match_frame_alpha_order_only_permutes_rows():
             assert np.array_equal(v, iou)
             assert np.array_equal(m, matched[order])
     assert shared >= 10    # most frames reach Hungarian
+
+
+def _sample_set(draws):
+    """_Samples of (series, frame, x, y) draws: one sample per series and
+    frame, ordered by series, then frame, as _samples orders them."""
+    rows = sorted({(o, f): (x, y) for o, f, x, y in draws}.items())
+    boxes = np.array([(x, y, 16.0, 6.0, 5.0) for _, (x, y) in rows]).reshape(-1, 5)
+    return me._Samples(np.array([o for (o, _), _ in rows], dtype=int),
+                       np.array([f for (_, f), _ in rows], dtype=int), boxes)
+
+
+# few series, frames and places, so frames share samples and boxes overlap
+_DRAWS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                            st.sampled_from([0.0, 4.0, 10.0, 30.0]),
+                            st.sampled_from([-3.0, 3.0])), max_size=14)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_DRAWS, _DRAWS)
+@example([], [(0, 0, 0.0, 3.0)])
+@example([(0, 2, 0.0, 3.0), (1, 1, 0.0, 3.0), (1, 2, 4.0, 3.0)],
+         [(0, 1, 0.0, 3.0), (0, 2, 0.0, 3.0), (1, 2, 10.0, 3.0)])
+def test_match_frames_pairs_equal_a_per_frame_join(gt_draws, tr_draws):
+    gt, tr = _sample_set(gt_draws), _sample_set(tr_draws)
+    rows, cols, iou, matched = me._match_frames(gt, tr, HOTA_ALPHAS)
+    rect = tk.footprint_rect
+    want = [(g, t, float(tk._rect_iou(rect(gt.boxes[g]), rect(tr.boxes[t]))[0]))
+            for f in sorted(set(gt.frame.tolist()))
+            for g in np.flatnonzero(gt.frame == f).tolist()
+            for t in np.flatnonzero(tr.frame == f).tolist()]
+    want = [w for w in want if w[2] >= min(HOTA_ALPHAS)]
+    assert list(zip(rows.tolist(), cols.tolist(), iou.tolist())) == want
+    assert matched.shape == (len(HOTA_ALPHAS), len(want))
 
 
 # ---------------------------------------------------------------------------

@@ -84,19 +84,19 @@ _INTERVALS = st.lists(st.tuples(st.integers(0, 2), st.sampled_from(_X),
 
 
 @settings(max_examples=400, deadline=None)
-@given(_INTERVALS, _INTERVALS)
-@example([], [])
-@example([], [(0, 0.0, 1.0)])
-@example([(0, 0.0, 1.0)], [])
-def test_candidate_pairs_equal_brute_force(a, b):
-    (ka, la, ha), (kb, lb, hb) = ([np.array([k for k, _, _ in side], dtype=np.int64),
-                                   np.array([min(p, q) for _, p, q in side], dtype=float),
-                                   np.array([max(p, q) for _, p, q in side], dtype=float)]
-                                  for side in (a, b))
-    i, j = tk.candidate_pairs(ka, la, ha, kb, lb, hb)
-    want = [(p, q) for p in range(len(a)) for q in range(len(b))
-            if ka[p] == kb[q] and la[p] <= hb[q] and lb[q] <= ha[p]]
-    assert list(zip(i.tolist(), j.tolist())) == want
+@given(_INTERVALS)
+@example([])
+@example([(0, 0.0, 1.0)])
+@example([(0, 0.0, 1.0), (0, 1.0, 1.0), (1, 0.0, 1.0)])
+def test_candidate_pairs_equal_brute_force(a):
+    key = np.array([k for k, _, _ in a], dtype=np.int64)
+    lo = np.array([min(p, q) for _, p, q in a], dtype=float)
+    hi = np.array([max(p, q) for _, p, q in a], dtype=float)
+    i, j = tk.candidate_pairs(key, lo, hi)
+    want = [(p, q) for p in range(len(a)) for q in range(p + 1, len(a))
+            if key[p] == key[q] and lo[p] <= hi[q] and lo[q] <= hi[p]]
+    # each pair once, smaller index first, in no set order
+    assert sorted(zip(i.tolist(), j.tolist())) == want
 
 
 # ---------------------------------------------------------------------------
@@ -798,10 +798,22 @@ def test_nms_chain_keeps_third_box():
     dets = [Det(0.0, (120.0, 6.0, 16.0, 6.0, 5.0), 0.7),   # C: IOU(B, C) = 0.23, IOU(A, C) = 0
             Det(0.0, (100.0, 6.0, 16.0, 6.0, 5.0), 0.9),   # A
             Det(0.0, (110.0, 6.0, 16.0, 6.0, 5.0), 0.8)]   # B: IOU(A, B) = 0.23
-    frame, boxes, _, _ = tk._frames(*tk._arrays(dets), ALGORITHMS["kiou"])
-    assert frame.tolist() == [0, 0]
+    boxes, _, n_east, _, f0, cut = tk._frames(dets, ALGORITHMS["kiou"])
+    assert (n_east, f0, cut) == (2, 0, [0, 2, 2, 2, 2])     # both kept in frame 0
     assert boxes.tolist() == [list(dets[0].box), list(dets[1].box)]
     assert [list(d.box) for d in _ref_nms(dets, 0.1)] == boxes.tolist()
+
+
+@pytest.mark.parametrize("confs", [(0.9, 0.8), (0.8, 0.9)])
+def test_nms_never_suppresses_across_the_median(confs):
+    # eastbound [100, 116] x [-2, 4] and westbound [92, 108] x [-4, 2] in
+    # one frame: IOU 0.2, which would suppress within one direction
+    east, west = (100.0, 1.0, 16.0, 6.0, 5.0), (108.0, -1.0, 16.0, 6.0, 5.0)
+    assert iou_footprint(east, west) >= tk.PHI_NMS
+    dets = [Det(0.0, east, confs[0]), Det(0.0, west, confs[1])]
+    boxes, _, n_east, last, f0, cut = tk._frames(dets, ALGORITHMS["kiou"])
+    assert boxes.tolist() == [list(east), list(west)]
+    assert (n_east, last, f0, cut) == (1, [0, 0], 0, [0, 1, 2, 2, 2])
 
 
 def test_one_to_one_frames_skip_hungarian(monkeypatch):
